@@ -11,7 +11,6 @@ import os
 import sys
 import time
 
-from . import series as _series
 from .rationals import Rat, rat_str
 
 
@@ -79,15 +78,21 @@ class SystemExit2(Exception):
     pass
 
 
-def _verify_worker(payload):
-    corpus, rid, trunc = payload
-    if trunc:
-        _series.DEFAULT_TRUNCATION = trunc
+# the corpus of a pool worker process, loaded once by _init_worker
+_worker_records = None
+
+
+def _init_worker(corpus):
+    global _worker_records
     from .database import load_corpus
+
+    _worker_records = load_corpus(corpus)
+
+
+def _verify_worker(rid, recs=None):
     from .singularity import certify
 
-    recs = load_corpus(corpus)
-    rec = recs[rid - 1]
+    rec = (recs or _worker_records)[rid - 1]
     cert = certify(rec.curve, rec.claims, curve_id=rec.id)
     return cert.to_dict()
 
@@ -108,18 +113,13 @@ def cmd_verify(args):
     if jobs > 1 and len(ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _verify_worker,
-                    [(args.corpus, rid, args.truncation) for rid in ids],
-                )
-            )
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker,
+            initargs=(args.corpus,),
+        ) as pool:
+            results = list(pool.map(_verify_worker, ids))
     else:
-        results = [
-            _verify_worker((args.corpus, rid, args.truncation))
-            for rid in ids
-        ]
+        results = [_verify_worker(rid, recs) for rid in ids]
     passed = all(r["passed"] for r in results)
     lines = []
     for r in results:
@@ -263,8 +263,6 @@ def build_parser():
                     help="path to a corpus file (default: bundled)")
     ap.add_argument("--jobs", type=int, default=None,
                     help="parallel verification jobs (default: cpu count)")
-    ap.add_argument("--truncation", type=int, default=None,
-                    help="series truncation override")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the corpus")
@@ -304,8 +302,6 @@ COMMANDS = {
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.truncation:
-        _series.DEFAULT_TRUNCATION = args.truncation
     try:
         return COMMANDS[args.command](args)
     except SystemExit2 as exc:

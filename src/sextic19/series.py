@@ -215,6 +215,3 @@ class TruncatedSeries:
 
     def __repr__(self):
         return self.to_str()
-
-
-DEFAULT_TRUNCATION = 42

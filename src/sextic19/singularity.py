@@ -11,15 +11,44 @@ delta invariants of the claims add up to ten.  A rational birational sextic
 has total delta exactly ten, and the true delta at a claimed point can only
 exceed the claimed one, so the budget closing certifies both that every
 claim is exact and that no unclaimed singularity exists.
+
+Truncation.  Both classifiers read one order off truncated series: the
+contact order i of two smooth branches (A_(2i-1)) or the first odd order
+2k+1 of a one-branch double point (A_2k).  Every series operation is exact
+below its truncation, so an order the classifier sees is the exact order
+and the truncation only decides when to stop looking.  A classifier makes
+at most two passes:
+
+- the smallest truncation that shows the claimed order: i + 1 for a claimed
+  A_(2i-1), and 2k + 2 for a claimed A_2k;
+- if that pass cannot see the order, one pass at the genus bound
+  g = (d-1)(d-2)/2 of a parametrization of degree d: g + 1 for two
+  branches, 2g + 2 for one branch.
+
+The bound suffices.  The image of the map is irreducible of degree at most
+d, so the delta invariant of any of its points is at most g.  By the delta
+formula delta(p) = sum delta(B) + sum I(B, B') over the branches B at p,
+two smooth branches have contact i = I(B1, B2) <= delta(p) <= g, and a
+double-point branch whose first odd order is 2k + 1 has delta(B) = k <= g,
+so 2k + 1 <= 2g + 1.  An order still unseen at the bound is therefore
+infinite: the two parameters trace one branch of the image, or the branch
+at one parameter is traced twice, which happens only when the map is not
+birational.  The classifier then raises SingularityError and the claim
+fails.
 """
 
 import time
 
-from .curve import ProjectivePoint
-from .numberfield import adjoin_root, field_pow
-from .polynomial import UniPoly, lagrange_interpolate, poly_gcd, resultant
-from . import series as _series
-from .series import TruncatedSeries
+from .curve import CurveError, ProjectivePoint
+from .numberfield import FieldError, adjoin_root, field_pow
+from .polynomial import (
+    PolynomialError,
+    UniPoly,
+    lagrange_interpolate,
+    poly_gcd,
+    resultant,
+)
+from .series import SeriesError, TruncatedSeries
 
 
 class SingularityError(Exception):
@@ -28,6 +57,13 @@ class SingularityError(Exception):
 
 class TruncationExhausted(SingularityError):
     pass
+
+
+# What the exact layers raise on input they cannot certify; `certify` turns
+# these into FAIL verdicts and lets anything else (a bug) propagate.
+_DOMAIN_ERRORS = (
+    SingularityError, FieldError, SeriesError, PolynomialError, CurveError
+)
 
 
 class SingularityType:
@@ -127,30 +163,45 @@ def _affine_branch(curve, t0, trunc, chart=None):
     return chart, point, out[0], out[1]
 
 
-def branch_type_at(curve, t0, trunc=None, claimed=None):
+def _genus_bound(curve):
+    """(d-1)(d-2)/2: the largest delta invariant a point of the image of a
+    degree-d parametrization can have."""
+    d = curve.degree
+    return (d - 1) * (d - 2) // 2
+
+
+def _classify(once, curve, where, claim_trunc, bound_trunc):
+    """Run `once` at the claim's truncation and, if that cannot see the
+    order, once more at the genus bound (see the module docstring)."""
+    truncs = [bound_trunc]
+    if claim_trunc is not None and claim_trunc < bound_trunc:
+        truncs.insert(0, claim_trunc)
+    for trunc in truncs:
+        try:
+            return once(curve, where, trunc)
+        except TruncationExhausted:
+            pass
+    raise TruncationExhausted(
+        "order unseen at the genus bound (truncation %d): the branches "
+        "coincide, so the parametrization is not birational" % bound_trunc
+    )
+
+
+def branch_type_at(curve, t0, claimed=None):
     """A_even index of the one-branch double point at the image of t0.
 
     Expands the branch in an affine chart, takes a coordinate of order two,
     and repeatedly kills even-order leading terms of the other coordinate by
     subtracting multiples of powers of the first; the first odd surviving
     order 2k+1 gives A_2k.  Raises if the branch is smooth or has
-    multiplicity greater than two.
+    multiplicity greater than two.  A `claimed` A_n index sizes the first
+    pass.
     """
-    if trunc is None:
-        trunc = (
-            2 * claimed + 8 if claimed is not None
-            else _series.DEFAULT_TRUNCATION
-        )
-    f = curve.field
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return _branch_type_once(curve, t0, trunc)
-        except TruncationExhausted:
-            if attempts >= 4:
-                raise
-            trunc *= 2
+    return _classify(
+        _branch_type_once, curve, t0,
+        None if claimed is None else claimed + 2,
+        2 * _genus_bound(curve) + 2,
+    )
 
 
 def _branch_type_once(curve, t0, trunc):
@@ -158,7 +209,9 @@ def _branch_type_once(curve, t0, trunc):
     _, _, u, v = _affine_branch(curve, t0, trunc)
     ou, ov = u.order(), v.order()
     if ou is None and ov is None:
-        raise SingularityError("branch expansion is identically zero")
+        raise SingularityError(
+            "branch multiplicity exceeds two (no term below order %d)" % trunc
+        )
     if (ou is not None and ou == 1) or (ov is not None and ov == 1):
         raise SingularityError("branch is smooth at the parameter")
     if ou is None or (ov is not None and ov < ou):
@@ -180,27 +233,19 @@ def _branch_type_once(curve, t0, trunc):
         ov = v.order()
 
 
-def two_branch_type(curve, loc, trunc=None, claimed=None):
+def two_branch_type(curve, loc, claimed=None):
     """A_odd index of the double point whose two smooth branches sit at the
     two parameters of `loc` (a pair, or the roots of a quadratic).
 
     The second branch is rewritten as a graph via series reversion and the
-    intersection order i of the first branch with it gives A_(2i-1).
+    intersection order i of the first branch with it gives A_(2i-1).  A
+    `claimed` A_n index sizes the first pass.
     """
-    if trunc is None:
-        trunc = (
-            claimed + 9 if claimed is not None
-            else _series.DEFAULT_TRUNCATION
-        )
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return _two_branch_once(curve, loc, trunc)
-        except TruncationExhausted:
-            if attempts >= 4:
-                raise
-            trunc *= 2
+    return _classify(
+        _two_branch_once, curve, loc,
+        None if claimed is None else (claimed + 1) // 2 + 1,
+        _genus_bound(curve) + 1,
+    )
 
 
 def _two_branch_once(curve, loc, trunc):
@@ -269,6 +314,7 @@ class ClaimVerdict:
             "computed": ("A_%d" % self.computed.n) if self.computed else None,
             "location": self.where,
             "points": self.points,
+            "point_count": self.claim.point_count(),
             "ok": self.ok,
             "detail": self.detail,
         }
@@ -341,7 +387,9 @@ def _location_char_poly(curve, claim, l1, l2):
         val = f.div(num, den)
         return UniPoly(f, (f.neg(val), f.one))
 
-    if claim.stype.n % 2 == 1:
+    # an odd claim at a value or at infinity (which its classifier refuses)
+    # names one point, read below like an even claim's
+    if claim.stype.n % 2 == 1 and loc.kind in ("pair", "roots"):
         if loc.kind == "pair":
             return value_factor(loc.pair[0])
         ext, roots = adjoin_root(f, list(loc.poly.coeffs))
@@ -429,8 +477,11 @@ def claimed_points_distinct(curve, claims):
 
 
 def certify(curve, claims, curve_id=None, implicit_check=True):
-    """Certificate for a claims list against a parametrized curve."""
-    t_start = time.time()
+    """Certificate for a claims list against a parametrized curve.
+
+    A claim or check that the exact layers cannot complete fails with a
+    detail naming its stage; it does not abort the certificate."""
+    t_start = time.perf_counter()
     verdicts = []
     all_ok = True
     for claim in claims:
@@ -438,16 +489,16 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
             computed = verify_claim(curve, claim)
             ok = computed == claim.stype
             detail = "" if ok else "computed %r" % computed
-        except SingularityError as exc:
+        except _DOMAIN_ERRORS as exc:
             computed = None
             ok = False
-            detail = str(exc)
+            detail = "classify: %s" % exc
         pts = []
         try:
             for _fld, pt in curve.evaluate(claim.location):
                 pts.append(repr(pt))
-        except Exception as exc:  # pragma: no cover - report context only
-            pts.append("<%s>" % exc)
+        except _DOMAIN_ERRORS as exc:
+            pts.append("<evaluate: %s>" % exc)
         where = claim.location.describe(curve.field)
         verdicts.append(ClaimVerdict(claim, computed, ok, pts, where, detail))
         all_ok = all_ok and ok
@@ -462,7 +513,7 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
     }
     try:
         distinct = claimed_points_distinct(curve, claims)
-    except Exception as exc:
+    except _DOMAIN_ERRORS as exc:
         distinct = False
         checks["distinct_error"] = str(exc)
     checks["points_distinct"] = distinct
@@ -475,7 +526,7 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
             checks["implicit_degree"] = F.total_degree()
             checks["map_degree"] = mapdeg
             checks["implicit_ok"] = F.total_degree() == 6 and mapdeg == 1
-        except Exception as exc:
+        except _DOMAIN_ERRORS as exc:
             checks["implicit_ok"] = False
             checks["implicit_error"] = str(exc)
     else:
@@ -489,5 +540,5 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
         and checks["implicit_ok"]
     )
     return Certificate(
-        curve_id, verdicts, checks, passed, time.time() - t_start
+        curve_id, verdicts, checks, passed, time.perf_counter() - t_start
     )

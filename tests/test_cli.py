@@ -121,3 +121,31 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
     assert len([l for l in out.splitlines() if l.strip()]) == 39
+
+
+def test_verify_serial_loads_corpus_once(capsys, monkeypatch):
+    from sextic19 import database
+
+    loads = []
+    load_corpus = database.load_corpus
+
+    def counted(*args, **kwargs):
+        loads.append(args)
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(database, "load_corpus", counted)
+    code, out, _ = run_cli(capsys, "--json", "--jobs", "1", "verify",
+                           "3", "28")
+    assert code == 0
+    assert len(loads) == 1
+    doc = json.loads(out)
+    assert [item["curve"] for item in doc["items"]] == [3, 28]
+
+
+def test_verify_json_point_count(capsys):
+    code, out, _ = run_cli(capsys, "--json", "--jobs", "1", "verify", "33")
+    assert code == 0
+    claims = json.loads(out)["items"][0]["claims"]
+    counts = {c["claimed"]: c["point_count"] for c in claims}
+    # the A_2 claim at the roots of t^3 - 3t - 3 stands for three points
+    assert counts == {"A_1": 1, "A_8": 1, "A_2": 3, "A_4": 1}

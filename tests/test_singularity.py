@@ -159,3 +159,81 @@ def test_case1_certificate(by_id):
     assert cert.passed
     assert cert.checks["milnor_total"] == 19
     assert cert.checks["delta_total"] == 10
+
+
+def _count_passes(monkeypatch):
+    from sextic19 import singularity
+
+    calls = []
+    for name in ("_two_branch_once", "_branch_type_once"):
+        once = getattr(singularity, name)
+
+        def counted(curve, where, trunc, once=once):
+            calls.append(trunc)
+            return once(curve, where, trunc)
+
+        monkeypatch.setattr(singularity, name, counted)
+    return calls
+
+
+def test_low_claims_find_true_type_in_two_passes(by_id, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    rec3 = by_id[3]
+    assert two_branch_type(
+        rec3.curve, rec3.odd_claim.location, claimed=1
+    ).n == 17
+    assert len(calls) == 2
+    del calls[:]
+    rec2 = by_id[2]
+    assert branch_type_at(rec2.curve, "inf", claimed=2).n == 18
+    assert len(calls) == 2
+
+
+def test_claim_sized_truncation_is_one_pass(by_id, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    rec3 = by_id[3]
+    assert two_branch_type(
+        rec3.curve, rec3.odd_claim.location, claimed=17
+    ).n == 17
+    assert calls == [10]
+
+
+def test_non_birational_pair_raises_after_two_passes(monkeypatch):
+    # the nodal cubic (t^2 - 1, t^3 - t, 1) composed with t -> t^2: the
+    # parameters 1 and -1 both map to the cubic's parameter 1, so they trace
+    # one branch and the contact order is infinite
+    curve = RationalPlaneCurve(
+        QQ, P(-1, 0, 0, 0, 1), P(0, 0, -1, 0, 0, 0, 1), P(1)
+    )
+    loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
+    calls = _count_passes(monkeypatch)
+    with pytest.raises(SingularityError, match="not birational"):
+        two_branch_type(curve, loc, claimed=1)
+    assert calls == [2, 11]
+
+
+def test_non_squarefree_location_is_a_fail_verdict(by_id):
+    rec = by_id[3]
+    square = ParameterLocation.at_roots(P(1, -2, 1))
+    claims = [SingularityClaim(SingularityType(17), square)] + rec.claims[1:]
+    cert = certify(rec.curve, claims, curve_id=3, implicit_check=False)
+    assert not cert.passed
+    bad = cert.verdicts[0]
+    assert not bad.ok and bad.computed is None
+    assert bad.detail.startswith("classify:")
+    assert "squarefree" in bad.detail
+    assert cert.verdicts[1].ok
+    assert cert.to_dict()["claims"][0]["point_count"] == 1
+
+
+def test_swapped_odd_and_even_locations_fail_cleanly(by_id):
+    # the A_17 claim moves to t = inf and the A_2 claim to the roots of
+    # t^2 - 3; both are refused and every check still runs
+    rec = by_id[3]
+    odd, even = rec.claims
+    claims = [SingularityClaim(odd.stype, even.location),
+              SingularityClaim(even.stype, odd.location)]
+    cert = certify(rec.curve, claims, curve_id=3, implicit_check=False)
+    assert not cert.passed
+    assert not any(v.ok for v in cert.verdicts)
+    assert "distinct_error" not in cert.checks
