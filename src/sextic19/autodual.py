@@ -21,9 +21,9 @@ same parameter, so its claims can be discovered rather than guessed:
 Discovery is heuristic; the certificate that follows is exact.
 """
 
-from .curve import ParameterLocation, dual
+from .curve import ParameterLocation, dual, wronskian_minors
 from .numberfield import adjoin_root
-from .polynomial import InexactDivision, UniPoly, poly_gcd
+from .polynomial import InexactDivision, UniPoly
 from .singularity import SingularityClaim, SingularityType, certify
 
 
@@ -36,18 +36,6 @@ def dual_degree_law(rec):
     d = dual(rec.curve)
     predicted = 30 - 19 - rec.singular_point_count()
     return d.degree, predicted
-
-
-def _critical_gcd(curve):
-    """Monic gcd of the Wronskian minors of a parametrization."""
-    x, y, z = curve.components()
-    dx, dy, dz = x.derivative(), y.derivative(), z.derivative()
-    minors = [dy * z - dz * y, dz * x - dx * z, dx * y - dy * x]
-    nz = [m for m in minors if not m.is_zero()]
-    g = nz[0]
-    for m in nz[1:]:
-        g = poly_gcd(g, m)
-    return g
 
 
 def _divide_location_factor(g, loc, fld):
@@ -82,7 +70,7 @@ def discover_dual_claims(rec, dual_curve):
     ]
     needed_a2 = sum(1 for n in rec.multiset if n == 2)
 
-    g = _critical_gcd(dual_curve)
+    _comps, g = wronskian_minors(dual_curve)
     quotient = g.monic()
     for claim in transported:
         try:

@@ -2,7 +2,7 @@
 conic/Hilbert pipelines.
 
 Exit codes: 0 on success, 1 when a requested verification fails, 2 on
-usage or I/O errors.
+usage or I/O errors and on a malformed corpus.
 """
 
 import argparse
@@ -15,9 +15,12 @@ from .rationals import Rat, rat_str
 
 
 def _load(args):
-    from .database import load_corpus
+    from .database import CorpusError, load_corpus
 
-    return load_corpus(args.corpus)
+    try:
+        return load_corpus(args.corpus)
+    except CorpusError as exc:
+        raise SystemExit2(exc) from exc
 
 
 def _emit(args, payload, human_lines):
@@ -304,10 +307,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SystemExit2, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,8 +9,10 @@ from dataclasses import dataclass
 from .numberfield import QQ, build_tower, generator
 from .polynomial import (
     InexactDivision,
+    InterpolationMismatch,
     UniPoly,
-    lagrange_interpolate,
+    homogenize_xy,
+    interpolate_bivariate,
     resultant,
     squarefree_odd_even_split,
 )
@@ -176,26 +178,6 @@ def _conic_witness(a, b, max_height):
     return None
 
 
-def brute_force_conic_search(a, b, height):
-    """Independent oracle: exhaust X of height <= `height` and test whether
-    (1 - a X^2)/b is a rational square.  Returns a witness or None."""
-    a, b = Rat(a), Rat(b)
-    from math import gcd
-
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            if p != 0 and gcd(abs(p), q) != 1:
-                continue
-            X = Rat(p, q)
-            rest = (1 - a * X * X) / b
-            if rest < 0:
-                continue
-            Y = rat_sqrt(rest)
-            if Y is not None:
-                return X, Y
-    return None
-
-
 # ----------------------------------------------------------------------
 # pencil reduction
 
@@ -271,55 +253,29 @@ def pencil_reduce(F, pencil, fld):
     deg_l_bound = deg_y_f
     xs = [fld.from_int(k) for k in range(deg_x_bound + 1)]
     ls = [fld.from_int(k) for k in range(deg_l_bound + 1)]
+    spot = (fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3))
 
-    def g_rows_at(lv):
-        rows = []
-        for j in range(deg_y_g + 1):
-            r0 = pencil.g0[j] if j < len(pencil.g0) else UniPoly.zero(fld)
-            r1 = pencil.g1[j] if j < len(pencil.g1) else UniPoly.zero(fld)
-            rows.append(r0 + r1.scale(lv))
-        return rows
+    def res_at(lv, xv):
+        fy = _specialize(f_rows, xv, fld)
+        gy = _specialize(pencil.g0, xv, fld) \
+            + _specialize(pencil.g1, xv, fld).scale(lv)
+        if fy.degree != deg_y_f or gy.degree != deg_y_g:
+            raise ConicError("degree drop on the interpolation grid")
+        return resultant(fy, gy)
 
-    per_l = []
-    for lv in ls:
-        g_rows = g_rows_at(lv)
-        vals = []
-        for xv in xs:
-            fy = _specialize(f_rows, xv, fld)
-            gy = _specialize(g_rows, xv, fld)
-            if fy.degree != deg_y_f or gy.degree != deg_y_g:
-                raise ConicError("degree drop on the interpolation grid")
-            vals.append(resultant(fy, gy))
-        per_l.append(lagrange_interpolate(fld, xs, vals))
-    # interpolate across lambda for each x-degree
-    max_xdeg = max(p.degree for p in per_l)
-    lam_polys = []
-    for i in range(max_xdeg + 1):
-        vals = [p.coeff(i) for p in per_l]
-        lam_polys.append(lagrange_interpolate(fld, ls, vals))
-    # off-grid consistency check of the interpolated resultant
-    spot_x = fld.from_int(deg_x_bound + 3)
-    spot_l = fld.from_int(deg_l_bound + 3)
-    direct = resultant(
-        _specialize(f_rows, spot_x, fld),
-        _specialize(g_rows_at(spot_l), spot_x, fld),
-    )
-    from .numberfield import field_pow
-
-    interp = fld.zero
-    for i, lp in enumerate(lam_polys):
-        interp = fld.add(
-            interp, fld.mul(lp.eval(spot_l), field_pow(fld, spot_x, i))
-        )
-    if not fld.eq(direct, interp):
-        raise ConicError("pencil resultant interpolation is inconsistent")
+    try:
+        terms = interpolate_bivariate(fld, res_at, ls, xs, [spot])
+    except InterpolationMismatch as exc:
+        raise ConicError(
+            "pencil resultant interpolation is inconsistent") from exc
+    # terms maps (lambda-degree j, x-degree i) to a coefficient; regroup it
+    # into the x-polynomial coefficient of each lambda^j
+    deg_x = max((i for _, i in terms), default=-1)
+    p_by_lambda = [
+        UniPoly(fld, [terms.get((j, i), fld.zero) for i in range(deg_x + 1)])
+        for j in range(max((j for j, _ in terms), default=-1) + 1)
+    ]
     # divide by the basepoint factor: P(x, lambda) = P1 * P2(x)
-    # reorganize into x-major form: coefficient of lambda^j is an x-polynomial
-    deg_l = max((lp.degree for lp in lam_polys), default=0)
-    p_by_lambda = []
-    for j in range(deg_l + 1):
-        coeffs = [lam_polys[i].coeff(j) for i in range(max_xdeg + 1)]
-        p_by_lambda.append(UniPoly(fld, coeffs))
     try:
         p1_by_lambda = [pj.exact_div(pencil.basepoint) if not pj.is_zero()
                         else pj for pj in p_by_lambda]
@@ -378,27 +334,13 @@ def verify_pencil_basepoints(rec):
     x, y, z = rec.curve.components()
 
     def pullback(g_rows):
-        # homogenize the bivariate cubic rows (y-degree j, x-polynomial)
-        acc = UniPoly.zero(fld)
-        for j, row in enumerate(g_rows):
-            if row.is_zero():
-                continue
-            for i in range(row.degree + 1):
-                c = row.coeff(i)
-                if fld.is_zero(c):
-                    continue
-                k = 3 - i - j
-                if k < 0:
-                    raise ConicError("pencil member is not a cubic")
-                term = UniPoly.const(fld, c)
-                for _ in range(i):
-                    term = term * x
-                for _ in range(j):
-                    term = term * y
-                for _ in range(k):
-                    term = term * z
-                acc = acc + term
-        return acc
+        # the cubic whose y-degree-j row is an x-polynomial, at (x : y : z)
+        terms = {(i, j): c for j, row in enumerate(g_rows)
+                 for i, c in enumerate(row.coeffs)}
+        if any(i + j > 3 for i, j in terms):
+            raise ConicError("pencil member is not a cubic")
+        return homogenize_xy(fld, terms, 3).substitute(
+            (x, y, z), lambda c: UniPoly.const(fld, c))
 
     rows0 = [r.map_field(fld) for r in rec.pencil.g0]
     rows1 = [r.map_field(fld) for r in rec.pencil.g1]

@@ -7,11 +7,12 @@ ever computes is a univariate resultant over the coefficient field), strips
 the pure Z-power and the scalar content, and certifies the degree.
 """
 
-from .numberfield import adjoin_root, field_pow
+from .numberfield import adjoin_root
 from .polynomial import (
+    InterpolationMismatch,
     UniPoly,
     homogenize_xy,
-    lagrange_interpolate,
+    interpolate_bivariate,
     poly_gcd,
     resultant,
     squarefree_decomposition,
@@ -309,39 +310,19 @@ def implicitize(curve, expected_degree=None):
 
     xs = _interp_grid(f, db + 1, bad_x)
     ys = _interp_grid(f, da + 1, bad_y)
+    checks = zip(_interp_grid(f, db + 3, bad_x)[-2:],
+                 _interp_grid(f, da + 3, bad_y)[-2:])
 
     def res_at(xv, yv):
-        a = x - z.scale(xv)
-        b = y - z.scale(yv)
-        return resultant(a, b)
+        return resultant(x - z.scale(xv), y - z.scale(yv))
 
-    per_x = []
-    for xv in xs:
-        vals = [res_at(xv, yv) for yv in ys]
-        per_x.append(lagrange_interpolate(f, ys, vals))
-    terms = {}
-    for k in range(da + 1):
-        col = [p.coeff(k) for p in per_x]
-        qk = lagrange_interpolate(f, xs, col)
-        for l in range(qk.degree + 1):
-            c = qk.coeff(l)
-            if not f.is_zero(c):
-                terms[(l, k)] = c
+    try:
+        terms = interpolate_bivariate(f, res_at, xs, ys, checks)
+    except InterpolationMismatch as exc:
+        raise CurveError(
+            "implicitization interpolation is inconsistent") from exc
     if not terms:
         raise DegenerateCurve("implicitization produced the zero polynomial")
-    # validate the interpolation on off-grid points
-    gx = _interp_grid(f, db + 3, bad_x)[-2:]
-    gy = _interp_grid(f, da + 3, bad_y)[-2:]
-    for xv, yv in zip(gx, gy):
-        direct = res_at(xv, yv)
-        interp = f.zero
-        for (l, k), c in terms.items():
-            interp = f.add(
-                interp,
-                f.mul(c, f.mul(field_pow(f, xv, l), field_pow(f, yv, k))),
-            )
-        if not f.eq(direct, interp):
-            raise CurveError("implicitization interpolation is inconsistent")
     total = max(l + k for (l, k) in terms)
     if total <= 1:
         raise DegenerateCurve("image is a point or a line")
@@ -404,25 +385,31 @@ def _mapdeg_certificate(F):
 # dual curve, reparametrization, symmetry
 
 
-def dual(curve, with_gcd=False):
-    """Dual parametrization from the Wronskian minors, common factor removed."""
-    f = curve.field
+def _without_common_factor(polys):
+    """(polys divided by g, g) for g the gcd of the nonzero polynomials among
+    polys; g is that polynomial itself when only one is nonzero."""
+    nonzero = [p for p in polys if not p.is_zero()]
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = poly_gcd(g, p)
+    return [p.exact_div(g) if not p.is_zero() else p for p in polys], g
+
+
+def wronskian_minors(curve):
+    """The Wronskian minors of a parametrization divided by their gcd g, and
+    g.  The divided minors parametrize the dual curve."""
     x, y, z = curve.components()
     dx, dy, dz = x.derivative(), y.derivative(), z.derivative()
-    mx = dy * z - dz * y
-    my = dz * x - dx * z
-    mz = dx * y - dy * x
-    if mx.is_zero() and my.is_zero() and mz.is_zero():
+    minors = (dy * z - dz * y, dz * x - dx * z, dx * y - dy * x)
+    if all(m.is_zero() for m in minors):
         raise DegenerateCurve("dual of a line (or of a constant map)")
-    nonzero = [m for m in (mx, my, mz) if not m.is_zero()]
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = poly_gcd(g, m)
-    comps = [m.exact_div(g) if not m.is_zero() else m for m in (mx, my, mz)]
-    out = RationalPlaneCurve(f, *comps, check=False)
-    if with_gcd:
-        return out, g
-    return out
+    return _without_common_factor(minors)
+
+
+def dual(curve):
+    """Dual parametrization from the Wronskian minors, common factor removed."""
+    comps, _g = wronskian_minors(curve)
+    return RationalPlaneCurve(curve.field, *comps, check=False)
 
 
 def reparametrize(curve, moebius):
@@ -448,12 +435,7 @@ def reparametrize(curve, moebius):
         new.append(acc)
     if all(p.is_zero() for p in new):
         raise DegenerateCurve("reparametrization collapsed the curve")
-    nz = [p for p in new if not p.is_zero()]
-    g = nz[0]
-    for p in nz[1:]:
-        g = poly_gcd(g, p)
-    if g.degree > 0:
-        new = [p.exact_div(g) if not p.is_zero() else p for p in new]
+    new, _g = _without_common_factor(new)
     return RationalPlaneCurve(f, *new, check=False)
 
 

@@ -168,9 +168,8 @@ def decode_pencil(fld, data):
         target = g0 if row["lampow"] == 0 else g1
         target[row["ypow"]] = target[row["ypow"]] + poly
     bp = data["basepoint_factor"]
-    base = UniPoly.const(fld, decode_elem(fld, bp["scalar"]))
-    for fac in bp["factors"]:
-        base = base * decode_poly(fld, fac["coeffs"]) ** fac["power"]
+    base = decode_factors(fld, bp["factors"]).scale(
+        decode_elem(fld, bp["scalar"]))
     return PencilData(g0=g0, g1=g1, basepoint=base, h=h)
 
 
@@ -346,23 +345,25 @@ def _check_invariants(rec):
         raise CorpusError("record %d: %s" % (rec.id, "; ".join(errs)))
 
 
-def load_corpus(path=None, validate_schema=True):
+def load_corpus(path=None):
     """Load and validate the corpus; returns a list of CurveRecord."""
+    import jsonschema
+
     path = path or default_corpus_path()
     with open(path) as fh:
-        doc = json.load(fh)
-    if validate_schema:
-        import jsonschema
-
-        with open(_schema_path()) as fh:
-            schema = json.load(fh)
         try:
-            jsonschema.validate(doc, schema)
-        except jsonschema.ValidationError as exc:
-            raise CorpusError(
-                "schema violation at %s: %s"
-                % ("/".join(str(p) for p in exc.absolute_path), exc.message)
-            ) from exc
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorpusError("%s is not valid JSON: %s" % (path, exc)) from exc
+    with open(_schema_path()) as fh:
+        schema = json.load(fh)
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        raise CorpusError(
+            "schema violation at %s: %s"
+            % ("/".join(str(p) for p in exc.absolute_path), exc.message)
+        ) from exc
     records = []
     for data in doc["curves"]:
         rec = _decode_record(data)

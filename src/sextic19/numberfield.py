@@ -33,10 +33,10 @@ class FieldMismatch(FieldError):
 
 
 # ----------------------------------------------------------------------
-# dense list-polynomial helpers over an arbitrary field (used for modulus
-# reduction and extended-Euclid inversion; the public UniPoly class in
-# polynomial.py builds on fields defined here, so this module keeps its own
-# minimal kernel to avoid a circular import)
+# dense list-polynomial kernel over an arbitrary field, coefficients
+# low-first: product, long division and extended-Euclid inversion.  The
+# UniPoly class in polynomial.py builds on the fields defined here, so the
+# kernel lives in this module and UniPoly multiplies and divides through it.
 
 
 def _plist_normalize(field, coeffs):
@@ -46,7 +46,21 @@ def _plist_normalize(field, coeffs):
     return coeffs
 
 
-def _plist_divmod(field, num, den):
+def plist_mul(field, a, b):
+    """Product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if field.is_zero(ai):
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return out
+
+
+def plist_divmod(field, num, den):
+    """Quotient and normalized remainder of num by den (den normalized)."""
     num = list(num)
     dn = len(den) - 1
     inv_lead = field.inv(den[-1])
@@ -73,15 +87,10 @@ def _plist_invmod(field, a, modulus):
     r0, r1 = list(modulus), _plist_normalize(field, a)
     s0, s1 = [], [field.one]
     while r1:
-        q, r = _plist_divmod(field, r0, r1)
+        q, r = plist_divmod(field, r0, r1)
         r0, r1 = r1, r
         # s0 - q*s1
-        prod = [field.zero] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if field.is_zero(qi):
-                continue
-            for j, sj in enumerate(s1):
-                prod[i + j] = field.add(prod[i + j], field.mul(qi, sj))
+        prod = plist_mul(field, q, s1)
         ns = list(s0) + [field.zero] * max(0, len(prod) - len(s0))
         for i, pi in enumerate(prod):
             ns[i] = field.sub(ns[i], pi)
@@ -461,28 +470,11 @@ def generator(field):
 
 def minpoly_is_squarefree(coeffs):
     """gcd(m, m') constant test for a monic rational polynomial."""
-    f = [Rat(c) for c in coeffs]
-    g = [Rat(i) * f[i] for i in range(1, len(f))]
-
-    def norm(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = norm(list(f)), norm(list(g))
+    m = [Rat(c) for c in coeffs]
+    a = _plist_normalize(QQ, m)
+    b = _plist_normalize(QQ, [Rat(i) * m[i] for i in range(1, len(m))])
     while b:
-        # a mod b
-        a = list(a)
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            s = len(a) - len(b)
-            for i in range(len(b)):
-                a[s + i] -= q * b[i]
-            a.pop()
-        a, b = b, norm(a)
+        a, b = b, plist_divmod(QQ, a, b)[1]
     return len(a) == 1
 
 
@@ -675,8 +667,6 @@ def _sqrt_simple_ext(field, x):
 
 def _try_reconstruct_sqrt(field, xs, mc, p, roots, sqrts):
     d = field.degree
-    mder = [(i * int(c.numerator) % p) * _mod_inverse(int(c.denominator), p) % p
-            for i, c in enumerate(mc)][1:]
     for k in (6, 12, 24, 48, 96):
         M = p ** k
         # lift roots of m to mod M by Newton iteration

@@ -2,15 +2,13 @@
 
 UniPoly holds coefficients low-degree-first as raw field representations.
 TriPoly holds homogeneous-or-not trivariate polynomials as a term map.
-Resultants come in three flavours: a remainder-sequence resultant over a
-field (the workhorse), a fraction-free Sylvester/Bareiss determinant over
-any ring with exact division (used for trivariate resultants), and
-interpolation drivers for bivariate eliminations where only specialized
-field resultants are ever computed.
+Resultants are computed by a remainder-sequence algorithm over the
+coefficient field; bivariate eliminations go through one interpolation
+driver, so only specialized field resultants are ever computed.
 """
 
-from .numberfield import QQ, field_pow
-from .rationals import Rat
+from .numberfield import QQ, field_pow, field_sqrt, plist_divmod, plist_mul
+from .rationals import Rat, int_kth_root
 
 
 class PolynomialError(Exception):
@@ -19,6 +17,59 @@ class PolynomialError(Exception):
 
 class InexactDivision(PolynomialError):
     pass
+
+
+class InterpolationMismatch(PolynomialError):
+    pass
+
+
+def ring_power(one, x, n):
+    """x^n by repeated squaring, for x in a ring with the given one."""
+    out = one
+    n = int(n)
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
+def power_str(var, i):
+    """The monomial var^i as text; the empty string for i = 0."""
+    if i == 0:
+        return ""
+    return var if i == 1 else "%s^%d" % (var, i)
+
+
+def format_terms(field, terms):
+    """A sum of (coefficient, monomial) pairs as text, in the given order.
+
+    Zero coefficients are skipped and the empty monomial is the constant
+    term.  A coefficient of 1 or -1 is written as the bare monomial, and a
+    coefficient whose text contains '+', '-', '*' or '/' is parenthesized.
+    """
+    parts = []
+    for c, mon in terms:
+        if field.is_zero(c):
+            continue
+        cs = field.to_str(c)
+        if not mon:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mon)
+        elif cs == "-1":
+            parts.append("-" + mon)
+        else:
+            if "+" in cs[1:] or "-" in cs[1:] or "*" in cs or "/" in cs:
+                cs = "(%s)" % cs
+            parts.append("%s*%s" % (cs, mon))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 class UniPoly:
@@ -110,17 +161,8 @@ class UniPoly:
         return UniPoly(f, [f.neg(c) for c in self.coeffs], normalize=False)
 
     def __mul__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(f)
-        out = [f.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return UniPoly(f, out)
+        return UniPoly(self.field,
+                       plist_mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c):
         f = self.field
@@ -136,15 +178,7 @@ class UniPoly:
                        normalize=False)
 
     def __pow__(self, n):
-        out = UniPoly.one(self.field)
-        acc = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * acc
-            acc = acc * acc
-            n >>= 1
-        return out
+        return ring_power(UniPoly.one(self.field), self, n)
 
     def derivative(self):
         f = self.field
@@ -185,27 +219,11 @@ class UniPoly:
         return UniPoly(self.field, pad + tuple(reversed(self.coeffs)))
 
     def divmod(self, other):
-        f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        dn = len(den) - 1
-        inv_lead = f.inv(den[-1])
-        if len(num) - 1 < dn:
-            return UniPoly.zero(f), self
-        quo = [f.zero] * (len(num) - dn)
-        while len(num) - 1 >= dn and num:
-            if f.is_zero(num[-1]):
-                num.pop()
-                continue
-            s = len(num) - 1 - dn
-            q = f.mul(num[-1], inv_lead)
-            quo[s] = q
-            for i in range(dn + 1):
-                num[s + i] = f.sub(num[s + i], f.mul(q, den[i]))
-            num.pop()
-        return UniPoly(f, quo), UniPoly(f, num)
+        quo, rem = plist_divmod(self.field, self.coeffs, other.coeffs)
+        f = self.field
+        return UniPoly(f, quo), UniPoly(f, rem, normalize=False)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -231,31 +249,10 @@ class UniPoly:
         )
 
     def to_str(self, var="t"):
-        f = self.field
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if f.is_zero(c):
-                continue
-            cs = f.to_str(c)
-            if i == 0:
-                parts.append(cs)
-                continue
-            mon = var if i == 1 else "%s^%d" % (var, i)
-            if cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append("-" + mon)
-            else:
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or "*" in cs or "/" in cs:
-                    cs = "(%s)" % cs
-                parts.append("%s*%s" % (cs, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms(self.field, (
+            (self.coeffs[i], power_str(var, i))
+            for i in range(self.degree, -1, -1)
+        ))
 
     def __repr__(self):
         return self.to_str()
@@ -369,6 +366,36 @@ def lagrange_interpolate(field, xs, ys):
     return poly
 
 
+def interpolate_bivariate(field, value, outer, inner, checks):
+    """Coefficients {(i, j): c} of the polynomial P(u, v) = sum c u^i v^j
+    that agrees with value(u, v) on the grid outer x inner.
+
+    Each grid must be longer than the degree of P in its variable.  P is
+    interpolated along `inner` at every outer value, then each coefficient
+    along `outer`.  P is compared with `value` at every (u, v) of `checks`,
+    points off the grid, and a mismatch raises InterpolationMismatch.
+    """
+    per_outer = [
+        lagrange_interpolate(field, inner, [value(u, v) for v in inner])
+        for u in outer
+    ]
+    terms = {}
+    for j in range(max(p.degree for p in per_outer) + 1):
+        q = lagrange_interpolate(field, outer, [p.coeff(j) for p in per_outer])
+        for i, c in enumerate(q.coeffs):
+            if not field.is_zero(c):
+                terms[(i, j)] = c
+    for u, v in checks:
+        interp = field.zero
+        for (i, j), c in terms.items():
+            interp = field.add(interp, field.mul(
+                c, field.mul(field_pow(field, u, i), field_pow(field, v, j))))
+        if not field.eq(value(u, v), interp):
+            raise InterpolationMismatch(
+                "interpolated polynomial disagrees at an off-grid point")
+    return terms
+
+
 # ----------------------------------------------------------------------
 # trivariate polynomials
 
@@ -391,6 +418,10 @@ class TriPoly:
     @classmethod
     def monomial(cls, field, exp, coeff):
         return cls(field, {exp: coeff})
+
+    @classmethod
+    def const(cls, field, c):
+        return cls(field, {(0, 0, 0): c})
 
     @classmethod
     def variable(cls, field, index):
@@ -455,15 +486,7 @@ class TriPoly:
                        normalize=False)
 
     def __pow__(self, n):
-        out = TriPoly(self.field, {(0, 0, 0): self.field.one}, normalize=False)
-        acc = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * acc
-            acc = acc * acc
-            n >>= 1
-        return out
+        return ring_power(self.const(self.field, self.field.one), self, n)
 
     def eval(self, xyz):
         f = self.field
@@ -480,36 +503,6 @@ class TriPoly:
         """Lexicographically largest exponent and its coefficient."""
         e = max(self.terms)
         return e, self.terms[e]
-
-    def exact_div(self, other):
-        """Exact multivariate division (single divisor, no remainder)."""
-        f = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("trivariate division by zero")
-        rem = dict(self.terms)
-        out = {}
-        de, dc = other.lead_term()
-        dc_inv = f.inv(dc)
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            q = tuple(a - b for a, b in zip(e, de))
-            if any(v < 0 for v in q):
-                raise InexactDivision("trivariate division is not exact")
-            qc = f.mul(c, dc_inv)
-            out[q] = qc
-            for oe, oc in other.terms.items():
-                te = (q[0] + oe[0], q[1] + oe[1], q[2] + oe[2])
-                val = f.mul(qc, oc)
-                cur = rem.get(te)
-                new = f.sub(cur, val) if cur is not None else f.neg(val)
-                if cur is not None and f.is_zero(new):
-                    del rem[te]
-                elif f.is_zero(new):
-                    pass
-                else:
-                    rem[te] = new
-        return TriPoly(f, out)
 
     def strip_z_power(self):
         """Divide out the largest Z^k dividing every term; returns (poly, k)."""
@@ -563,26 +556,27 @@ class TriPoly:
                 return None
         return c
 
+    def substitute(self, forms, const):
+        """self(forms[0], forms[1], forms[2]) for forms in one ring (UniPoly
+        or TriPoly); `const` maps a coefficient into that ring.  Each power
+        of a form is computed once."""
+        acc = const(self.field.zero)
+        powers = {}
+        for exps, c in self.terms.items():
+            term = const(c)
+            for idx, e in enumerate(exps):
+                if e:
+                    if (idx, e) not in powers:
+                        powers[(idx, e)] = forms[idx] ** e
+                    term = term * powers[(idx, e)]
+            acc = acc + term
+        return acc
+
     def restrict_to_line(self, p0, p1):
         """UniPoly in s: self(p0 + s*p1) for points given as raw triples."""
         f = self.field
         lines = [UniPoly(f, (a, b)) for a, b in zip(p0, p1)]
-        acc = UniPoly.zero(f)
-        cache = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in cache:
-                cache[key] = lines[i] ** e
-            return cache[key]
-
-        for (ex, ey, ez), c in self.terms.items():
-            term = UniPoly.const(f, c)
-            for idx, e in ((0, ex), (1, ey), (2, ez)):
-                if e:
-                    term = term * power(idx, e)
-            acc = acc + term
-        return acc
+        return self.substitute(lines, lambda c: UniPoly.const(f, c))
 
     def apply_linear(self, matrix):
         """Substitute variables by the linear forms given by a 3x3 matrix:
@@ -596,22 +590,7 @@ class TriPoly:
             })
             for i in range(3)
         ]
-        acc = TriPoly.zero(f)
-        cache = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in cache:
-                cache[key] = forms[i] ** e
-            return cache[key]
-
-        for (ex, ey, ez), c in self.terms.items():
-            term = TriPoly(f, {(0, 0, 0): c}, normalize=False)
-            for idx, e in ((0, ex), (1, ey), (2, ez)):
-                if e:
-                    term = term * power(idx, e)
-            acc = acc + term
-        return acc
+        return self.substitute(forms, lambda c: TriPoly.const(f, c))
 
     def map_field(self, new_field):
         if new_field == self.field:
@@ -623,32 +602,11 @@ class TriPoly:
         )
 
     def to_str(self, names=("X", "Y", "Z")):
-        if self.is_zero():
-            return "0"
-        f = self.field
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mon = "*".join(
-                (names[i] if e[i] == 1 else "%s^%d" % (names[i], e[i]))
-                for i in range(3)
-                if e[i]
-            )
-            cs = f.to_str(c)
-            if not mon:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append("-" + mon)
-            else:
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or "*" in cs or "/" in cs:
-                    cs = "(%s)" % cs
-                parts.append("%s*%s" % (cs, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms(self.field, (
+            (self.terms[e],
+             "*".join(power_str(names[i], e[i]) for i in range(3) if e[i]))
+            for e in sorted(self.terms, reverse=True)
+        ))
 
     def __repr__(self):
         return self.to_str()
@@ -689,8 +647,6 @@ def tripoly_kth_root(F, k):
 
 def _field_kth_root(field, c, k):
     while k % 2 == 0:
-        from .numberfield import field_sqrt
-
         c = field_sqrt(field, c)
         if c is None:
             return None
@@ -698,17 +654,12 @@ def _field_kth_root(field, c, k):
     if k == 1:
         return c
     if field == QQ:
+        # c is reduced, so a rational root is a k-th root of each part
         num, den = int(c.numerator), int(c.denominator)
-        rn = round(abs(num) ** (1.0 / k))
-        rd = round(den ** (1.0 / k))
-        for dn in (rn - 1, rn, rn + 1):
-            for dd in (rd - 1, rd, rd + 1):
-                if dn <= 0 or dd <= 0:
-                    continue
-                cand = Rat((-dn if num < 0 else dn), dd)
-                if cand ** k == c:
-                    return cand
-        return None
+        rn, rd = int_kth_root(abs(num), k), int_kth_root(den, k)
+        if rn ** k != abs(num) or rd ** k != den:
+            return None
+        return Rat(-rn if num < 0 else rn, rd)
     return None
 
 
@@ -721,106 +672,3 @@ def homogenize_xy(field, xy_terms, degree):
             raise PolynomialError("terms exceed the homogenization degree")
         out[(ex, ey, ez)] = c
     return TriPoly(field, out)
-
-
-# ----------------------------------------------------------------------
-# resultants over rings (fraction-free) and convenience wrappers
-
-
-class _TriRing:
-    def __init__(self, field):
-        self.field = field
-        self.one = TriPoly(field, {(0, 0, 0): field.one}, normalize=False)
-        self.zero = TriPoly.zero(field)
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def exact_div(self, x, y):
-        return x.exact_div(y)
-
-
-def bareiss_determinant(matrix, ring):
-    """Fraction-free Gaussian elimination determinant over a ring."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
-            piv = None
-            for i in range(k + 1, n):
-                if not ring.is_zero(m[i][k]):
-                    piv = i
-                    break
-            if piv is None:
-                return ring.zero
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(m[k][k], m[i][j]), ring.mul(m[i][k], m[k][j])
-                )
-                m[i][j] = ring.exact_div(num, prev)
-            m[i][k] = ring.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return ring.neg(det) if sign < 0 else det
-
-
-def sylvester_matrix(a_coeffs, b_coeffs, ring):
-    """Sylvester matrix for coefficient lists (low-first) over a ring."""
-    m = len(a_coeffs) - 1
-    n = len(b_coeffs) - 1
-    size = m + n
-    rows = []
-    arow = list(reversed(a_coeffs))
-    brow = list(reversed(b_coeffs))
-    for i in range(n):
-        rows.append([ring.zero] * i + arow + [ring.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ring.zero] * i + brow + [ring.zero] * (size - n - 1 - i))
-    return rows
-
-
-def tri_resultant_pair(a_coeffs, b_coeffs, field):
-    """Resultant in an eliminated variable of two polynomials whose
-    coefficients are TriPoly values (lists low-first).  Exact, via a
-    fraction-free Sylvester determinant."""
-    ring = _TriRing(field)
-    a = list(a_coeffs)
-    b = list(b_coeffs)
-    while a and ring.is_zero(a[-1]):
-        a.pop()
-    while b and ring.is_zero(b[-1]):
-        b.pop()
-    if not a or not b:
-        raise PolynomialError("resultant needs inputs nonzero in the variable")
-    if len(a) == 1 and len(b) == 1:
-        return ring.one
-    if len(a) == 1:
-        det = a[0]
-        out = ring.one
-        for _ in range(len(b) - 1):
-            out = ring.mul(out, det)
-        return out
-    if len(b) == 1:
-        det = b[0]
-        out = ring.one
-        for _ in range(len(a) - 1):
-            out = ring.mul(out, det)
-        return out
-    return bareiss_determinant(sylvester_matrix(a, b, ring), ring)

@@ -55,6 +55,18 @@ def int_sqrt(n):
     return int(_isqrt(n))
 
 
+def int_kth_root(n, k):
+    """Floor k-th root of a nonnegative int, by integer Newton iteration."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_int_square(n):
     return _int_is_square(int(n))
 

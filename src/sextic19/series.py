@@ -7,6 +7,7 @@ the first nonzero stored coefficient, or None when every stored coefficient
 vanishes, in which case the caller must retry at a higher truncation.
 """
 
+from .polynomial import format_terms, power_str, ring_power
 from .rationals import Rat
 
 
@@ -98,16 +99,9 @@ class TruncatedSeries:
         return TruncatedSeries(f, out, n)
 
     def __pow__(self, k):
-        n = self.trunc
-        out = TruncatedSeries(self.field, (self.field.one,), n)
-        acc = self
-        k = int(k)
-        while k:
-            if k & 1:
-                out = out * acc
-            acc = acc * acc
-            k >>= 1
-        return out
+        return ring_power(
+            TruncatedSeries(self.field, (self.field.one,), self.trunc), self, k
+        )
 
     def truncate(self, n):
         if n == self.trunc:
@@ -192,25 +186,9 @@ class TruncatedSeries:
         )
 
     def to_str(self, var="s"):
-        f = self.field
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if f.is_zero(c):
-                continue
-            cs = f.to_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                mon = var if i == 1 else "%s^%d" % (var, i)
-                if cs == "1":
-                    parts.append(mon)
-                elif cs == "-1":
-                    parts.append("-" + mon)
-                else:
-                    if ("+" in cs[1:]) or ("-" in cs[1:]) or "*" in cs or "/" in cs:
-                        cs = "(%s)" % cs
-                    parts.append("%s*%s" % (cs, mon))
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        body = format_terms(self.field, (
+            (c, power_str(var, i)) for i, c in enumerate(self.coeffs)
+        ))
         return "%s + O(%s^%d)" % (body, var, self.trunc)
 
     def __repr__(self):

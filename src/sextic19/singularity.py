@@ -395,13 +395,8 @@ def _location_char_poly(curve, claim, l1, l2):
         ext, roots = adjoin_root(f, list(loc.poly.coeffs))
         if ext == f:
             return value_factor(roots[0])
-        lifted = curve.map_field(ext)
-        lx, ly, lz = lifted.components()
-        li1 = lx.scale(ext.coerce(l1[0], f)) + ly.scale(ext.coerce(l1[1], f)) \
-            + lz.scale(ext.coerce(l1[2], f))
-        li2 = lx.scale(ext.coerce(l2[0], f)) + ly.scale(ext.coerce(l2[1], f)) \
-            + lz.scale(ext.coerce(l2[2], f))
-        num, den = li1.eval(roots[0]), li2.eval(roots[0])
+        num = lin1.map_field(ext).eval(roots[0])
+        den = lin2.map_field(ext).eval(roots[0])
         if ext.is_zero(den):
             return None
         val = ext.div(num, den)

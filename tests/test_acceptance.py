@@ -13,7 +13,6 @@ import pytest
 
 from sextic19.autodual import certify_autodual, dual_degree_law
 from sextic19.conic import (
-    brute_force_conic_search,
     conic_solvable_over_q,
     hilbert_symbol,
     pencil_reduce,
@@ -39,6 +38,8 @@ from sextic19.polynomial import (
 )
 from sextic19.rationals import Rat
 from sextic19.singularity import branch_type_at
+
+from oracles import brute_force_conic_search
 
 
 def report(num, ok, text):

@@ -72,6 +72,28 @@ def test_verify_corrupted_corpus(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_truncated_corpus_exits_2(tmp_path, capsys):
+    from sextic19.database import default_corpus_path
+
+    with open(default_corpus_path()) as fh:
+        text = fh.read()
+    bad = tmp_path / "truncated.json"
+    bad.write_text(text[:5000])
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_schema_violating_corpus_exits_2(tmp_path, capsys):
+    bad = tmp_path / "curves5.json"
+    bad.write_text('{"curves": 5}')
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: schema violation")
+
+
 def test_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "6", "5", "3")
     assert code == 0

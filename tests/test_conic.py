@@ -4,7 +4,6 @@ import pytest
 
 from sextic19.conic import (
     ConicError,
-    brute_force_conic_search,
     conic_solvable_over_q,
     hilbert_symbol,
     pencil_reduce,
@@ -16,6 +15,8 @@ from sextic19.conic import (
 from sextic19.numberfield import QQ, field_sqrt, generator
 from sextic19.polynomial import UniPoly
 from sextic19.rationals import Rat
+
+from oracles import brute_force_conic_search
 
 
 def test_symbol_paper_value():

@@ -62,7 +62,7 @@ def test_case3_implicit_regression(by_id):
 
 
 def test_case3_kernel_cross_checked_by_bareiss(by_id):
-    from sextic19.polynomial import tri_resultant_pair
+    from oracles import tri_resultant_pair
 
     curve = by_id[3].curve
     X, Y, Z = (TriPoly.variable(QQ, k) for k in range(3))

@@ -7,15 +7,18 @@ from sextic19.polynomial import (
     InexactDivision,
     TriPoly,
     UniPoly,
+    _field_kth_root,
     discriminant,
     lagrange_interpolate,
     poly_gcd,
     resultant,
     squarefree_decomposition,
     squarefree_odd_even_split,
-    tri_resultant_pair,
 )
 from sextic19.rationals import Rat
+from sextic19.series import TruncatedSeries
+
+from oracles import tri_resultant_pair
 
 P = lambda *c: UniPoly.from_ints(QQ, c)
 
@@ -194,3 +197,25 @@ def test_number_field_coefficients():
     r = resultant(f, g)
     # t = -(1+i): (1+i)^2 + 2i = 4i
     assert F.eq(r, (4 * i).rep)
+
+
+def test_term_strings():
+    K = number_field([7, 0, 1], "a")
+    a = generator(K)
+    F = TriPoly(K, {(2, 1, 0): (1 + a).rep, (1, 0, 2): K.from_int(-1),
+                    (0, 3, 0): K.one, (0, 0, 3): (a / 2).rep,
+                    (1, 1, 1): K.from_rat(Rat(-3, 4))})
+    assert F.to_str() == (
+        "(1 + a)*X^2*Y + (-3/4)*X*Y*Z - X*Z^2 + Y^3 + (1/2*a)*Z^3")
+    s = TruncatedSeries(QQ, [Rat(-2), Rat(1), Rat(0), Rat(-1, 3), Rat(-1)], 6)
+    assert s.to_str() == "-2 + s + (-1/3)*s^3 - s^4 + O(s^6)"
+    assert TruncatedSeries(K, [K.zero, (2 - a).rep], 3).to_str("u") == \
+        "(2 - a)*u + O(u^3)"
+
+
+def test_kth_root_of_a_huge_rational():
+    # far beyond the float range: the root is found with exact integers
+    assert _field_kth_root(QQ, Rat(7**1200), 3) == 7**400
+    assert _field_kth_root(QQ, Rat(-(7**1200), 2**600), 3) == \
+        Rat(-(7**400), 2**200)
+    assert _field_kth_root(QQ, Rat(7**1200 + 1), 3) is None
