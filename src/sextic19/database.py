@@ -14,9 +14,10 @@ import os
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .curve import ParameterLocation, RationalPlaneCurve
-from .numberfield import QQ, build_tower, coerce_into
+from .curve import CurveError, ParameterLocation, RationalPlaneCurve
+from .numberfield import QQ, FieldError, build_tower, coerce_into
 from .polynomial import (
+    PolynomialError,
     TriPoly,
     UniPoly,
     homogenize_xy,
@@ -97,32 +98,21 @@ def decode_location(fld, data, components=None):
     raise CorpusError("unknown location kind %r" % kind)
 
 
-def _descend_elem(fld, rep):
-    """One tower level down, or None if the top coordinates are nonzero."""
-    if fld == QQ:
-        return None
-    if any(not fld.base.is_zero(c) for c in rep[1:]):
-        return None
-    return rep[0]
-
-
-def descend_unipoly(poly):
-    """Coerce a polynomial down the tower as far as its coefficients allow."""
-    while poly.field != QQ:
-        lowered = [_descend_elem(poly.field, c) for c in poly.coeffs]
-        if any(c is None for c in lowered):
-            return poly
-        poly = UniPoly(poly.field.base, lowered, normalize=False)
-    return poly
-
-
-def descend_tripoly(F):
-    while F.field != QQ:
-        lowered = {e: _descend_elem(F.field, c) for e, c in F.terms.items()}
-        if any(c is None for c in lowered.values()):
-            return F
-        F = TriPoly(F.field.base, lowered, normalize=False)
-    return F
+def descend(poly):
+    """Coerce a UniPoly or TriPoly down the tower as far as its coefficients
+    allow: a level is dropped while every coefficient has zero top
+    coordinates."""
+    uni = isinstance(poly, UniPoly)
+    coeffs = list(poly.coeffs if uni else poly.terms.values())
+    fld = poly.field
+    while fld != QQ and all(fld.base.is_zero(x)
+                            for c in coeffs for x in c[1:]):
+        fld = fld.base
+        coeffs = [c[0] for c in coeffs]
+    if fld == poly.field:
+        return poly
+    data = coeffs if uni else dict(zip(poly.terms, coeffs))
+    return type(poly)(fld, data, normalize=False)
 
 
 def decode_tripoly_hform(fld, data, degree=6):
@@ -284,19 +274,19 @@ def _decode_record(data):
     )
     if data.get("printed_implicit"):
         F6, h6 = decode_tripoly_hform(fld, data["printed_implicit"])
-        rec.printed_implicit = descend_tripoly(F6)
-        rec.printed_implicit_h = descend_unipoly(h6)
+        rec.printed_implicit = descend(F6)
+        rec.printed_implicit_h = descend(h6)
     if data.get("pencil"):
         pen = decode_pencil(fld, data["pencil"])
-        g0 = [descend_unipoly(r) for r in pen.g0]
-        g1 = [descend_unipoly(r) for r in pen.g1]
+        g0 = [descend(r) for r in pen.g0]
+        g1 = [descend(r) for r in pen.g1]
         fields = {r.field for r in g0 + g1 if not r.is_zero()}
         # keep every row over one common field (the largest that occurs)
         target = max(fields, key=lambda f: f.degree_over_q)
         pen.g0 = [r.map_field(target) for r in g0]
         pen.g1 = [r.map_field(target) for r in g1]
-        pen.basepoint = descend_unipoly(pen.basepoint).map_field(target)
-        pen.h = descend_unipoly(pen.h).map_field(target)
+        pen.basepoint = descend(pen.basepoint).map_field(target)
+        pen.h = descend(pen.h).map_field(target)
         rec.pencil = pen
     if data.get("alt_parametrization"):
         alt = data["alt_parametrization"]
@@ -366,8 +356,11 @@ def load_corpus(path=None):
         ) from exc
     records = []
     for data in doc["curves"]:
-        rec = _decode_record(data)
-        _check_invariants(rec)
+        try:
+            rec = _decode_record(data)
+            _check_invariants(rec)
+        except (CurveError, FieldError, PolynomialError) as exc:
+            raise CorpusError("record %d: %s" % (data["id"], exc)) from exc
         records.append(rec)
     if [r.id for r in records] != list(range(1, len(records) + 1)):
         raise CorpusError("record ids are not 1..%d" % len(records))

@@ -6,11 +6,36 @@ optionally with a quadratic generator on top (two-generator fields), and the
 singularity analysis adjoins one more quadratic root when a curve's special
 parameters live in a quadratic extension.
 
-Raw element representations are kept deliberately plain so the inner loops
-stay fast: an element of Q is an mpq, an element of an extension is a tuple
-of base elements (power basis, low degree first).  The FieldElement wrapper
-provides operator syntax on top of that.
+Raw element representations are plain: an element of Q is a Rat (mpq or
+Fraction), an element of an extension is a tuple of base elements (power
+basis, low degree first), so a tower element is nested tuples with rational
+leaves.  The FieldElement wrapper provides operator syntax on top of that.
+
+`ExtensionField.mul` does not compute on that form.  It flattens each
+operand to its degree_over_q rational leaves and writes them as integers
+over one common denominator.  It multiplies the two integer vectors with a
+schoolbook product in the top generator, whose coefficient products at lower
+tower levels are integer products of the same kind, and reduces by the rows
+g^(d+i), which each field stores once as integers over one common
+denominator.  No rational is formed until the end, so no intermediate gcd is
+paid; each output leaf is then built once as Rat(num, den), which divides
+out the gcd and makes the denominator positive.  The power-basis
+coordinates of a product are unique and every step is exact, so the result
+is the same canonical tuple that multiplying leaf by leaf in rationals gives.
+
+`ExtensionField.inv` uses the same kernel: the products x * e_j with the
+basis elements e_j are the columns of the matrix of multiplication by x,
+and 1/x solves that integer system against the coordinates of 1 by
+fraction-free elimination, again with one Rat per output leaf.  Addition
+and negation work leaf by leaf on the rationals.
+
+The nested form stays the stored one because the corpus decoder, the conic
+and autodual certificates and the singularity classifier read coordinates
+from it; a stored integer form would change all of them.
 """
+
+from math import lcm
+from operator import add
 
 from .rationals import (
     QQ0,
@@ -34,9 +59,9 @@ class FieldMismatch(FieldError):
 
 # ----------------------------------------------------------------------
 # dense list-polynomial kernel over an arbitrary field, coefficients
-# low-first: product, long division and extended-Euclid inversion.  The
-# UniPoly class in polynomial.py builds on the fields defined here, so the
-# kernel lives in this module and UniPoly multiplies and divides through it.
+# low-first: product and long division.  The UniPoly class in polynomial.py
+# builds on the fields defined here, so the kernel lives in this module and
+# UniPoly multiplies and divides through it.
 
 
 def _plist_normalize(field, coeffs):
@@ -78,27 +103,42 @@ def plist_divmod(field, num, den):
     return quo, _plist_normalize(field, num)
 
 
-def _plist_invmod(field, a, modulus):
-    """Inverse of the polynomial a modulo `modulus` over `field`.
+# ----------------------------------------------------------------------
+# integer kernel of the extension fields (see the module docstring)
 
-    Requires gcd(a, modulus) constant; the moduli used here are verified
-    irreducible before an extension is built, so a nontrivial gcd is a bug.
+
+def _int_coords(leaves):
+    """(integer numerators, common denominator) of a list of rationals."""
+    den = lcm(*[q.denominator for q in leaves])
+    if den == 1:
+        return [q.numerator for q in leaves], 1
+    return [q.numerator * (den // q.denominator) for q in leaves], den
+
+
+def _solve_fraction_free(rows):
+    """(numerators, denominator) of the solution of a nonsingular integer
+    system given as n augmented rows, which are overwritten.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): after the step on
+    column k every entry is, up to sign, a minor of the input of order k + 1
+    (pivot rows) or k + 2 (the others), so each division by the previous
+    pivot is exact, and at the end every diagonal entry is the last pivot.
     """
-    r0, r1 = list(modulus), _plist_normalize(field, a)
-    s0, s1 = [], [field.one]
-    while r1:
-        q, r = plist_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        # s0 - q*s1
-        prod = plist_mul(field, q, s1)
-        ns = list(s0) + [field.zero] * max(0, len(prod) - len(s0))
-        for i, pi in enumerate(prod):
-            ns[i] = field.sub(ns[i], pi)
-        s0, s1 = s1, _plist_normalize(field, ns)
-    if len(r0) != 1:
-        raise FieldError("modulus is reducible: gcd has degree %d" % (len(r0) - 1))
-    c = field.inv(r0[0])
-    return [field.mul(c, s) for s in s0]
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise FieldError("modulus is reducible: inverted a zero divisor")
+        rows[k], rows[p] = rows[p], rows[k]
+        piv = rows[k]
+        pk = piv[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pk * r - f * q) // prev for r, q in zip(row, piv)]
+        prev = pk
+    return [row[n] for row in rows], prev
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +151,8 @@ class RationalField:
     name = None
     degree = 1
     degree_over_q = 1
+    _shape = ()
+    _den = 1
 
     def __init__(self):
         self.zero = QQ0
@@ -214,7 +256,20 @@ class ExtensionField:
             for j in range(d):
                 cur[j] = base.add(cur[j], base.mul(head, rows[0][j]))
             rows.append(list(cur))
-        self._red = rows
+        # the integer kernel of `mul` and `inv`: the same rows as flat integer
+        # coordinates over one common denominator, entry j of row i held as
+        # the integer coordinates of a base element (an int when base is Q)
+        self._shape = base._shape + (d,)
+        bd = base.degree_over_q
+        nums, self._rden = _int_coords(
+            [q for row in rows for q in self._leaves(row)]
+        )
+        coords = [nums[k:k + bd] for k in range(0, len(nums), bd)]
+        if bd == 1:
+            coords = [c for (c,) in coords]
+        self._irows = [coords[r * d:(r + 1) * d] for r in range(len(rows))]
+        # _imul(a, b) returns the product times this fixed denominator
+        self._den = base._den ** 2 * self._rden
         self._inv_cache = {}
 
     def __repr__(self):
@@ -247,35 +302,80 @@ class ExtensionField:
         return tuple(b.neg(xi) for xi in x)
 
     def mul(self, x, y):
-        b = self.base
+        xs, xd = _int_coords(self._leaves(x))
+        ys, yd = _int_coords(self._leaves(y))
+        den = xd * yd * self._den
+        return self._nest([Rat(c, den) for c in self._imul(xs, ys)])
+
+    def _imul(self, a, b):
+        """Product of flat integer coordinate lists a and b, returned as the
+        integer coordinates of a*b times self._den."""
         d = self.degree
-        full = [b.zero] * (2 * d - 1)
-        for i, xi in enumerate(x):
-            if b.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                full[i + j] = b.add(full[i + j], b.mul(xi, yj))
-        out = full[:d]
-        for i in range(d, 2 * d - 1):
-            hi = full[i]
-            if b.is_zero(hi):
-                continue
-            row = self._red[i - d]
-            for j in range(d):
-                out[j] = b.add(out[j], b.mul(hi, row[j]))
-        return tuple(out)
+        base = self.base
+        bd = base.degree_over_q
+        if bd == 1:
+            full = [0] * (2 * d - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        full[j] += ai * bj
+            rd = self._rden
+            out = full[:d] if rd == 1 else [rd * c for c in full[:d]]
+            for hi, row in zip(full[d:], self._irows):
+                if hi:
+                    for j, r in enumerate(row):
+                        out[j] += hi * r
+            return out
+        bmul = base._imul
+        xa = [a[k:k + bd] for k in range(0, d * bd, bd)]
+        xb = [(j, b[j * bd:(j + 1) * bd]) for j in range(d)]
+        xb = [(j, bj) for j, bj in xb if any(bj)]
+        full = [[0] * bd for _ in range(2 * d - 1)]
+        for i, ai in enumerate(xa):
+            if any(ai):
+                for j, bj in xb:
+                    full[i + j] = list(map(add, full[i + j], bmul(ai, bj)))
+        # the low part is over base._den, each reduction term over its square
+        scale = base._den * self._rden
+        out = [c * scale for part in full[:d] for c in part]
+        for hi, row in zip(full[d:], self._irows):
+            if any(hi):
+                for j, r in enumerate(row):
+                    if any(r):
+                        k = j * bd
+                        out[k:k + bd] = map(add, out[k:k + bd], bmul(r, hi))
+        return out
+
+    def _leaves(self, x):
+        """The rational coordinates of x, tower levels flattened low first."""
+        for _ in self._shape[1:]:
+            x = [q for c in x for q in c]
+        return x
+
+    def _nest(self, leaves):
+        """Inverse of _leaves: nested tuples of base elements."""
+        for k in self._shape[:-1]:
+            leaves = [tuple(leaves[i:i + k]) for i in range(0, len(leaves), k)]
+        return tuple(leaves)
 
     def inv(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("division by zero in %r" % self)
-        key = x
-        cached = self._inv_cache.get(key)
+        cached = self._inv_cache.get(x)
         if cached is not None:
             return cached
-        inv = _plist_invmod(self.base, list(x), list(self.modulus))
-        inv = tuple(inv + [self.base.zero] * (self.degree - len(inv)))
+        # 1/x solves M y = e_0 for the matrix M of multiplication by x; the
+        # integer kernel gives the columns x * e_j, all times xd * self._den
+        xs, xd = _int_coords(self._leaves(x))
+        n = self.degree_over_q
+        cols = [self._imul([0] * j + [1] + [0] * (n - 1 - j), xs)
+                for j in range(n)]
+        rows = [[c[i] for c in cols] + [0] for i in range(n)]
+        rows[0][n] = xd * self._den
+        nums, den = _solve_fraction_free(rows)
+        inv = self._nest([Rat(c, den) for c in nums])
         if len(self._inv_cache) < 4096:
-            self._inv_cache[key] = inv
+            self._inv_cache[x] = inv
         return inv
 
     def div(self, x, y):
@@ -806,8 +906,6 @@ def adjoin_root(base_field, quad, name="th"):
         mon = [c / a3 for c in coeffs]
         # rational root test decides reducibility for a cubic; scale to
         # integer coefficients to enumerate candidate roots p/q
-        from math import lcm
-
         L = lcm(*(int(c.denominator) for c in mon))
         ic = [int(c * L) for c in mon]  # L*mon, integer
         # roots p/q with q | L and p | ic[0]

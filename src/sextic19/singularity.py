@@ -138,19 +138,16 @@ def _pick_chart(field, values, prefer=(2, 1, 0)):
     raise SingularityError("all components vanish at the parameter")
 
 
-def _affine_branch(curve, t0, trunc, chart=None):
-    """Centered affine expansions (u(s), v(s)) of the branch at t0 in a
-    chart where the image point is finite.  Returns (chart, point, u, v)."""
-    f = curve.field
-    sx, sy, sz = _component_series(curve, t0, trunc)
-    values = (sx.coeffs[0], sy.coeffs[0], sz.coeffs[0])
+def _affine_branch(f, series, chart=None):
+    """Centered affine expansions (u(s), v(s)) of a branch, given the series
+    of its (x, y, z) components, in a chart where the image point is
+    finite."""
+    values = tuple(s.coeffs[0] for s in series)
     if chart is None:
         chart = _pick_chart(f, values)
     if f.is_zero(values[chart]):
         raise SingularityError("requested chart is invalid at the point")
-    series = (sx, sy, sz)
     den_inv = series[chart].invert_unit()
-    point = ProjectivePoint(f, values)
     out = []
     for idx in range(3):
         if idx == chart:
@@ -160,7 +157,7 @@ def _affine_branch(curve, t0, trunc, chart=None):
             f, (f.zero,) + ratio.coeffs[1:], ratio.trunc
         )
         out.append(centered)
-    return chart, point, out[0], out[1]
+    return out[0], out[1]
 
 
 def _genus_bound(curve):
@@ -206,7 +203,7 @@ def branch_type_at(curve, t0, claimed=None):
 
 def _branch_type_once(curve, t0, trunc):
     f = curve.field
-    _, _, u, v = _affine_branch(curve, t0, trunc)
+    u, v = _affine_branch(f, _component_series(curve, t0, trunc))
     ou, ov = u.order(), v.order()
     if ou is None and ov is None:
         raise SingularityError(
@@ -274,8 +271,8 @@ def _two_branch_once(curve, loc, trunc):
     # equal projective points have equal zero patterns, so the chart chosen
     # from the first branch's values is valid for the second as well
     chart = _pick_chart(f, values1)
-    _, _, u1, v1 = _affine_branch(work, t1, trunc, chart=chart)
-    _, _, u2, v2 = _affine_branch(work, t2, trunc, chart=chart)
+    u1, v1 = _affine_branch(f, sx1, chart=chart)
+    u2, v2 = _affine_branch(f, sx2, chart=chart)
     # branch 1 and branch 2 are centered at the same affine point since the
     # images agree and the chart normalizes the denominator coordinate
     for u, v in ((u1, v1), (u2, v2)):

@@ -2,9 +2,12 @@
 
 A fraction-free Sylvester/Bareiss determinant gives trivariate resultants
 without interpolation, and an exhaustive height search looks for conic
-points without Hilbert symbols.  The library itself uses neither.
+points without Hilbert symbols.  A Fraction schoolbook multiply and an
+extended-Euclid inverse check the number-field kernel.  The library itself
+uses none of these.
 """
 
+from sextic19.numberfield import QQ, FieldError, plist_divmod, plist_mul
 from sextic19.polynomial import InexactDivision, PolynomialError, TriPoly
 from sextic19.rationals import Rat, rat_sqrt
 
@@ -157,3 +160,55 @@ def brute_force_conic_search(a, b, height):
             if Y is not None:
                 return X, Y
     return None
+
+
+def fraction_mul(field, x, y):
+    """Product in an extension field by schoolbook multiplication over the
+    base field's own arithmetic, one rational operation at a time, then
+    long division by the monic modulus.  Tower levels recurse here, so no
+    level goes through ExtensionField.mul."""
+    b = field.base
+    bmul = b.mul if b == QQ else (lambda u, v: fraction_mul(b, u, v))
+    d = field.degree
+    full = [b.zero] * (2 * d - 1)
+    for i, xi in enumerate(x):
+        if b.is_zero(xi):
+            continue
+        for j, yj in enumerate(y):
+            full[i + j] = b.add(full[i + j], bmul(xi, yj))
+    m = field.modulus
+    for i in range(2 * d - 2, d - 1, -1):
+        hi = full[i]
+        if not b.is_zero(hi):
+            for j in range(d):
+                full[i - d + j] = b.sub(full[i - d + j], bmul(hi, m[j]))
+    return tuple(full[:d])
+
+
+def euclid_inv(field, x):
+    """Inverse in an extension field by the extended Euclidean algorithm on
+    x and the modulus over the base field."""
+    b = field.base
+
+    def trim(p):
+        p = list(p)
+        while p and b.is_zero(p[-1]):
+            p.pop()
+        return p
+
+    r0, r1 = list(field.modulus), trim(x)
+    s0, s1 = [], [b.one]
+    while r1:
+        q, r = plist_divmod(b, r0, r1)
+        r0, r1 = r1, r
+        prod = plist_mul(b, q, s1)
+        ns = list(s0) + [b.zero] * max(0, len(prod) - len(s0))
+        for i, pi in enumerate(prod):
+            ns[i] = b.sub(ns[i], pi)
+        s0, s1 = s1, trim(ns)
+    if len(r0) != 1:
+        raise FieldError("modulus is reducible: gcd has degree %d"
+                         % (len(r0) - 1))
+    c = b.inv(r0[0])
+    inv = [b.mul(c, s) for s in s0]
+    return tuple(inv + [b.zero] * (field.degree - len(inv)))

@@ -94,6 +94,22 @@ def test_schema_violating_corpus_exits_2(tmp_path, capsys):
     assert err.startswith("error: schema violation")
 
 
+def test_undecodable_record_exits_2(tmp_path, capsys):
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    # z = x gives components with a common factor: schema-valid, not a curve
+    par = doc["curves"][2]["parametrization"]
+    par["z"] = par["x"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: record 3: ")
+    assert "Traceback" not in err
+
+
 def test_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "6", "5", "3")
     assert code == 0

@@ -86,6 +86,77 @@ def test_reduction_idempotent(corpus):
         assert f.mul(x, f.one) == x
 
 
+def _kernel_operands(f, rng):
+    """Dense, sparse, zero, one and generator operands of f."""
+    dense = [f.random(rng, 40) for _ in range(12)]
+    sparse = [_sparse(f, x, rng) for x in dense[:6]]
+    return dense + sparse + [f.zero, f.one, f.gen, f.neg(f.one)]
+
+
+def _sparse(f, x, rng):
+    """x with every odd coordinate zero at each tower level and half of the
+    rational leaves zero."""
+    if f == QQ:
+        return QQ.zero if rng.random() < 0.5 else x
+    return tuple(f.base.zero if i % 2 else _sparse(f.base, c, rng)
+                 for i, c in enumerate(x))
+
+
+def _kernel_fields(by_id):
+    fields = {}
+    for rec in by_id.values():
+        if rec.field != QQ:
+            fields.setdefault((repr(rec.field), str(rec.field.modulus)),
+                              rec.field)
+    out = list(fields.values())
+    for rid in (10, 7, 16):
+        rec = by_id[rid]
+        ext, _ = adjoin_root(rec.field,
+                             list(rec.odd_claim.location.poly.coeffs))
+        out.append(ext)
+    # a root of 2t^2 - 5: the modulus t^2 - 5/2 has a non-integral row
+    half, _ = adjoin_root(QQ, [Rat(-5), Rat(0), Rat(2)])
+    assert half.modulus[0] == Rat(-5, 2)
+    return out + [half]
+
+
+def test_mul_kernel_matches_fraction_oracle(by_id):
+    from oracles import fraction_mul
+
+    fields = _kernel_fields(by_id)
+    assert sorted({f.degree_over_q for f in fields})[-3:] == [6, 8, 12]
+    assert max(len(f.tower_chain()) for f in fields) == 4  # Q < a < i < th
+    rng = random.Random(4)
+    for f in fields:
+        ops = _kernel_operands(f, rng)
+        pairs = [(x, y) for x in ops[-4:] for y in ops]
+        pairs += [(rng.choice(ops), rng.choice(ops)) for _ in range(40)]
+        for x, y in pairs:
+            got = f.mul(x, y)
+            assert got == fraction_mul(f, x, y), (f, x, y)
+            assert type(got) is tuple and len(got) == f.degree
+
+
+def test_inv_kernel_matches_euclid_oracle(by_id):
+    from oracles import euclid_inv, fraction_mul
+
+    rng = random.Random(5)
+    for f in _kernel_fields(by_id):
+        for x in _kernel_operands(f, rng):
+            if f.is_zero(x):
+                continue
+            got = f.inv(x)
+            assert got == euclid_inv(f, x), (f, x)
+            assert fraction_mul(f, x, got) == f.one
+
+
+def test_inverting_a_zero_divisor_raises():
+    # t^2 - 1 is squarefree but reducible: (g - 1)(g + 1) = 0
+    F = number_field([-1, 0, 1], "g")
+    with pytest.raises(FieldError, match="reducible"):
+        F.inv((Rat(-1), Rat(1)))
+
+
 def test_corpus_minpolys_squarefree(corpus):
     for rec in corpus:
         for gen in rec.field_E_desc["generators"]:

@@ -198,6 +198,28 @@ def test_claim_sized_truncation_is_one_pass(by_id, monkeypatch):
     assert calls == [10]
 
 
+def test_each_branch_is_expanded_once_per_pass(by_id, monkeypatch):
+    from sextic19 import singularity
+
+    expansions = []
+    series = singularity._component_series
+
+    def counted(curve, t0, trunc):
+        expansions.append(trunc)
+        return series(curve, t0, trunc)
+
+    monkeypatch.setattr(singularity, "_component_series", counted)
+    calls = _count_passes(monkeypatch)
+    rec3 = by_id[3]
+    assert two_branch_type(
+        rec3.curve, rec3.odd_claim.location, claimed=17
+    ).n == 17
+    assert calls == [10] and expansions == [10, 10]
+    del calls[:], expansions[:]
+    assert branch_type_at(rec3.curve, "inf", claimed=2).n == 2
+    assert expansions == calls == [4]
+
+
 def test_non_birational_pair_raises_after_two_passes(monkeypatch):
     # the nodal cubic (t^2 - 1, t^3 - t, 1) composed with t -> t^2: the
     # parameters 1 and -1 both map to the cubic's parameter 1, so they trace
