@@ -110,13 +110,14 @@ def _conjugations(fld):
     original: the identity always, plus the nontrivial automorphism of a
     quadratic field (the dual may be equivalent to the conjugate model)."""
     yield lambda rep: rep
-    if getattr(fld, "degree", 0) == 2:
-        b1 = fld.modulus[1]
+    if fld.degree == 2:
+        base, b1 = fld.base, fld.modulus[1]
 
         def sigma(rep):
-            c0, c1 = rep
-            return (fld.base.sub(c0, fld.base.mul(c1, b1)),
-                    fld.base.neg(c1))
+            # g -> -b1 - g, the other root of g^2 + b1 g + b0
+            c0, c1 = fld.coords(rep)
+            return fld.from_coords((base.sub(c0, base.mul(c1, b1)),
+                                    base.neg(c1)))
 
         yield sigma
 

@@ -23,6 +23,19 @@ def _load(args):
         raise SystemExit2(exc) from exc
 
 
+def _record(args):
+    """The corpus record named by args.id."""
+    return _find(_load(args), args.id)
+
+
+def _number(text, kind=Rat):
+    """A numeric command-line argument, or a usage error."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2("not a valid number: %r" % text) from None
+
+
 def _emit(args, payload, human_lines):
     if args.json:
         json.dump(payload, sys.stdout, indent=1, sort_keys=True)
@@ -50,8 +63,7 @@ def cmd_list(args):
 
 
 def cmd_show(args):
-    recs = _load(args)
-    rec = _find(recs, args.id)
+    rec = _record(args)
     lines = [
         rec.describe(),
         "  x = %s" % rec.x.to_str(),
@@ -156,8 +168,7 @@ def cmd_verify(args):
 def cmd_implicitize(args):
     from .curve import implicitize
 
-    recs = _load(args)
-    rec = _find(recs, args.id)
+    rec = _record(args)
     F, mapdeg = implicitize(rec.curve)
     lines = [
         "curve %d: implicit degree %d, map degree %d"
@@ -177,8 +188,7 @@ def cmd_implicitize(args):
 def cmd_dual(args):
     from .autodual import dual_degree_law
 
-    recs = _load(args)
-    rec = _find(recs, args.id)
+    rec = _record(args)
     deg, predicted = dual_degree_law(rec)
     ok = deg == predicted
     lines = [
@@ -196,8 +206,7 @@ def cmd_dual(args):
 def cmd_reduce(args):
     from .conic import pencil_reduce
 
-    recs = _load(args)
-    rec = _find(recs, args.id)
+    rec = _record(args)
     if rec.pencil is None or rec.printed_implicit is None:
         raise SystemExit2("record %d carries no pencil data" % rec.id)
     fld = rec.pencil.g0[0].field
@@ -230,8 +239,9 @@ def cmd_reduce(args):
 def cmd_hilbert(args):
     from .conic import hilbert_symbol
 
-    place = args.place if args.place in ("inf", "oo") else int(args.place)
-    value = hilbert_symbol(Rat(args.a), Rat(args.b), place)
+    place = args.place if args.place in ("inf", "oo") \
+        else _number(args.place, int)
+    value = hilbert_symbol(_number(args.a), _number(args.b), place)
     _emit(args, {
         "command": "hilbert",
         "a": args.a, "b": args.b, "place": str(args.place),
@@ -243,7 +253,7 @@ def cmd_hilbert(args):
 def cmd_conic_solve(args):
     from .conic import conic_solvable_over_q
 
-    prob = conic_solvable_over_q(Rat(args.a), Rat(args.b))
+    prob = conic_solvable_over_q(_number(args.a), _number(args.b))
     lines = ["%s X^2 + %s Y^2 = 1: %s" % (args.a, args.b, prob.verdict)]
     if prob.witness:
         lines.append("  witness: X = %s, Y = %s"
@@ -262,8 +272,8 @@ def build_parser():
     )
     ap.add_argument("--json", action="store_true",
                     help="machine-readable output")
-    ap.add_argument("--corpus", default=os.environ.get("SEXTIC19_CORPUS"),
-                    help="path to a corpus file (default: bundled)")
+    ap.add_argument("--corpus", help="path to a corpus file "
+                    "(default: $SEXTIC19_CORPUS, else the bundled one)")
     ap.add_argument("--jobs", type=int, default=None,
                     help="parallel verification jobs (default: cpu count)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -283,7 +293,7 @@ def build_parser():
     sp = sub.add_parser("hilbert", help="Hilbert symbol (a, b) at a place")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("place")
+    sp.add_argument("place", help="inf, oo or a prime")
     sp = sub.add_parser("conic-solve", help="solve a X^2 + b Y^2 = 1 over Q")
     sp.add_argument("a")
     sp.add_argument("b")
@@ -303,11 +313,13 @@ COMMANDS = {
 
 
 def main(argv=None):
+    from .conic import ConicError
+
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (SystemExit2, FileNotFoundError) as exc:
+    except (SystemExit2, ConicError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

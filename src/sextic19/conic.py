@@ -19,6 +19,7 @@ from .polynomial import (
 from .rationals import (
     Rat,
     factorize,
+    is_prime,
     rat_sqrt,
     rat_squarefree_split,
     rat_str,
@@ -65,14 +66,17 @@ def hilbert_symbol(a, b, place):
     """Hilbert symbol (a, b) at a finite prime or at 'inf'.
 
     a, b are nonzero rationals; the symbol is +1 iff a X^2 + b Y^2 = Z^2
-    has a nontrivial solution over the completion.
+    has a nontrivial solution over the completion.  A place is 'inf' (or
+    'oo') or a prime.
     """
     a, b = Rat(a), Rat(b)
     if a == 0 or b == 0:
         raise ConicError("Hilbert symbol requires nonzero entries")
     if place in ("inf", "oo", None):
         return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
+    if not (isinstance(place, int) and is_prime(place)):
+        raise ConicError("place %r is neither inf nor a prime" % (place,))
+    p = place
     if p == 2:
         alpha, u = _vp(a, 2)
         beta, w = _vp(b, 2)
@@ -151,7 +155,8 @@ def conic_solvable_over_q(a, b, max_height=100000):
         raise ConicError("no witness found below the height cap")
     X, Y = witness
     X, Y = X / ca, Y / cb
-    assert a * X * X + b * Y * Y == 1
+    if a * X * X + b * Y * Y != 1:
+        raise ConicError("the witness does not satisfy the conic")
     return ConicProblem(a, b, "solvable", witness=(X, Y), trace=trace)
 
 
@@ -431,16 +436,19 @@ def verify_case34_obstruction():
     put("a_is_1_minus_2pi", a == 1 - 2 * pi)
     put("two_is_pi_minus_pi2", (pi - pi**2) == 2)
 
-    # integral basis (1, pi); write pi^3 and pi^4 in it
+    # integral basis (1, pi): e0 + e1 a = (e0 + e1) - 2 e1 pi
     def in_pi_basis(elem):
-        e0, e1 = elem.rep  # coordinates over (1, a)
-        yy = -2 * e1
-        xx = e0 + e1
-        assert xx.denominator == 1 and yy.denominator == 1
-        return int(xx), int(yy)
+        e0, e1 = F.coords(elem.rep)
+        return e0 + e1, -2 * e1
 
-    r3 = in_pi_basis(pi**3)
-    r4 = in_pi_basis(pi**4)
+    named = {"pi": pi, "a": a, "pi3": pi**3, "pi4": pi**4}
+    basis = {e: in_pi_basis(v) for e, v in named.items()}
+    put("pi_basis_coordinates_integral",
+        all(c.denominator == 1 for xy in basis.values() for c in xy),
+        "pi, a, pi^3 and pi^4 in the basis (1, pi)")
+    # exact below: a fractional coordinate has already failed the report
+    basis = {e: (int(x), int(y)) for e, (x, y) in basis.items()}
+    r3, r4 = basis["pi3"], basis["pi4"]
     from math import gcd
 
     det = abs(r3[0] * r4[1] - r3[1] * r4[0])
@@ -451,16 +459,16 @@ def verify_case34_obstruction():
         "index %d, first invariant factor %d (cyclic iff 1)" % (det, d1),
     )
 
-    def residue_mod8(elem):
-        xx, yy = in_pi_basis(elem)
+    def residue_mod8(e):
+        xx, yy = basis[e]
         return (xx + 6 * yy) % 8
 
     put("ideal_generators_vanish_mod8",
-        residue_mod8(pi**3) == 0 and residue_mod8(pi**4) == 0)
-    put("pi_residue_is_6", residue_mod8(pi) == 6,
-        "pi = %d mod pi^3" % residue_mod8(pi))
-    put("a_residue_is_5", residue_mod8(a) == 5,
-        "a = %d mod pi^3" % residue_mod8(a))
+        residue_mod8("pi3") == 0 and residue_mod8("pi4") == 0)
+    put("pi_residue_is_6", residue_mod8("pi") == 6,
+        "pi = %d mod pi^3" % residue_mod8("pi"))
+    put("a_residue_is_5", residue_mod8("a") == 5,
+        "a = %d mod pi^3" % residue_mod8("a"))
 
     squares = sorted({(k * k) % 8 for k in range(8)})
     put("squares_mod_8", squares == [0, 1, 4], str(squares))

@@ -95,6 +95,28 @@ class ParameterLocation:
             return self.poly.degree
         return 1
 
+    def parameters(self, field):
+        """(field or an extension of it, [parameters]), 'inf' for infinity.
+
+        Where no root lies in `field`, a `roots` location adjoins one and
+        Galois equivariance covers its conjugates.  Roots in `field` must
+        number point_count(): a check of some roots of a reducible
+        polynomial says nothing of the others.
+        """
+        if self.kind == "value":
+            return field, [self.value]
+        if self.kind == "infinity":
+            return field, ["inf"]
+        if self.kind == "pair":
+            return field, list(self.pair)
+        ext, roots = adjoin_root(field, list(self.poly.coeffs))
+        if ext == field and len(roots) != self.point_count():
+            raise CurveError(
+                "%s has %d of its %d roots in the field; claim each factor "
+                "separately" % (self.poly.to_str(), len(roots),
+                                self.point_count()))
+        return ext, roots
+
     def describe(self, field):
         if self.kind == "value":
             return "t = %s" % field.to_str(self.value)
@@ -123,12 +145,6 @@ class MoebiusMap:
     @classmethod
     def from_ints(cls, field, a, b, c, d):
         return cls(field, *(field.from_int(v) for v in (a, b, c, d)))
-
-    def apply(self, t):
-        f = self.field
-        num = f.add(f.mul(self.a, t), self.b)
-        den = f.add(f.mul(self.c, t), self.d)
-        return f.div(num, den)
 
     def __repr__(self):
         f = self.field
@@ -216,42 +232,23 @@ class RationalPlaneCurve:
         )
 
     def evaluate_at(self, t):
-        """Image point at a finite parameter already coerced to self.field."""
-        f = self.field
-        coords = (self.x.eval(t), self.y.eval(t), self.z.eval(t))
-        if all(f.is_zero(c) for c in coords):
-            raise CurveError("all components vanish at the parameter")
-        return ProjectivePoint(f, coords)
-
-    def evaluate_at_infinity(self):
-        f = self.field
-        d = self.degree
-        coords = (self.x.coeff(d), self.y.coeff(d), self.z.coeff(d))
-        return ProjectivePoint(f, coords)
+        """Image point at a parameter of self.field, or at 'inf'."""
+        if t == "inf":
+            coords = [c.coeff(self.degree) for c in self.components()]
+        else:
+            coords = [c.eval(t) for c in self.components()]
+        return ProjectivePoint(self.field, coords)
 
     def evaluate(self, location):
         """Image point(s) for a ParameterLocation.
 
-        Returns a list of (field, point) pairs; a `roots` location over an
-        irreducible polynomial contributes its conjugate points over the
+        Returns a list of (field, point) pairs, one per parameter; a `roots`
+        location over an irreducible polynomial gives its points over the
         extension field.
         """
-        if location.kind == "value":
-            return [(self.field, self.evaluate_at(location.value))]
-        if location.kind == "infinity":
-            return [(self.field, self.evaluate_at_infinity())]
-        if location.kind == "pair":
-            t1, t2 = location.pair
-            pts = []
-            for t in (t1, t2):
-                if t == "inf":
-                    pts.append((self.field, self.evaluate_at_infinity()))
-                else:
-                    pts.append((self.field, self.evaluate_at(t)))
-            return pts
-        ext, roots = adjoin_root(self.field, list(location.poly.coeffs))
+        ext, params = location.parameters(self.field)
         lifted = self.map_field(ext)
-        return [(ext, lifted.evaluate_at(r)) for r in roots]
+        return [(ext, lifted.evaluate_at(t)) for t in params]
 
     def apply_projective(self, pmap):
         f = self.field

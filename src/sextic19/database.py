@@ -55,12 +55,7 @@ def decode_elem(fld, data):
         return coerce_into(fld, Rat(data))
     if fld == QQ:
         raise CorpusError("nested coefficient for a rational value")
-    if len(data) != fld.degree:
-        raise CorpusError(
-            "coefficient has %d coordinates, field degree is %d"
-            % (len(data), fld.degree)
-        )
-    return tuple(decode_elem(fld.base, d) for d in data)
+    return fld.from_coords([decode_elem(fld.base, d) for d in data])
 
 
 def decode_poly(fld, coeffs):
@@ -100,15 +95,15 @@ def decode_location(fld, data, components=None):
 
 def descend(poly):
     """Coerce a UniPoly or TriPoly down the tower as far as its coefficients
-    allow: a level is dropped while every coefficient has zero top
-    coordinates."""
+    allow: a level is dropped while every coefficient lies in its base."""
     uni = isinstance(poly, UniPoly)
     coeffs = list(poly.coeffs if uni else poly.terms.values())
     fld = poly.field
-    while fld != QQ and all(fld.base.is_zero(x)
-                            for c in coeffs for x in c[1:]):
-        fld = fld.base
-        coeffs = [c[0] for c in coeffs]
+    while fld != QQ:
+        down = [fld.descend(c) for c in coeffs]
+        if any(c is None for c in down):
+            break
+        fld, coeffs = fld.base, down
     if fld == poly.field:
         return poly
     data = coeffs if uni else dict(zip(poly.terms, coeffs))
@@ -441,26 +436,16 @@ def _alt_same_sextic(rec, F):
         return False, "alternative parametrization degree %d" % Falt.total_degree(), None
     E = rec.field          # tower: Q(first generator) with a quadratic on top
     A = rec.alt.field
+    down = {e: E.descend(c) for e, c in F.terms.items()}
+    if any(c is None for c in down.values()):
+        return False, "implicit equation does not descend to F", None
+    # each coefficient as a rational polynomial in the first generator
+    polys = {e: UniPoly(QQ, E.base.coords(c)).map_field(A)
+             for e, c in down.items()}
     img_elem = rec.alt.first_generator_image.eval(A.gen)
     for flip in (False, True):
         use = A.neg(img_elem) if flip else img_elem
-        terms = {}
-        good = True
-        for e, c in F.terms.items():
-            # c is a tuple over Q(first generator); the top component must
-            # vanish for the equation to descend to F
-            if any(not E.base.is_zero(ci) for ci in c[1:]):
-                good = False
-                break
-            rep = A.zero
-            power = A.one
-            for q in c[0]:
-                rep = A.add(rep, A.scalar_mul(q, power))
-                power = A.mul(power, use)
-            terms[e] = rep
-        if not good:
-            return False, "implicit equation does not descend to F", None
-        mapped = TriPoly(A, terms)
+        mapped = TriPoly(A, {e: p.eval(use) for e, p in polys.items()})
         unit = Falt.scalar_multiple_of(mapped)
         if unit is not None:
             return True, "unit %s (generator sign %s)" % (

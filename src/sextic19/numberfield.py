@@ -29,9 +29,11 @@ and 1/x solves that integer system against the coordinates of 1 by
 fraction-free elimination, again with one Rat per output leaf.  Addition
 and negation work leaf by leaf on the rationals.
 
-The nested form stays the stored one because the corpus decoder, the conic
-and autodual certificates and the singularity classifier read coordinates
-from it; a stored integer form would change all of them.
+The nested form is private to this module.  Other modules see an element
+only through its field: `coords` and `from_coords` read and build its
+base-field coordinates, and `descend` tests whether it lies in the base
+field, so a different stored form (integers over a common denominator, say)
+would change this module alone.
 """
 
 from math import lcm
@@ -345,6 +347,24 @@ class ExtensionField:
                         k = j * bd
                         out[k:k + bd] = map(add, out[k:k + bd], bmul(r, hi))
         return out
+
+    def coords(self, x):
+        """The base-field coordinates of x in the power basis."""
+        return list(x)
+
+    def from_coords(self, cs):
+        """The element with base-field coordinates cs in the power basis."""
+        cs = tuple(cs)
+        if len(cs) != self.degree:
+            raise FieldError("%d coordinates for an extension of degree %d"
+                             % (len(cs), self.degree))
+        return cs
+
+    def descend(self, x):
+        """x as an element of the base field, or None when x is not in it."""
+        if all(self.base.is_zero(c) for c in x[1:]):
+            return x[0]
+        return None
 
     def _leaves(self, x):
         """The rational coordinates of x, tower levels flattened low first."""

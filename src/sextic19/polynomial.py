@@ -133,9 +133,6 @@ class UniPoly:
             and all(self.field.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     # -- ring operations
 
     def __add__(self, other):
@@ -169,13 +166,6 @@ class UniPoly:
         if f.is_zero(c):
             return UniPoly.zero(f)
         return UniPoly(f, [f.mul(c, x) for x in self.coeffs], normalize=False)
-
-    def shift_up(self, k):
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs,
-                       normalize=False)
 
     def __pow__(self, n):
         return ring_power(UniPoly.one(self.field), self, n)
@@ -416,10 +406,6 @@ class TriPoly:
         return cls(field, {}, normalize=False)
 
     @classmethod
-    def monomial(cls, field, exp, coeff):
-        return cls(field, {exp: coeff})
-
-    @classmethod
     def const(cls, field, c):
         return cls(field, {(0, 0, 0): c})
 
@@ -487,17 +473,6 @@ class TriPoly:
 
     def __pow__(self, n):
         return ring_power(self.const(self.field, self.field.one), self, n)
-
-    def eval(self, xyz):
-        f = self.field
-        acc = f.zero
-        for (ex, ey, ez), c in self.terms.items():
-            term = c
-            for v, e in zip(xyz, (ex, ey, ez)):
-                if e:
-                    term = f.mul(term, field_pow(f, v, e))
-            acc = f.add(acc, term)
-        return acc
 
     def lead_term(self):
         """Lexicographically largest exponent and its coefficient."""

@@ -37,8 +37,6 @@ def rat(value, den=None):
     """Coerce ints, strings like '-81/2', or rationals to Rat."""
     if den is not None:
         return Rat(value, den)
-    if isinstance(value, str):
-        return Rat(value)
     return Rat(value)
 
 
@@ -65,10 +63,6 @@ def int_kth_root(n, k):
         if y >= x:
             return x
         x = y
-
-
-def is_int_square(n):
-    return _int_is_square(int(n))
 
 
 def rat_sqrt(q):

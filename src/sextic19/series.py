@@ -56,9 +56,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def is_plain_zero(self):
-        return self.order() is None
-
     def _common(self, other):
         return min(self.trunc, other.trunc)
 
@@ -107,11 +104,6 @@ class TruncatedSeries:
         if n == self.trunc:
             return self
         return TruncatedSeries(self.field, self.coeffs[:n], n)
-
-    def shift_up(self, k):
-        """Multiply by s^k."""
-        f = self.field
-        return TruncatedSeries(f, (f.zero,) * k + self.coeffs, self.trunc)
 
     def derivative(self):
         f = self.field

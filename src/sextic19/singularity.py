@@ -40,7 +40,7 @@ fails.
 import time
 
 from .curve import CurveError, ProjectivePoint
-from .numberfield import FieldError, adjoin_root, field_pow
+from .numberfield import FieldError, field_pow
 from .polynomial import (
     PolynomialError,
     UniPoly,
@@ -246,19 +246,11 @@ def two_branch_type(curve, loc, claimed=None):
 
 
 def _two_branch_once(curve, loc, trunc):
-    if loc.kind == "pair":
-        t1, t2 = loc.pair
-        work = curve
-        field = curve.field
-    elif loc.kind == "roots":
-        if loc.poly.degree != 2:
-            raise SingularityError("two-branch location must have two parameters")
-        field, roots = adjoin_root(curve.field, list(loc.poly.coeffs))
-        work = curve.map_field(field)
-        t1, t2 = roots
-    else:
-        raise SingularityError("two-branch location must be a pair or roots")
-    f = field
+    f, params = loc.parameters(curve.field)
+    if len(params) != 2:
+        raise SingularityError("two-branch location must have two parameters")
+    work = curve.map_field(f)
+    t1, t2 = params
 
     sx1 = _component_series(work, t1, trunc)
     values1 = tuple(s.coeffs[0] for s in sx1)
@@ -338,30 +330,20 @@ class Certificate:
 def verify_claim(curve, claim):
     """Run the appropriate local classifier for one claim."""
     n = claim.stype.n
-    loc = claim.location
     if n % 2 == 1:
-        computed = two_branch_type(curve, loc, claimed=n)
-        return computed
-    if loc.kind == "value":
-        return branch_type_at(curve, loc.value, claimed=n)
-    if loc.kind == "infinity":
-        return branch_type_at(curve, "inf", claimed=n)
-    if loc.kind == "roots":
-        field, roots = adjoin_root(curve.field, list(loc.poly.coeffs))
-        if field == curve.field:
-            types = {
-                branch_type_at(curve, r, claimed=n).n for r in roots
-            }
-            if len(types) != 1:
-                raise SingularityError(
-                    "conjugate points computed different types %s" % types
-                )
-            return SingularityType(types.pop())
-        lifted = curve.map_field(field)
+        return two_branch_type(curve, claim.location, claimed=n)
+    field, params = claim.location.parameters(curve.field)
+    if field != curve.field:
         # one computation covers every conjugate root: the classification is
         # Galois-equivariant, so the orders it sees are the same at each root
-        return branch_type_at(lifted, roots[0], claimed=n)
-    raise SingularityError("unsupported location kind %r" % loc.kind)
+        return branch_type_at(curve.map_field(field), params[0], claimed=n)
+    if len(params) != claim.point_count():
+        raise SingularityError("an A_even claim needs one parameter per point")
+    types = {branch_type_at(curve, t, claimed=n).n for t in params}
+    if len(types) != 1:
+        raise SingularityError(
+            "conjugate points computed different types %s" % types)
+    return SingularityType(types.pop())
 
 
 def _location_char_poly(curve, claim, l1, l2):
@@ -372,41 +354,7 @@ def _location_char_poly(curve, claim, l1, l2):
     lin1 = x.scale(l1[0]) + y.scale(l1[1]) + z.scale(l1[2])
     lin2 = x.scale(l2[0]) + y.scale(l2[1]) + z.scale(l2[2])
     loc = claim.location
-
-    def value_factor(t):
-        if t == "inf":
-            d = curve.degree
-            num, den = lin1.coeff(d), lin2.coeff(d)
-        else:
-            num, den = lin1.eval(t), lin2.eval(t)
-        if f.is_zero(den):
-            return None
-        val = f.div(num, den)
-        return UniPoly(f, (f.neg(val), f.one))
-
-    # an odd claim at a value or at infinity (which its classifier refuses)
-    # names one point, read below like an even claim's
-    if claim.stype.n % 2 == 1 and loc.kind in ("pair", "roots"):
-        if loc.kind == "pair":
-            return value_factor(loc.pair[0])
-        ext, roots = adjoin_root(f, list(loc.poly.coeffs))
-        if ext == f:
-            return value_factor(roots[0])
-        num = lin1.map_field(ext).eval(roots[0])
-        den = lin2.map_field(ext).eval(roots[0])
-        if ext.is_zero(den):
-            return None
-        val = ext.div(num, den)
-        # the two-branch point is rational over the base field: its
-        # coordinate value must descend (the theta component vanishes)
-        if any(not f.is_zero(c) for c in val[1:]):
-            return None
-        return UniPoly(f, (f.neg(val[0]), f.one))
-    if loc.kind == "value":
-        return value_factor(loc.value)
-    if loc.kind == "infinity":
-        return value_factor("inf")
-    if loc.kind == "roots":
+    if claim.stype.n % 2 == 0 and loc.kind == "roots":
         q = loc.poly
         # char poly of L1/L2 on the roots of q: Res_t(q(t), X*L2(t) - L1(t))
         # computed by interpolation in X
@@ -419,7 +367,24 @@ def _location_char_poly(curve, claim, l1, l2):
         if chi.degree != deg:
             return None
         return chi.monic()
-    return None
+    # one point: the image of the first parameter (an odd claim's two
+    # parameters have one image)
+    field, params = loc.parameters(f)
+    t = params[0]
+    if t == "inf":
+        num, den = lin1.coeff(curve.degree), lin2.coeff(curve.degree)
+    else:
+        num, den = lin1.map_field(field).eval(t), lin2.map_field(field).eval(t)
+    if field.is_zero(den):
+        return None
+    val = field.div(num, den)
+    if field != f:
+        # the two-branch point is rational over the base field: its
+        # coordinate value must descend
+        val = field.descend(val)
+        if val is None:
+            return None
+    return UniPoly(f, (f.neg(val), f.one))
 
 
 _SEPARATOR_FORMS = [

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sextic19.cli import main
 
 
@@ -116,6 +118,25 @@ def test_hilbert(capsys):
     assert "-1" in out
     code, out, _ = run_cli(capsys, "--json", "hilbert", "6", "5", "inf")
     assert json.loads(out)["symbol"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "2", "3", "1"),
+    ("hilbert", "2", "5", "0"),
+    ("hilbert", "2", "5", "4"),
+    ("hilbert", "2", "5", "9"),
+    ("hilbert", "2", "5", "-3"),
+    ("hilbert", "2", "5", "two"),
+    ("hilbert", "0", "5", "3"),
+    ("hilbert", "abc", "5", "3"),
+    ("conic-solve", "0", "1"),
+    ("conic-solve", "2", "1/0"),
+])
+def test_bad_conic_arguments_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_conic_solve(capsys):

@@ -38,6 +38,14 @@ def test_symbol_zero_rejected():
         hilbert_symbol(0, 5, 3)
 
 
+@pytest.mark.parametrize("place", [0, 1, 4, 9, -3, "7", 3.0])
+def test_symbol_place_must_be_a_prime(place):
+    # place 1 used to loop forever in the valuation, place 0 divided by
+    # zero, and composite places gave a meaningless symbol
+    with pytest.raises(ConicError, match="neither inf nor a prime"):
+        hilbert_symbol(2, 5, place)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_symbol_bilinear(seed):
     rng = random.Random(seed)
@@ -158,6 +166,7 @@ def test_case34_obstruction():
     assert rep["ok"]
     names = rep["checks"]
     assert names["pi4_minus_3pi3_is_8"]["ok"]
+    assert names["pi_basis_coordinates_integral"]["ok"]
     assert names["squares_mod_8"]["detail"] == "[0, 1, 4]"
     assert names["pi_residue_is_6"]["ok"]
     assert names["a_residue_is_5"]["ok"]

@@ -251,3 +251,45 @@ def test_sqrt_in_tower():
     assert is_square(T, T.from_int(2))
     assert is_square(T, T.from_int(-1))
     assert not is_square(T, T.from_int(3))
+
+
+def _coordinate_fields(by_id):
+    """Every distinct corpus field, and the fields that the claims of
+    curves 7, 10 and 16 adjoin a root in."""
+    fields = [rec.field for rec in by_id.values()]
+    for rid in (7, 10, 16):
+        rec = by_id[rid]
+        fields += [c.location.parameters(rec.field)[0] for c in rec.claims]
+    out = []
+    for f in fields:
+        if f != QQ and f not in out:
+            out.append(f)
+    return out
+
+
+def test_coords_roundtrip(by_id):
+    rng = random.Random(11)
+    fields = _coordinate_fields(by_id)
+    assert sum(f.base != QQ for f in fields) >= 4   # towers are covered
+    for f in fields:
+        b, d = f.base, f.degree
+        for _ in range(4):
+            x = f.random(rng, 6)
+            cs = f.coords(x)
+            assert len(cs) == d
+            assert f.eq(f.from_coords(cs), x)
+            # an element of the base descends to itself
+            low = cs[0]
+            assert b.eq(f.descend(f.coerce(low, b)), low)
+            assert b.eq(f.descend(f.from_coords([low] + [b.zero] * (d - 1))),
+                        low)
+            # any nonzero top coordinate keeps it out of the base
+            for k in range(1, d):
+                top = [low] + [b.zero] * (d - 1)
+                top[k] = b.random(rng, 6)
+                if b.is_zero(top[k]):
+                    top[k] = b.one
+                assert f.descend(f.from_coords(top)) is None
+        assert f.descend(f.gen) is None
+        with pytest.raises(FieldError):
+            f.from_coords([b.one] * (d + 1))

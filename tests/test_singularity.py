@@ -95,6 +95,25 @@ def test_case25_certificate(by_id):
     assert cert.checks["implicit_degree"] == 6
 
 
+def test_reducible_cubic_location_fails(by_id):
+    # (t - 4)(t^2 + 1): t = 4 is the A_2, t = +-i are smooth points, and the
+    # A_4 at t = 0 is left out; the cubic claim must not certify on t = 4
+    rec = by_id[25]
+    claims = [
+        rec.odd_claim,
+        SingularityClaim(SingularityType(10),
+                         ParameterLocation.at_infinity()),
+        SingularityClaim(SingularityType(2),
+                         ParameterLocation.at_roots(P(-4, 1, -4, 1))),
+    ]
+    cert = certify(rec.curve, claims, curve_id=25)
+    assert not cert.passed
+    cubic = cert.verdicts[2]
+    assert not cubic.ok and cubic.computed is None
+    assert "1 of its 3 roots" in cubic.detail
+    assert cert.verdicts[0].ok and cert.verdicts[1].ok
+
+
 def test_case25_swapped_locations_fail(by_id):
     rec = by_id[25]
     claims = [
