@@ -1,10 +1,10 @@
 """Implicit equations by exact resultants.
 
-The implicit sextic of a parametrized curve is the resultant
-Res_t(x(t) Z - z(t) X, y(t) Z - z(t) Y) with its pure Z-power and scalar
-content removed.  The kernel evaluates that resultant on an interpolation
-grid (every computed value is a univariate resultant over the coefficient
-field) and certifies birationality by a squarefree line restriction.
+A moving line is a line a(t) X + b(t) Y + c(t) Z = 0 through the point
+(x(t) : y(t) : z(t)) for every t.  Two moving lines of least degrees (a
+mu-basis) have, as resultant in t, a constant times F^k: F the implicit
+sextic and k the degree of the map onto it.  One gcd of the minors of a
+fiber certifies k = 1, so the parametrization is birational.
 """
 
 from sextic19.curve import implicitize

@@ -9,14 +9,14 @@ from dataclasses import dataclass
 from .numberfield import QQ, build_tower, generator
 from .polynomial import (
     InexactDivision,
-    InterpolationMismatch,
     UniPoly,
     homogenize_xy,
-    interpolate_bivariate,
+    lagrange_interpolate,
     resultant,
     squarefree_odd_even_split,
 )
 from .rationals import (
+    PRIME_TEST_BOUND,
     Rat,
     factorize,
     is_prime,
@@ -67,15 +67,17 @@ def hilbert_symbol(a, b, place):
 
     a, b are nonzero rationals; the symbol is +1 iff a X^2 + b Y^2 = Z^2
     has a nontrivial solution over the completion.  A place is 'inf' (or
-    'oo') or a prime.
+    'oo') or a prime below PRIME_TEST_BOUND, where is_prime is proven.
     """
     a, b = Rat(a), Rat(b)
     if a == 0 or b == 0:
         raise ConicError("Hilbert symbol requires nonzero entries")
     if place in ("inf", "oo", None):
         return -1 if (a < 0 and b < 0) else 1
-    if not (isinstance(place, int) and is_prime(place)):
-        raise ConicError("place %r is neither inf nor a prime" % (place,))
+    if not (isinstance(place, int) and place < PRIME_TEST_BOUND
+            and is_prime(place)):
+        raise ConicError("place %r is neither inf nor a prime below %d"
+                         % (place, PRIME_TEST_BOUND))
     p = place
     if p == 2:
         alpha, u = _vp(a, 2)
@@ -258,7 +260,6 @@ def pencil_reduce(F, pencil, fld):
     deg_l_bound = deg_y_f
     xs = [fld.from_int(k) for k in range(deg_x_bound + 1)]
     ls = [fld.from_int(k) for k in range(deg_l_bound + 1)]
-    spot = (fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3))
 
     def res_at(lv, xv):
         fy = _specialize(f_rows, xv, fld)
@@ -268,18 +269,18 @@ def pencil_reduce(F, pencil, fld):
             raise ConicError("degree drop on the interpolation grid")
         return resultant(fy, gy)
 
-    try:
-        terms = interpolate_bivariate(fld, res_at, ls, xs, [spot])
-    except InterpolationMismatch as exc:
-        raise ConicError(
-            "pencil resultant interpolation is inconsistent") from exc
-    # terms maps (lambda-degree j, x-degree i) to a coefficient; regroup it
-    # into the x-polynomial coefficient of each lambda^j
-    deg_x = max((i for _, i in terms), default=-1)
-    p_by_lambda = [
-        UniPoly(fld, [terms.get((j, i), fld.zero) for i in range(deg_x + 1)])
-        for j in range(max((j for j, _ in terms), default=-1) + 1)
-    ]
+    # P(x, lambda): interpolate along x at every lambda of the grid, then
+    # each x-coefficient along lambda, and compare at one point off the grid
+    per_lambda = [lagrange_interpolate(fld, xs, [res_at(lv, xv) for xv in xs])
+                  for lv in ls]
+    by_x = [lagrange_interpolate(fld, ls, [p.coeff(i) for p in per_lambda])
+            for i in range(max(p.degree for p in per_lambda) + 1)]
+    p_by_lambda = [UniPoly(fld, [q.coeff(j) for q in by_x])
+                   for j in range(max(q.degree for q in by_x) + 1)]
+    lv, xv = fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3)
+    if not fld.eq(res_at(lv, xv),
+                  UniPoly(fld, [p.eval(xv) for p in p_by_lambda]).eval(lv)):
+        raise ConicError("pencil resultant interpolation is inconsistent")
     # divide by the basepoint factor: P(x, lambda) = P1 * P2(x)
     try:
         p1_by_lambda = [pj.exact_div(pencil.basepoint) if not pj.is_zero()

@@ -1,23 +1,47 @@
 """Rational plane curves and their global geometric operations.
 
-A curve is a triple (x(t), y(t), z(t)) of polynomials over a number field
-with no common factor.  Implicitization runs the classical resultant
-Res_t(x Z - z X, y Z - z Y) through an interpolation driver (every value it
-ever computes is a univariate resultant over the coefficient field), strips
-the pure Z-power and the scalar content, and certifies the degree.
+A curve is a triple phi = (x(t), y(t), z(t)) of coprime polynomials over a
+number field, of largest degree n.  Implicitization eliminates t with a
+mu-basis of moving lines and certifies the degree of the map onto the image
+with one polynomial gcd.
+
+Moving lines.  A moving line of degree m is a triple (a, b, c) of
+polynomials of degree <= m with a x + b y + c z = 0, a kernel vector of an
+(n + m + 1) x 3(m + 1) linear system.  mu <= n/2 is the least degree of a
+moving line and p is one of degree mu.  If q is one of degree n - mu whose
+t^(n-mu) coefficient vector is not parallel to p's, then p, q is a basis of
+the moving lines, a mu-basis, because x, y, z are coprime (Cox-Sederberg-
+Chen, "The moving line ideal basis of planar rational curves", CAGD 15,
+1998).  Without such a q the curve is refused; mu = 0 means a line.
+
+Resultant.  For a mu-basis, R = Res_t(p . (X, Y, Z), q . (X, Y, Z)) is
+c F^k: c a nonzero constant, F the irreducible implicit equation, k the
+degree of the map (Sederberg-Chen, "Implicitization using moving curves and
+surfaces", SIGGRAPH 1995).  R is the determinant of the hybrid Bezout matrix
+of size d = n - mu: the rows s^0 .. s^(mu-1) of the Bezoutian
+(P(s) Q(t) - P(t) Q(s)) / (s - t), then the rows t^r P(t), r < d - mu.  The
+Bezoutian rows s^k, k >= mu, are -sum_(j > k) Q_j t^(j-1-k) P(t), a
+triangular combination of those t^r P(t) with diagonal -Q_d, and the full
+Bezout determinant is +-Q_d^(d-mu) Res(P, Q); so the hybrid one is +-R.
+
+Map degree.  Take t0 with phi(t0) != phi(inf) and g the gcd of the 2 x 2
+minors of (phi(t), phi(t0)).  By Lueroth phi = psi(r) with psi birational
+and r of degree k.  The minors of psi vanish at r(t0), so every root of
+r(t) - r(t0) is a root of g with at least its multiplicity.  With its
+denominator cleared, r(t) - r(t0) has degree k because r(inf) != r(t0),
+which phi(t0) != phi(inf) ensures; with inf in the fiber, g could miss a
+parameter of it.  So deg g >= k, and deg g = 1 certifies k = 1.  Otherwise
+the normalized R must be a (deg g)-th power, so that deg g divides
+k <= deg g and k = deg g; if it is not, the next t0 of a fixed list is
+tried, and past its end the curve is refused.
 """
 
+from functools import reduce
+
 from .numberfield import adjoin_root
-from .polynomial import (
-    InterpolationMismatch,
-    UniPoly,
-    homogenize_xy,
-    interpolate_bivariate,
-    poly_gcd,
-    resultant,
-    squarefree_decomposition,
-)
-from .rationals import Rat
+from .polynomial import TriPoly, UniPoly, poly_gcd, tripoly_kth_root
+
+_XYZ = ((1, 0, 0), (0, 1, 0), (0, 0, 1))    # the exponents of X, Y and Z
 
 
 class CurveError(Exception):
@@ -44,12 +68,8 @@ class ProjectivePoint:
 
     def same_point(self, other):
         """Equality via vanishing cross product (no normalization pitfalls)."""
-        f = self.field
-        a, b = self.coords, other.coords
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if not f.eq(f.mul(a[i], b[j]), f.mul(a[j], b[i])):
-                return False
-        return True
+        return triples_proportional(_constants(self.field, self.coords),
+                                    _constants(self.field, other.coords))
 
     def __repr__(self):
         return "(%s)" % " : ".join(self.field.to_str(c) for c in self.coords)
@@ -268,114 +288,132 @@ class RationalPlaneCurve:
 # ----------------------------------------------------------------------
 # implicitization
 
-
-def _interp_grid(field, count, bad):
-    """`count` small-integer field values avoiding the predicate `bad`."""
-    out = []
-    k = 0
-    while len(out) < count:
-        v = field.from_int(k)
-        if not bad(v):
-            out.append(v)
-        k += 1
-        if k > 20 * count + 20:
-            raise CurveError("could not build an interpolation grid")
-    return out
+# parameters t0 tried, in order, for the fiber of the map-degree certificate
+FIBER_PARAMETERS = (7, 3, 5, 11, 13, 17)
 
 
-def implicitize(curve, expected_degree=None):
-    """Implicit equation of the image, primitive and content-normalized.
+def cross(a, b):
+    """Cross product of two polynomial 3-vectors."""
+    pairs = ((1, 2), (2, 0), (0, 1))
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in pairs)
 
-    Returns (F, mapdeg) where F is the homogeneous TriPoly cut out by the
-    image and mapdeg is the degree of the parametrization onto it; for the
-    corpus curves mapdeg must be 1 (birational) and deg F must be six.
+
+def triples_proportional(a, b):
+    """Cross product of two polynomial 3-vectors vanishes identically."""
+    return all(c.is_zero() for c in cross(a, b))
+
+
+def _constants(field, values):
+    """Field elements as constant polynomials."""
+    return tuple(UniPoly.const(field, v) for v in values)
+
+
+def moving_lines(curve, m):
+    """A basis of the moving lines of degree <= m, each a triple (a, b, c),
+    from the kernel of the (n + m + 1) x 3(m + 1) system a x + b y + c z = 0
+    by Gauss-Jordan elimination.
+
+    The unknowns run from degree 0 up, so the basis vector of a free column
+    has that column's degree, and the first basis vector has the least
+    degree of any moving line of degree <= m.
     """
     f = curve.field
-    x, y, z = curve.components()
-    da = max(x.degree, z.degree)
-    db = max(y.degree, z.degree)
-    if da <= 0 or db <= 0:
-        raise DegenerateCurve("image is a point")
-    xa, za = x.coeff(da), z.coeff(da)
-    yb, zb = y.coeff(db), z.coeff(db)
-
-    def bad_x(v):
-        return f.is_zero(f.sub(xa, f.mul(za, v)))
-
-    def bad_y(v):
-        return f.is_zero(f.sub(yb, f.mul(zb, v)))
-
-    xs = _interp_grid(f, db + 1, bad_x)
-    ys = _interp_grid(f, da + 1, bad_y)
-    checks = zip(_interp_grid(f, db + 3, bad_x)[-2:],
-                 _interp_grid(f, da + 3, bad_y)[-2:])
-
-    def res_at(xv, yv):
-        return resultant(x - z.scale(xv), y - z.scale(yv))
-
-    try:
-        terms = interpolate_bivariate(f, res_at, xs, ys, checks)
-    except InterpolationMismatch as exc:
-        raise CurveError(
-            "implicitization interpolation is inconsistent") from exc
-    if not terms:
-        raise DegenerateCurve("implicitization produced the zero polynomial")
-    total = max(l + k for (l, k) in terms)
-    if total <= 1:
-        raise DegenerateCurve("image is a point or a line")
-    F = homogenize_xy(f, terms, total).normalized()
-    mapdeg = _mapdeg_certificate(F)
-    if mapdeg > 1:
-        from .polynomial import tripoly_kth_root
-
-        root = tripoly_kth_root(F, mapdeg)
-        if root is None:
-            raise CurveError(
-                "resultant is not the %d-th power its restrictions indicate"
-                % mapdeg
-            )
-        F = root.normalized()
-    if expected_degree is not None and F.total_degree() != expected_degree:
-        raise CurveError(
-            "implicit degree %d, expected %d"
-            % (F.total_degree(), expected_degree)
-        )
-    return F, mapdeg
-
-
-def _mapdeg_certificate(F):
-    """1 when F is certified squarefree by a squarefree line restriction;
-    otherwise the common multiplicity over several probing lines."""
-    f = F.field
-    deg = F.total_degree()
-    rng_points = [
-        ((1, 0, 0), (0, 1, 1)),
-        ((0, 1, 0), (1, 0, 1)),
-        ((0, 0, 1), (1, 1, 0)),
-        ((1, 2, 3), (3, 1, 2)),
-        ((1, -1, 2), (2, 1, -1)),
-        ((5, 1, -3), (1, 4, 1)),
-    ]
-    mults = []
-    for p0i, p1i in rng_points:
-        p0 = tuple(f.from_int(v) for v in p0i)
-        p1 = tuple(f.from_int(v) for v in p1i)
-        r = F.restrict_to_line(p0, p1)
-        if r.degree != deg:
+    phi = curve.components()
+    width = 3 * (m + 1)     # unknown 3i + k: the t^i coefficient of entry k
+    rows = [[phi[k % 3].coeff(j - k // 3) for k in range(width)]
+            for j in range(max(c.degree for c in phi) + m + 1)]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows))
+                    if not f.is_zero(rows[i][col])), None)
+        if piv is None:
             continue
-        g = poly_gcd(r, r.derivative())
-        if g.degree == 0:
-            return 1
-        _, parts = squarefree_decomposition(r)
-        from math import gcd as igcd
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = f.inv(rows[r][col])
+        rows[r] = [f.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not f.is_zero(row[col]):
+                rows[i] = [v if f.is_zero(w) else f.sub(v, f.mul(row[col], w))
+                           for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [f.zero] * width
+        vec[free] = f.one
+        for row, col in zip(rows, pivots):
+            vec[col] = f.neg(row[free])
+        basis.append(tuple(UniPoly(f, vec[k::3]) for k in range(3)))
+    return basis
 
-        m = 0
-        for _, mult in parts:
-            m = igcd(m, mult)
-        mults.append(m)
-    if not mults:
-        raise CurveError("could not certify the map degree")
-    return min(mults)
+
+def _determinant(rows):
+    """Determinant of a square matrix of TriPolys by cofactor expansion along
+    the rows, memoized on the columns left to each minor."""
+    f = rows[0][0].field
+    memo = {(): TriPoly.const(f, f.one)}
+
+    def minor(cols):
+        if cols not in memo:
+            row = rows[len(rows) - len(cols)]
+            acc = TriPoly.zero(f)
+            for pos, c in enumerate(cols):
+                if not row[c].is_zero():
+                    term = row[c] * minor(cols[:pos] + cols[pos + 1:])
+                    acc = acc - term if pos % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(len(rows))))
+
+
+def implicitize(curve):
+    """(F, mapdeg): the normalized homogeneous TriPoly cut out by the image
+    and the degree of the parametrization onto it, certified as the module
+    docstring says.  The corpus curves need deg F = 6 and mapdeg = 1."""
+    f = curve.field
+    phi = curve.components()
+    n = max(c.degree for c in phi)
+    half = n - n // 2       # 3(half + 1) unknowns > n + half + 1 equations
+    lines = moving_lines(curve, half)
+    p = lines[0]
+    mu = max(c.degree for c in p)
+    if mu == 0:
+        raise DegenerateCurve("image is a point or a line")
+    d = n - mu
+    if d > half:
+        lines = moving_lines(curve, d)
+    lead_p = _constants(f, [c.coeff(mu) for c in p])
+    q = next((v for v in lines if not triples_proportional(
+        _constants(f, [c.coeff(d) for c in v]), lead_p)), None)
+    if q is None:
+        raise CurveError("no moving line of degree %d completes a mu-basis"
+                         % d)
+    P, Q = ([TriPoly(f, {e: c.coeff(i) for e, c in zip(_XYZ, v)})
+             for i in range(d + 1)] for v in (p, q))
+    # hybrid Bezout matrix: rows s^0 .. s^(mu-1) of the Bezoutian
+    # (P(s) Q(t) - P(t) Q(s)) / (s - t), then the rows t^r P(t), r < d - mu
+    zero = TriPoly.zero(f)
+    rows = [[zero] * d for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i + 1, d + 1):
+            b = P[i] * Q[j] - P[j] * Q[i]
+            for a in range(i, min(j, mu)):
+                rows[a][i + j - 1 - a] = rows[a][i + j - 1 - a] - b
+    rows += [[P[c - r] if 0 <= c - r <= mu else zero for c in range(d)]
+             for r in range(d - mu)]
+    R = _determinant(rows).normalized()
+    at_infinity = _constants(f, [c.coeff(n) for c in phi])
+    for t0 in FIBER_PARAMETERS:
+        at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])
+        if triples_proportional(at_t0, at_infinity):
+            continue
+        g = reduce(poly_gcd, [m for m in cross(phi, at_t0) if not m.is_zero()])
+        F = tripoly_kth_root(R, g.degree)
+        if F is not None:
+            return F.normalized(), g.degree
+    raise CurveError("no fiber in %s certifies the map degree"
+                     % (FIBER_PARAMETERS,))
 
 
 # ----------------------------------------------------------------------
@@ -385,19 +423,15 @@ def _mapdeg_certificate(F):
 def _without_common_factor(polys):
     """(polys divided by g, g) for g the gcd of the nonzero polynomials among
     polys; g is that polynomial itself when only one is nonzero."""
-    nonzero = [p for p in polys if not p.is_zero()]
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
+    g = reduce(poly_gcd, [p for p in polys if not p.is_zero()])
     return [p.exact_div(g) if not p.is_zero() else p for p in polys], g
 
 
 def wronskian_minors(curve):
     """The Wronskian minors of a parametrization divided by their gcd g, and
     g.  The divided minors parametrize the dual curve."""
-    x, y, z = curve.components()
-    dx, dy, dz = x.derivative(), y.derivative(), z.derivative()
-    minors = (dy * z - dz * y, dz * x - dx * z, dx * y - dy * x)
+    phi = curve.components()
+    minors = cross([c.derivative() for c in phi], phi)
     if all(m.is_zero() for m in minors):
         raise DegenerateCurve("dual of a line (or of a constant map)")
     return _without_common_factor(minors)
@@ -434,12 +468,6 @@ def reparametrize(curve, moebius):
         raise DegenerateCurve("reparametrization collapsed the curve")
     new, _g = _without_common_factor(new)
     return RationalPlaneCurve(f, *new, check=False)
-
-
-def triples_proportional(a, b):
-    """Cross product of two polynomial 3-vectors vanishes identically."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in pairs)
 
 
 def verify_symmetry(curve, pmap, moebius):

@@ -43,7 +43,7 @@ def _schema_path():
 
 
 def decode_field(desc):
-    gens = [(g["name"], [Rat(c) for c in g["minpoly"]])
+    gens = [(g["name"], [decode_elem(QQ, c) for c in g["minpoly"]])
             for g in desc["generators"]]
     if not gens:
         return QQ
@@ -52,7 +52,11 @@ def decode_field(desc):
 
 def decode_elem(fld, data):
     if isinstance(data, str):
-        return coerce_into(fld, Rat(data))
+        try:
+            value = Rat(data)
+        except (ValueError, ZeroDivisionError):
+            raise CorpusError("%r is not a rational" % data) from None
+        return coerce_into(fld, value)
     if fld == QQ:
         raise CorpusError("nested coefficient for a rational value")
     return fld.from_coords([decode_elem(fld.base, d) for d in data])
@@ -327,7 +331,7 @@ def _check_invariants(rec):
     if curve.degree != 6:
         errs.append("parametrization degree %d" % curve.degree)
     if errs:
-        raise CorpusError("record %d: %s" % (rec.id, "; ".join(errs)))
+        raise CorpusError("; ".join(errs))
 
 
 def load_corpus(path=None):
@@ -354,7 +358,7 @@ def load_corpus(path=None):
         try:
             rec = _decode_record(data)
             _check_invariants(rec)
-        except (CurveError, FieldError, PolynomialError) as exc:
+        except (CorpusError, CurveError, FieldError, PolynomialError) as exc:
             raise CorpusError("record %d: %s" % (data["id"], exc)) from exc
         records.append(rec)
     if [r.id for r in records] != list(range(1, len(records) + 1)):

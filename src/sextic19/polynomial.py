@@ -3,8 +3,7 @@
 UniPoly holds coefficients low-degree-first as raw field representations.
 TriPoly holds homogeneous-or-not trivariate polynomials as a term map.
 Resultants are computed by a remainder-sequence algorithm over the
-coefficient field; bivariate eliminations go through one interpolation
-driver, so only specialized field resultants are ever computed.
+coefficient field.
 """
 
 from .numberfield import QQ, field_pow, field_sqrt, plist_divmod, plist_mul
@@ -16,10 +15,6 @@ class PolynomialError(Exception):
 
 
 class InexactDivision(PolynomialError):
-    pass
-
-
-class InterpolationMismatch(PolynomialError):
     pass
 
 
@@ -356,36 +351,6 @@ def lagrange_interpolate(field, xs, ys):
     return poly
 
 
-def interpolate_bivariate(field, value, outer, inner, checks):
-    """Coefficients {(i, j): c} of the polynomial P(u, v) = sum c u^i v^j
-    that agrees with value(u, v) on the grid outer x inner.
-
-    Each grid must be longer than the degree of P in its variable.  P is
-    interpolated along `inner` at every outer value, then each coefficient
-    along `outer`.  P is compared with `value` at every (u, v) of `checks`,
-    points off the grid, and a mismatch raises InterpolationMismatch.
-    """
-    per_outer = [
-        lagrange_interpolate(field, inner, [value(u, v) for v in inner])
-        for u in outer
-    ]
-    terms = {}
-    for j in range(max(p.degree for p in per_outer) + 1):
-        q = lagrange_interpolate(field, outer, [p.coeff(j) for p in per_outer])
-        for i, c in enumerate(q.coeffs):
-            if not field.is_zero(c):
-                terms[(i, j)] = c
-    for u, v in checks:
-        interp = field.zero
-        for (i, j), c in terms.items():
-            interp = field.add(interp, field.mul(
-                c, field.mul(field_pow(field, u, i), field_pow(field, v, j))))
-        if not field.eq(value(u, v), interp):
-            raise InterpolationMismatch(
-                "interpolated polynomial disagrees at an off-grid point")
-    return terms
-
-
 # ----------------------------------------------------------------------
 # trivariate polynomials
 
@@ -547,12 +512,6 @@ class TriPoly:
             acc = acc + term
         return acc
 
-    def restrict_to_line(self, p0, p1):
-        """UniPoly in s: self(p0 + s*p1) for points given as raw triples."""
-        f = self.field
-        lines = [UniPoly(f, (a, b)) for a, b in zip(p0, p1)]
-        return self.substitute(lines, lambda c: UniPoly.const(f, c))
-
     def apply_linear(self, matrix):
         """Substitute variables by the linear forms given by a 3x3 matrix:
         X_i -> sum_j matrix[i][j] * X_j."""
@@ -626,7 +585,7 @@ def _field_kth_root(field, c, k):
         if c is None:
             return None
         k //= 2
-    if k == 1:
+    if k == 1 or field.eq(c, field.one):
         return c
     if field == QQ:
         # c is reduced, so a rational root is a k-th root of each part

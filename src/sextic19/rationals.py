@@ -131,18 +131,24 @@ def rat_squarefree_split(q):
     return s, Rat(t, int(q.denominator))
 
 
-def is_prime(n):
-    n = int(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# Miller-Rabin to the prime bases up to 41 is deterministic below this bound
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+
+def is_prime(n):
+    """Deterministic Miller-Rabin test; ValueError from PRIME_TEST_BOUND on,
+    where the bases are not proven to suffice."""
+    n = int(n)
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError("%d is past the proven primality bound %d"
+                         % (n, PRIME_TEST_BOUND))
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)

@@ -3,12 +3,34 @@
 A fraction-free Sylvester/Bareiss determinant gives trivariate resultants
 without interpolation, and an exhaustive height search looks for conic
 points without Hilbert symbols.  A Fraction schoolbook multiply and an
-extended-Euclid inverse check the number-field kernel.  The library itself
-uses none of these.
+extended-Euclid inverse check the number-field kernel.  Implicitization by
+interpolating a grid of univariate resultants, with the map degree read
+from squarefree restrictions of F to lines, checks the moving-line
+implicitization.  The library itself uses none of these.
 """
 
-from sextic19.numberfield import QQ, FieldError, plist_divmod, plist_mul
-from sextic19.polynomial import InexactDivision, PolynomialError, TriPoly
+from math import gcd as igcd
+
+from sextic19.curve import CurveError, DegenerateCurve
+from sextic19.numberfield import (
+    QQ,
+    FieldError,
+    field_pow,
+    plist_divmod,
+    plist_mul,
+)
+from sextic19.polynomial import (
+    InexactDivision,
+    PolynomialError,
+    TriPoly,
+    UniPoly,
+    homogenize_xy,
+    lagrange_interpolate,
+    poly_gcd,
+    resultant,
+    squarefree_decomposition,
+    tripoly_kth_root,
+)
 from sextic19.rationals import Rat, rat_sqrt
 
 
@@ -212,3 +234,142 @@ def euclid_inv(field, x):
     c = b.inv(r0[0])
     inv = [b.mul(c, s) for s in s0]
     return tuple(inv + [b.zero] * (field.degree - len(inv)))
+
+
+# ----------------------------------------------------------------------
+# implicitization by a grid of resultants
+
+
+class InterpolationMismatch(PolynomialError):
+    pass
+
+
+def interpolate_bivariate(field, value, outer, inner, checks):
+    """Coefficients {(i, j): c} of the polynomial P(u, v) = sum c u^i v^j
+    that agrees with value(u, v) on the grid outer x inner.
+
+    Each grid must be longer than the degree of P in its variable.  P is
+    interpolated along `inner` at every outer value, then each coefficient
+    along `outer`.  P is compared with `value` at every (u, v) of `checks`,
+    points off the grid, and a mismatch raises InterpolationMismatch.
+    """
+    per_outer = [
+        lagrange_interpolate(field, inner, [value(u, v) for v in inner])
+        for u in outer
+    ]
+    terms = {}
+    for j in range(max(p.degree for p in per_outer) + 1):
+        q = lagrange_interpolate(field, outer, [p.coeff(j) for p in per_outer])
+        for i, c in enumerate(q.coeffs):
+            if not field.is_zero(c):
+                terms[(i, j)] = c
+    for u, v in checks:
+        interp = field.zero
+        for (i, j), c in terms.items():
+            interp = field.add(interp, field.mul(
+                c, field.mul(field_pow(field, u, i), field_pow(field, v, j))))
+        if not field.eq(value(u, v), interp):
+            raise InterpolationMismatch(
+                "interpolated polynomial disagrees at an off-grid point")
+    return terms
+
+
+def _interp_grid(field, count, bad):
+    """`count` small-integer field values avoiding the predicate `bad`."""
+    out = []
+    k = 0
+    while len(out) < count:
+        v = field.from_int(k)
+        if not bad(v):
+            out.append(v)
+        k += 1
+        if k > 20 * count + 20:
+            raise CurveError("could not build an interpolation grid")
+    return out
+
+
+def grid_implicitize(curve):
+    """Implicit equation of the image by the resultant grid (the reference).
+
+    Returns (F, mapdeg) where F is the homogeneous TriPoly cut out by the
+    image and mapdeg is the degree of the parametrization onto it; for the
+    corpus curves mapdeg must be 1 (birational) and deg F must be six.
+    """
+    f = curve.field
+    x, y, z = curve.components()
+    da = max(x.degree, z.degree)
+    db = max(y.degree, z.degree)
+    if da <= 0 or db <= 0:
+        raise DegenerateCurve("image is a point")
+    xa, za = x.coeff(da), z.coeff(da)
+    yb, zb = y.coeff(db), z.coeff(db)
+
+    def bad_x(v):
+        return f.is_zero(f.sub(xa, f.mul(za, v)))
+
+    def bad_y(v):
+        return f.is_zero(f.sub(yb, f.mul(zb, v)))
+
+    xs = _interp_grid(f, db + 1, bad_x)
+    ys = _interp_grid(f, da + 1, bad_y)
+    checks = zip(_interp_grid(f, db + 3, bad_x)[-2:],
+                 _interp_grid(f, da + 3, bad_y)[-2:])
+
+    def res_at(xv, yv):
+        return resultant(x - z.scale(xv), y - z.scale(yv))
+
+    try:
+        terms = interpolate_bivariate(f, res_at, xs, ys, checks)
+    except InterpolationMismatch as exc:
+        raise CurveError(
+            "implicitization interpolation is inconsistent") from exc
+    if not terms:
+        raise DegenerateCurve("implicitization produced the zero polynomial")
+    total = max(l + k for (l, k) in terms)
+    if total <= 1:
+        raise DegenerateCurve("image is a point or a line")
+    F = homogenize_xy(f, terms, total).normalized()
+    mapdeg = _mapdeg_certificate(F)
+    if mapdeg > 1:
+        root = tripoly_kth_root(F, mapdeg)
+        if root is None:
+            raise CurveError(
+                "resultant is not the %d-th power its restrictions indicate"
+                % mapdeg
+            )
+        F = root.normalized()
+    return F, mapdeg
+
+
+def _mapdeg_certificate(F):
+    """1 when F is certified squarefree by a squarefree line restriction;
+    otherwise the common multiplicity over several probing lines."""
+    f = F.field
+    deg = F.total_degree()
+    rng_points = [
+        ((1, 0, 0), (0, 1, 1)),
+        ((0, 1, 0), (1, 0, 1)),
+        ((0, 0, 1), (1, 1, 0)),
+        ((1, 2, 3), (3, 1, 2)),
+        ((1, -1, 2), (2, 1, -1)),
+        ((5, 1, -3), (1, 4, 1)),
+    ]
+    mults = []
+    for p0i, p1i in rng_points:
+        p0 = tuple(f.from_int(v) for v in p0i)
+        p1 = tuple(f.from_int(v) for v in p1i)
+        lines = [UniPoly(f, (a, b)) for a, b in zip(p0, p1)]
+        r = F.substitute(lines, lambda c: UniPoly.const(f, c))
+        if r.degree != deg:
+            continue
+        g = poly_gcd(r, r.derivative())
+        if g.degree == 0:
+            return 1
+        _, parts = squarefree_decomposition(r)
+        m = 0
+        for _, mult in parts:
+            m = igcd(m, mult)
+        mults.append(m)
+    if not mults:
+        raise CurveError("could not certify the map degree")
+    return min(mults)

@@ -112,12 +112,51 @@ def test_undecodable_record_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _zero_denominator(curve):
+    curve["parametrization"]["y"][0]["coeffs"][0] = "1/0"
+
+
+def _nested_rational(curve):
+    curve["p"][0] = ["1", "2"]
+
+
+@pytest.mark.parametrize("mutate", [_zero_denominator, _nested_rational])
+def test_malformed_coefficient_names_its_record(tmp_path, capsys, mutate):
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    mutate(doc["curves"][2])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "--jobs", "1",
+                             "verify", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: record 3: ")
+    assert "Traceback" not in err
+
+
 def test_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "6", "5", "3")
     assert code == 0
     assert "-1" in out
     code, out, _ = run_cli(capsys, "--json", "hilbert", "6", "5", "inf")
     assert json.loads(out)["symbol"] == 1
+
+
+def test_hilbert_at_a_large_prime(capsys):
+    # trial division up to the square root did not finish here
+    code, out, _ = run_cli(capsys, "hilbert", "2", "3", "1000000000000000003")
+    assert code == 0
+    assert out.strip().endswith("= +1")
+
+
+def test_hilbert_past_the_primality_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "hilbert", "2", "3",
+                             "3317044064679887385961983")
+    assert code == 2
+    assert out == ""
+    assert "neither inf nor a prime below" in err
 
 
 @pytest.mark.parametrize("argv", [

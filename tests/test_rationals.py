@@ -1,8 +1,11 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from sextic19.rationals import (
     Rat,
+    PRIME_TEST_BOUND,
     factorize,
+    is_prime,
     is_rat_square,
     rat,
     rat_sqrt,
@@ -48,3 +51,23 @@ def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert factorize(97) == {97: 1}
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(1, 10**4 + 1) if is_prime(n)] == \
+        [n for n in range(1, 10**4 + 1) if trial(n)]
+
+
+def test_is_prime_rejects_a_strong_pseudoprime():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7
+    assert not is_prime(3215031751)
+    assert is_prime(1000000000000000003)
+
+
+def test_is_prime_refuses_past_its_proven_bound():
+    assert not is_prime(PRIME_TEST_BOUND - 1)
+    with pytest.raises(ValueError, match="proven primality bound"):
+        is_prime(PRIME_TEST_BOUND)
