@@ -93,23 +93,14 @@ class SystemExit2(Exception):
     pass
 
 
-# the corpus of a pool worker process, loaded once by _init_worker
-_worker_records = None
-
-
-def _init_worker(corpus):
-    global _worker_records
-    from .database import load_corpus
-
-    _worker_records = load_corpus(corpus)
-
-
-def _verify_worker(rid, recs=None):
+def _verify_worker(task):
+    """The certificate of one task (id, curve, claims), as a dict.  Tasks
+    are built from the records the parent loaded and reach pool workers
+    pickled, so no worker reads the corpus."""
     from .singularity import certify
 
-    rec = (recs or _worker_records)[rid - 1]
-    cert = certify(rec.curve, rec.claims, curve_id=rec.id)
-    return cert.to_dict()
+    rid, curve, claims = task
+    return certify(curve, claims, curve_id=rid).to_dict()
 
 
 def cmd_verify(args):
@@ -120,21 +111,17 @@ def cmd_verify(args):
         ids = args.ids
     else:
         raise SystemExit2("verify needs record ids or --all")
-    for rid in ids:
-        _find(recs, rid)
+    tasks = [(rec.id, rec.curve, rec.claims)
+             for rec in (_find(recs, rid) for rid in ids)]
     t0 = time.time()
     jobs = args.jobs or os.cpu_count() or 1
-    results = []
-    if jobs > 1 and len(ids) > 1:
+    if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(args.corpus,),
-        ) as pool:
-            results = list(pool.map(_verify_worker, ids))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_verify_worker, tasks))
     else:
-        results = [_verify_worker(rid, recs) for rid in ids]
+        results = [_verify_worker(task) for task in tasks]
     passed = all(r["passed"] for r in results)
     lines = []
     for r in results:

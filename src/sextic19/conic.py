@@ -30,6 +30,15 @@ class ConicError(Exception):
     pass
 
 
+def _squarefree_split(q):
+    """rat_squarefree_split(q), with a coefficient that factorize refuses
+    (see rationals.FACTOR_TRIAL_BOUND) reported as a ConicError."""
+    try:
+        return rat_squarefree_split(q)
+    except ValueError as exc:
+        raise ConicError(str(exc)) from None
+
+
 # ----------------------------------------------------------------------
 # Hilbert symbols over Q
 
@@ -101,8 +110,8 @@ def hilbert_symbol(a, b, place):
 
 def relevant_places(a, b):
     """'inf', 2, and the odd primes dividing the squarefree parts."""
-    sa, _ = rat_squarefree_split(Rat(a))
-    sb, _ = rat_squarefree_split(Rat(b))
+    sa, _ = _squarefree_split(Rat(a))
+    sb, _ = _squarefree_split(Rat(b))
     odd = set()
     for s in (sa, sb):
         odd.update(q for q in factorize(abs(s)) if q != 2)
@@ -140,8 +149,8 @@ def conic_solvable_over_q(a, b, max_height=100000):
     a, b = Rat(a), Rat(b)
     if a == 0 or b == 0:
         raise ConicError("conic coefficients must be nonzero")
-    sa, ca = rat_squarefree_split(a)
-    sb, cb = rat_squarefree_split(b)
+    sa, ca = _squarefree_split(a)
+    sb, cb = _squarefree_split(b)
     places = relevant_places(sa, sb)
     symbols = {str(v): hilbert_symbol(sa, sb, v) for v in places}
     bad = tuple(v for v in places if symbols[str(v)] == -1)
@@ -309,7 +318,7 @@ def pencil_reduce(F, pencil, fld):
             "expected two branch points" % odd.degree
         )
     if fld == QQ:
-        s, c = rat_squarefree_split(lead)
+        s, c = _squarefree_split(lead)
         d1 = odd.scale(fld.from_int(s))
         d2 = even.scale(fld.from_rat(c))
     else:

@@ -6,11 +6,23 @@ are stored in the factored form in which they are printed; the loader
 expands them, rebuilds every claim, and enforces the structural invariants
 (degree six, no common factor, Milnor total 19, exactly one odd index,
 location count matching the even entries).
+
+`corpus/schema.json` is checked here, without a JSON Schema library, by a
+short recursive checker of the draft-07 subset that the schema uses: `type`,
+`required`, `properties`, `items` (one schema for every item), `$ref` (a
+local pointer such as `#/definitions/rat`), `oneOf`, `const`, `enum`,
+`pattern`, `minimum`, `maximum`, `minItems` and `maxItems`, with draft 7's
+meaning of each (`true` is not an integer, `1.0` is one; `pattern` is an
+unanchored search).  `$schema`, `title` and `definitions` are metadata.  A
+schema that uses any other keyword, or a `const` or `enum` value that is
+not a scalar, is refused with CorpusError before any document is checked,
+so the schema cannot outgrow the checker unnoticed.
 """
 
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
@@ -334,10 +346,116 @@ def _check_invariants(rec):
         raise CorpusError("; ".join(errs))
 
 
+# the draft-07 keywords that _violation implements, and those it ignores
+_KEYWORDS = {"type", "required", "properties", "items", "$ref", "oneOf",
+             "const", "enum", "pattern", "minimum", "maximum", "minItems",
+             "maxItems"}
+_METADATA = {"$schema", "title", "definitions"}
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _same(inst, value):
+    """JSON equality with a scalar `value` of const or enum: unlike ==, a
+    boolean never equals a number."""
+    return inst == value and isinstance(inst, bool) == isinstance(value, bool)
+
+
+def _resolve(root, ref):
+    """The subschema a local $ref such as '#/definitions/rat' points at."""
+    node = root if ref.startswith("#/") else None
+    for part in ref[2:].split("/"):
+        node = node.get(part) if isinstance(node, dict) else None
+    if node is None:
+        raise CorpusError("schema $ref %r does not resolve" % ref)
+    return node
+
+
+def _check_schema(root):
+    """Refuse a schema that uses a keyword _violation does not implement."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, dict):
+            raise CorpusError("schema node %r is not an object" % (node,))
+        unknown = sorted(set(node) - _KEYWORDS - _METADATA)
+        kind = node.get("type", "object")
+        if unknown or not (isinstance(kind, str) and kind in _TYPES):
+            raise CorpusError("schema uses unsupported %s"
+                              % (unknown or "type %r" % (kind,)))
+        values = list(node.get("enum", ())) + [node.get("const")]
+        if any(isinstance(v, (list, dict)) for v in values):
+            raise CorpusError("schema compares with a non-scalar in %r"
+                              % (node,))
+        if "$ref" in node:
+            _resolve(root, node["$ref"])
+        todo.extend(node.get("oneOf", ()))
+        todo.extend(node.get("properties", {}).values())
+        todo.extend(node.get("definitions", {}).values())
+        if "items" in node:
+            todo.append(node["items"])
+
+
+def _violation(inst, schema, root, path=()):
+    """The first violation of `schema` by `inst` as (path, message), or None
+    when inst is valid."""
+    if "$ref" in schema:  # draft 7 ignores the siblings of a $ref
+        return _violation(inst, _resolve(root, schema["$ref"]), root, path)
+    if "type" in schema and not _TYPES[schema["type"]](inst):
+        return path, "%r is not of type %r" % (inst, schema["type"])
+    if "const" in schema and not _same(inst, schema["const"]):
+        return path, "%r was expected" % (schema["const"],)
+    if "enum" in schema and not any(_same(inst, e) for e in schema["enum"]):
+        return path, "%r is not one of %r" % (inst, schema["enum"])
+    if "oneOf" in schema:
+        hits = sum(_violation(inst, sub, root, path) is None
+                   for sub in schema["oneOf"])
+        if hits != 1:
+            return path, "%r is valid under %d of the given schemas, not 1" \
+                % (inst, hits)
+    if isinstance(inst, str) and "pattern" in schema \
+            and not re.search(schema["pattern"], inst):
+        return path, "%r does not match %r" % (inst, schema["pattern"])
+    if _TYPES["number"](inst):
+        if "minimum" in schema and inst < schema["minimum"]:
+            return path, "%r is less than the minimum of %r" \
+                % (inst, schema["minimum"])
+        if "maximum" in schema and inst > schema["maximum"]:
+            return path, "%r is greater than the maximum of %r" \
+                % (inst, schema["maximum"])
+    if isinstance(inst, list):
+        if len(inst) < schema.get("minItems", 0):
+            return path, "%r is too short" % (inst,)
+        if len(inst) > schema.get("maxItems", len(inst)):
+            return path, "%r is too long" % (inst,)
+        for i, item in enumerate(inst if "items" in schema else ()):
+            err = _violation(item, schema["items"], root, path + (i,))
+            if err:
+                return err
+    if isinstance(inst, dict):
+        for key in schema.get("required", ()):
+            if key not in inst:
+                return path, "%r is a required property" % key
+        for key, sub in schema.get("properties", {}).items():
+            err = key in inst and _violation(inst[key], sub, root,
+                                             path + (key,))
+            if err:
+                return err
+    return None
+
+
 def load_corpus(path=None):
     """Load and validate the corpus; returns a list of CurveRecord."""
-    import jsonschema
-
     path = path or default_corpus_path()
     with open(path) as fh:
         try:
@@ -346,13 +464,11 @@ def load_corpus(path=None):
             raise CorpusError("%s is not valid JSON: %s" % (path, exc)) from exc
     with open(_schema_path()) as fh:
         schema = json.load(fh)
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise CorpusError(
-            "schema violation at %s: %s"
-            % ("/".join(str(p) for p in exc.absolute_path), exc.message)
-        ) from exc
+    _check_schema(schema)
+    err = _violation(doc, schema, schema)
+    if err:
+        raise CorpusError("schema violation at %s: %s"
+                          % ("/".join(str(p) for p in err[0]), err[1]))
     records = []
     for data in doc["curves"]:
         try:

@@ -80,11 +80,18 @@ def is_rat_square(q):
     return rat_sqrt(q) is not None
 
 
-def factorize(n):
-    """Prime factorization of a positive int by trial division.
+# factorize divides by trial up to this bound
+FACTOR_TRIAL_BOUND = 10 ** 6
 
-    Inputs here are small (conic coefficients, discriminant supports), so
-    trial division is entirely adequate.
+
+def factorize(n):
+    """Prime factorization of a positive int.
+
+    Trial division removes every prime factor below B = FACTOR_TRIAL_BOUND.
+    The cofactor left has no prime factor below B, so it is prime when it
+    is below B^2, or when is_prime proves it.  Any other cofactor raises
+    ValueError: it is a product of primes above B, or past the proven
+    bound of is_prime, and this module does not factor it.
     """
     n = int(n)
     assert n >= 1
@@ -94,12 +101,15 @@ def factorize(n):
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < FACTOR_TRIAL_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
+    if n >= f * f and not is_prime(n):
+        raise ValueError("cannot factor %d: no prime factor below %d, and "
+                         "not a proven prime" % (n, FACTOR_TRIAL_BOUND))
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

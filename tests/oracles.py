@@ -6,7 +6,8 @@ points without Hilbert symbols.  A Fraction schoolbook multiply and an
 extended-Euclid inverse check the number-field kernel.  Implicitization by
 interpolating a grid of univariate resultants, with the map degree read
 from squarefree restrictions of F to lines, checks the moving-line
-implicitization.  The library itself uses none of these.
+implicitization.  jsonschema's draft-07 validator checks the in-package
+schema checker of `database`.  The library itself uses none of these.
 """
 
 from math import gcd as igcd
@@ -373,3 +374,14 @@ def _mapdeg_certificate(F):
     if not mults:
         raise CurveError("could not certify the map degree")
     return min(mults)
+
+
+# ----------------------------------------------------------------------
+# the corpus schema by a JSON Schema library
+
+
+def jsonschema_valid(doc, schema):
+    """Whether jsonschema's draft-07 validator accepts doc."""
+    import jsonschema
+
+    return jsonschema.Draft7Validator(schema).is_valid(doc)

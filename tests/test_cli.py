@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -178,6 +179,45 @@ def test_bad_conic_arguments_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_conic_solve_at_a_large_prime(capsys):
+    # p = 10^18 + 3 is 3 mod 4, so (p, -1)_p = -1 and no witness is searched
+    code, out, _ = run_cli(capsys, "--json", "conic-solve",
+                           "1000000000000000003", "-1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "unsolvable"
+    assert "1000000000000000003" in doc["obstructions"]
+
+
+def test_conic_solve_past_the_factoring_bound_exits_2(capsys):
+    # the product of two 12-digit primes has no factor below the trial bound
+    code, out, err = run_cli(capsys, "conic-solve",
+                             str(100000000003 * 100000000019), "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot factor")
+    assert "Traceback" not in err
+
+
+def test_reduce_past_the_factoring_bound_exits_2(tmp_path, capsys):
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    # scaling curve 36's printed sextic by k scales the leading coefficient
+    # of the pencil discriminant by k^4, which factorize refuses for a
+    # product k of two 12-digit primes
+    k = 100000000003 * 100000000019
+    for term in doc["curves"][35]["printed_implicit"]["terms"]:
+        term["coeffs"] = [str(int(c) * k) for c in term["coeffs"]]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--corpus", str(scaled), "reduce", "36")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "primality bound" in err
+
+
 def test_conic_solve(capsys):
     code, out, _ = run_cli(capsys, "--json", "conic-solve", "6", "5")
     assert code == 0
@@ -247,3 +287,61 @@ def test_verify_json_point_count(capsys):
     counts = {c["claimed"]: c["point_count"] for c in claims}
     # the A_2 claim at the roots of t^3 - 3t - 3 stands for three points
     assert counts == {"A_1": 1, "A_8": 1, "A_2": 3, "A_4": 1}
+
+
+def _without_seconds(out):
+    doc = json.loads(out)
+    del doc["seconds"]
+    for item in doc["items"]:
+        del item["seconds"]
+    return doc
+
+
+def _reports_at_one_and_two_jobs(capsys, monkeypatch, argv):
+    """(exit code, report) of `verify` at --jobs 1 and --jobs 2; a pool
+    worker that loaded the corpus would fail the run."""
+    from sextic19 import database
+
+    parent = os.getpid()
+    load_corpus = database.load_corpus
+
+    def parent_only(*args, **kwargs):
+        assert os.getpid() == parent, "a pool worker loaded the corpus"
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(database, "load_corpus", parent_only)
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "--json", "--jobs", jobs, *argv)
+        runs.append((code, _without_seconds(out)))
+    return runs
+
+
+def test_verify_report_does_not_depend_on_jobs(capsys, monkeypatch):
+    serial, pooled = _reports_at_one_and_two_jobs(
+        capsys, monkeypatch, ["verify", "3", "28", "33"])
+    assert serial == pooled
+    assert serial[0] == 0
+
+
+def test_pool_workers_certify_the_parents_records(tmp_path, capsys,
+                                                   monkeypatch):
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    # curve 3 is A_17 at the roots of t^2 - 3 and A_2 at infinity; claim
+    # A_15 and A_4 instead, which keeps the Milnor total at 19
+    curve = doc["curves"][2]
+    curve["odd"]["n"], curve["even"][0]["n"] = 15, 4
+    curve["multiset"] = [15, 4]
+    bad = tmp_path / "wrong_index.json"
+    bad.write_text(json.dumps(doc))
+    serial, pooled = _reports_at_one_and_two_jobs(
+        capsys, monkeypatch, ["--corpus", str(bad), "verify", "3", "28"])
+    assert serial == pooled
+    code, report = serial
+    assert code == 1
+    assert [item["passed"] for item in report["items"]] == [False, True]
+    claims = report["items"][0]["claims"]
+    assert [(c["claimed"], c["ok"]) for c in claims] == \
+        [("A_15", False), ("A_4", False)]

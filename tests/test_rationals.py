@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sextic19.rationals import (
-    Rat,
+    FACTOR_TRIAL_BOUND,
     PRIME_TEST_BOUND,
+    Rat,
     factorize,
     is_prime,
     is_rat_square,
@@ -51,6 +52,19 @@ def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert factorize(97) == {97: 1}
+
+
+def test_factorize_past_the_trial_bound():
+    p, q = 100000000003, 100000000019      # both prime, above the bound
+    assert p > FACTOR_TRIAL_BOUND
+    assert factorize(4 * p) == {2: 2, p: 1}
+    # a cofactor below the square of the bound is prime without a test
+    assert factorize(6 * 1000003) == {2: 1, 3: 1, 1000003: 1}
+    for composite in (1000003 * 1000033, p * q):
+        with pytest.raises(ValueError, match="cannot factor"):
+            factorize(composite)
+    with pytest.raises(ValueError, match="proven primality bound"):
+        factorize(p * q * 1000000000039)
 
 
 def test_is_prime_matches_trial_division():
