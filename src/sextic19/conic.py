@@ -270,24 +270,28 @@ def pencil_reduce(F, pencil, fld):
     xs = [fld.from_int(k) for k in range(deg_x_bound + 1)]
     ls = [fld.from_int(k) for k in range(deg_l_bound + 1)]
 
-    def res_at(lv, xv):
-        fy = _specialize(f_rows, xv, fld)
-        gy = _specialize(pencil.g0, xv, fld) \
-            + _specialize(pencil.g1, xv, fld).scale(lv)
+    def at_x(xv):
+        # f and g0, g1 as polynomials in y at x = xv; none depends on lambda
+        return tuple(_specialize(rows, xv, fld)
+                     for rows in (f_rows, pencil.g0, pencil.g1))
+
+    def res_at(lv, fy, g0y, g1y):
+        gy = g0y + g1y.scale(lv)
         if fy.degree != deg_y_f or gy.degree != deg_y_g:
             raise ConicError("degree drop on the interpolation grid")
         return resultant(fy, gy)
 
     # P(x, lambda): interpolate along x at every lambda of the grid, then
     # each x-coefficient along lambda, and compare at one point off the grid
-    per_lambda = [lagrange_interpolate(fld, xs, [res_at(lv, xv) for xv in xs])
+    grid = [at_x(xv) for xv in xs]
+    per_lambda = [lagrange_interpolate(fld, xs, [res_at(lv, *g) for g in grid])
                   for lv in ls]
     by_x = [lagrange_interpolate(fld, ls, [p.coeff(i) for p in per_lambda])
             for i in range(max(p.degree for p in per_lambda) + 1)]
     p_by_lambda = [UniPoly(fld, [q.coeff(j) for q in by_x])
                    for j in range(max(q.degree for q in by_x) + 1)]
     lv, xv = fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3)
-    if not fld.eq(res_at(lv, xv),
+    if not fld.eq(res_at(lv, *at_x(xv)),
                   UniPoly(fld, [p.eval(xv) for p in p_by_lambda]).eval(lv)):
         raise ConicError("pencil resultant interpolation is inconsistent")
     # divide by the basepoint factor: P(x, lambda) = P1 * P2(x)

@@ -24,6 +24,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from importlib import resources
 
 from .curve import CurveError, ParameterLocation, RationalPlaneCurve
@@ -208,7 +209,7 @@ class CurveRecord:
     conic_reduction: object = None
     raw: dict = dc_field(default=None, repr=False)
 
-    @property
+    @cached_property
     def curve(self):
         return RationalPlaneCurve(self.field, self.x, self.y, self.z)
 

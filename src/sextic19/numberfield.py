@@ -29,6 +29,18 @@ and 1/x solves that integer system against the coordinates of 1 by
 fraction-free elimination, again with one Rat per output leaf.  Addition
 and negation work leaf by leaf on the rationals.
 
+`plist_mul` multiplies coefficient lists (polynomials and truncated series,
+cut to the first n coefficients) on the same integers.  Each operand list
+is written once as integer vectors over one common denominator; the
+convolution sums the products of those vectors (plain int products over Q,
+over an extension the products in the top generator before reduction, so
+that each output coefficient is reduced once); and each output leaf is
+built once as Rat(num, den).  Integer sums and reduction are exact, and the
+power-basis coordinates of each output coefficient are unique, so the list
+is the same canonical one that one field.mul and one field.add per pair of
+terms gives.  The stored form of an element is unchanged: the integers live
+only inside the call.
+
 The nested form is private to this module.  Other modules see an element
 only through its field: `coords` and `from_coords` read and build its
 base-field coordinates, and `descend` tests whether it lies in the base
@@ -73,17 +85,41 @@ def _plist_normalize(field, coeffs):
     return coeffs
 
 
-def plist_mul(field, a, b):
-    """Product of two coefficient lists."""
-    if not a or not b:
+def plist_mul(field, a, b, n=None):
+    """Product of two coefficient lists, cut to its first n coefficients
+    when n is given (see the module docstring)."""
+    size = len(a) + len(b) - 1 if a and b else 0
+    if n is not None:
+        size = min(size, n)
+    if size <= 0:
         return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if field.is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return out
+    xa, da = _int_vectors(field, a[:size])
+    xb, db = _int_vectors(field, b[:size])
+    if field.degree_over_q == 1:
+        out = [0] * size
+        for i, ai in enumerate(xa):
+            if ai:
+                for k, bj in enumerate(xb[:size - i], i):
+                    out[k] += ai * bj
+        return _rats(out, da * db)
+    # the products stay unreduced in the top generator until every term of
+    # an output coefficient is summed, so each is reduced once
+    full = field._ifull
+    xb = [(j, bj) for j, bj in enumerate(xb) if any(bj)]
+    sums = [None] * size
+    for i, ai in enumerate(xa):
+        if any(ai):
+            for j, bj in xb:
+                k = i + j
+                if k >= size:
+                    break
+                p = full(ai, bj)
+                sums[k] = p if sums[k] is None else list(map(add, sums[k], p))
+    den = da * db * field._den
+    zero = field.zero
+    return [zero if s is None else
+            field._nest(_rats(field._ireduce(s), den))
+            for s in sums]
 
 
 def plist_divmod(field, num, den):
@@ -115,6 +151,21 @@ def _int_coords(leaves):
     if den == 1:
         return [q.numerator for q in leaves], 1
     return [q.numerator * (den // q.denominator) for q in leaves], den
+
+
+def _rats(nums, den):
+    """Rat(c, den) for each integer c; a zero leaf needs no gcd."""
+    return [Rat(c, den) if c else QQ0 for c in nums]
+
+
+def _int_vectors(field, elems):
+    """(integer coordinates of each element, one common denominator): an
+    int per element over Q, a flat list of degree_over_q ints otherwise."""
+    if field.degree_over_q == 1:
+        return _int_coords(elems)
+    nums, den = _int_coords([q for x in elems for q in field._leaves(x)])
+    n = field.degree_over_q
+    return [nums[k:k + n] for k in range(0, len(nums), n)], den
 
 
 def _solve_fraction_free(rows):
@@ -307,20 +358,46 @@ class ExtensionField:
         xs, xd = _int_coords(self._leaves(x))
         ys, yd = _int_coords(self._leaves(y))
         den = xd * yd * self._den
-        return self._nest([Rat(c, den) for c in self._imul(xs, ys)])
+        return self._nest(_rats(self._imul(xs, ys), den))
 
     def _imul(self, a, b):
         """Product of flat integer coordinate lists a and b, returned as the
         integer coordinates of a*b times self._den."""
+        return self._ireduce(self._ifull(a, b))
+
+    def _ifull(self, a, b):
+        """The product of flat integer coordinate lists a and b as a
+        polynomial of degree 2d - 2 in the generator, not yet reduced: the
+        flat integer coordinates of its 2d - 1 base coefficients, each times
+        base._den."""
         d = self.degree
-        base = self.base
-        bd = base.degree_over_q
+        bd = self.base.degree_over_q
         if bd == 1:
             full = [0] * (2 * d - 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b, i):
                         full[j] += ai * bj
+            return full
+        bmul = self.base._imul
+        xa = [a[k:k + bd] for k in range(0, d * bd, bd)]
+        xb = [(j, b[j * bd:(j + 1) * bd]) for j in range(d)]
+        xb = [(j, bj) for j, bj in xb if any(bj)]
+        full = [0] * ((2 * d - 1) * bd)
+        for i, ai in enumerate(xa):
+            if any(ai):
+                for j, bj in xb:
+                    k = (i + j) * bd
+                    full[k:k + bd] = map(add, full[k:k + bd], bmul(ai, bj))
+        return full
+
+    def _ireduce(self, full):
+        """Reduce _ifull output by the rows g^(d+i): the integer coordinates
+        of the product times self._den.  Reduction is linear, so a sum of
+        _ifull outputs reduces to the sum of the products."""
+        d = self.degree
+        bd = self.base.degree_over_q
+        if bd == 1:
             rd = self._rden
             out = full[:d] if rd == 1 else [rd * c for c in full[:d]]
             for hi, row in zip(full[d:], self._irows):
@@ -328,19 +405,12 @@ class ExtensionField:
                     for j, r in enumerate(row):
                         out[j] += hi * r
             return out
-        bmul = base._imul
-        xa = [a[k:k + bd] for k in range(0, d * bd, bd)]
-        xb = [(j, b[j * bd:(j + 1) * bd]) for j in range(d)]
-        xb = [(j, bj) for j, bj in xb if any(bj)]
-        full = [[0] * bd for _ in range(2 * d - 1)]
-        for i, ai in enumerate(xa):
-            if any(ai):
-                for j, bj in xb:
-                    full[i + j] = list(map(add, full[i + j], bmul(ai, bj)))
         # the low part is over base._den, each reduction term over its square
-        scale = base._den * self._rden
-        out = [c * scale for part in full[:d] for c in part]
-        for hi, row in zip(full[d:], self._irows):
+        bmul = self.base._imul
+        scale = self.base._den * self._rden
+        out = [c * scale for c in full[:d * bd]]
+        for i, row in enumerate(self._irows):
+            hi = full[(d + i) * bd:(d + i + 1) * bd]
             if any(hi):
                 for j, r in enumerate(row):
                     if any(r):
@@ -393,7 +463,7 @@ class ExtensionField:
         rows = [[c[i] for c in cols] + [0] for i in range(n)]
         rows[0][n] = xd * self._den
         nums, den = _solve_fraction_free(rows)
-        inv = self._nest([Rat(c, den) for c in nums])
+        inv = self._nest(_rats(nums, den))
         if len(self._inv_cache) < 4096:
             self._inv_cache[x] = inv
         return inv

@@ -7,6 +7,7 @@ the first nonzero stored coefficient, or None when every stored coefficient
 vanishes, in which case the caller must retry at a higher truncation.
 """
 
+from .numberfield import plist_mul
 from .polynomial import format_terms, power_str, ring_power
 from .rationals import Rat
 
@@ -83,17 +84,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         n = self._common(other)
-        f = self.field
-        out = [f.zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if f.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if f.is_zero(b):
-                    continue
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return TruncatedSeries(f, out, n)
+        return TruncatedSeries(
+            self.field, plist_mul(self.field, self.coeffs, other.coeffs, n), n
+        )
 
     def __pow__(self, k):
         return ring_power(

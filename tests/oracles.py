@@ -3,11 +3,13 @@
 A fraction-free Sylvester/Bareiss determinant gives trivariate resultants
 without interpolation, and an exhaustive height search looks for conic
 points without Hilbert symbols.  A Fraction schoolbook multiply and an
-extended-Euclid inverse check the number-field kernel.  Implicitization by
-interpolating a grid of univariate resultants, with the map degree read
-from squarefree restrictions of F to lines, checks the moving-line
-implicitization.  jsonschema's draft-07 validator checks the in-package
-schema checker of `database`.  The library itself uses none of these.
+extended-Euclid inverse check the number-field kernel, and a schoolbook
+product of coefficient lists, term by term in field arithmetic, checks the
+convolution kernel `plist_mul`.  Implicitization by interpolating a grid of
+univariate resultants, with the map degree read from squarefree
+restrictions of F to lines, checks the moving-line implicitization.
+jsonschema's draft-07 validator checks the in-package schema checker of
+`database`.  The library itself uses none of these.
 """
 
 from math import gcd as igcd
@@ -18,7 +20,6 @@ from sextic19.numberfield import (
     FieldError,
     field_pow,
     plist_divmod,
-    plist_mul,
 )
 from sextic19.polynomial import (
     InexactDivision,
@@ -185,6 +186,20 @@ def brute_force_conic_search(a, b, height):
     return None
 
 
+def schoolbook_plist_mul(field, a, b):
+    """Product of two coefficient lists, one field.mul and one field.add per
+    pair of terms."""
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if field.is_zero(ai):
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return out
+
+
 def fraction_mul(field, x, y):
     """Product in an extension field by schoolbook multiplication over the
     base field's own arithmetic, one rational operation at a time, then
@@ -224,7 +239,7 @@ def euclid_inv(field, x):
     while r1:
         q, r = plist_divmod(b, r0, r1)
         r0, r1 = r1, r
-        prod = plist_mul(b, q, s1)
+        prod = schoolbook_plist_mul(b, q, s1)
         ns = list(s0) + [b.zero] * max(0, len(prod) - len(s0))
         for i, pi in enumerate(prod):
             ns[i] = b.sub(ns[i], pi)

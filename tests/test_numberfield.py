@@ -13,6 +13,7 @@ from sextic19.numberfield import (
     is_square,
     minpoly_is_squarefree,
     number_field,
+    plist_mul,
 )
 from sextic19.rationals import Rat
 
@@ -135,6 +136,34 @@ def test_mul_kernel_matches_fraction_oracle(by_id):
             got = f.mul(x, y)
             assert got == fraction_mul(f, x, y), (f, x, y)
             assert type(got) is tuple and len(got) == f.degree
+
+
+def _coefficient_lists(f, rng):
+    """Dense lists, lists with interior zero coefficients and lists with an
+    all-zero tail, of lengths 1 to 9."""
+    out = []
+    for length in (1, 2, 5, 9):
+        dense = [f.random(rng, 30) for _ in range(length)]
+        holes = [c if i in (0, length - 1) or i % 2 else f.zero
+                 for i, c in enumerate(dense)]
+        out += [dense, holes, dense[:2] + [f.zero] * length]
+    return out + [[f.zero] * 3]
+
+
+def test_plist_mul_matches_schoolbook_oracle(by_id):
+    from oracles import schoolbook_plist_mul
+
+    rng = random.Random(6)
+    for f in [QQ] + _kernel_fields(by_id):
+        lists = _coefficient_lists(f, rng)
+        pairs = [(a, b) for a in lists[::3] for b in lists]
+        pairs += [(rng.choice(lists), rng.choice(lists)) for _ in range(12)]
+        for a, b in pairs:
+            want = schoolbook_plist_mul(f, a, b)
+            full = len(want)
+            for n in (None, 1, max(1, full - 3), full, full + 4):
+                assert plist_mul(f, a, b, n) == want[:n], (f, a, b, n)
+    assert plist_mul(QQ, [], [QQ.one], 3) == []
 
 
 def test_inv_kernel_matches_euclid_oracle(by_id):

@@ -159,6 +159,21 @@ def test_mutated_corpus_agrees_with_jsonschema_and_exits_cleanly(
         assert code == 2 and err.startswith("error: schema violation at ")
 
 
+@pytest.mark.parametrize("curve, kind, key", [
+    (1, "pair", "t1"), (1, "pair", "t2"), (2, "roots", "poly"),
+    (5, "value", "t"), (38, "double_roots", "component"),
+])
+def test_location_without_its_key_exits_2(curve, kind, key):
+    doc = copy.deepcopy(CORPUS)
+    rec = doc["curves"][curve - 1]
+    loc = next(c["location"] for c in [rec["odd"]] + rec["even"]
+               if c["location"]["kind"] == kind)
+    del loc[key]
+    assert not _valid(doc) and not jsonschema_valid(doc, SCHEMA)
+    code, err = _list_exit(doc)
+    assert code == 2 and err.startswith("error: schema violation at ")
+
+
 def test_shipped_corpus_is_valid():
     assert _valid(CORPUS) and jsonschema_valid(CORPUS, SCHEMA)
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sextic19.numberfield import QQ, number_field
+from sextic19.numberfield import QQ, build_tower, number_field
+from sextic19.polynomial import UniPoly
 from sextic19.series import SeriesError, TruncatedSeries
 
 
@@ -86,3 +87,17 @@ def test_order_additivity(seed):
 def test_order_infinite_window():
     s = TruncatedSeries(QQ, (), 4)
     assert s.order() is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mul_is_truncated_poly_product(seed):
+    rng = random.Random(120 + seed)
+    F = (QQ, number_field([1, 0, 1], "i"),
+         build_tower([("a", [-2, 0, 1]), ("b", [3, 0, 1])]),
+         number_field([-2, -2, 0, 1], "c"))[seed]
+    f = rand_series(rng, F, 9)
+    g = rand_series(rng, F, 12, order=2)
+    g = TruncatedSeries(F, g.coeffs[:5], 12)   # a zero tail
+    prod = (UniPoly(F, f.coeffs) * UniPoly(F, g.coeffs)).coeffs
+    assert (f * g).coeffs == TruncatedSeries(F, prod, 9).coeffs
+    assert (g * f).trunc == 9
