@@ -5,8 +5,9 @@ computation below happens in exact rational arithmetic.  The per-claim
 classifiers work on truncated power-series expansions of the
 parametrization around the claimed parameters; the certificate then closes
 the global budget: a birational rational sextic has total delta exactly
-ten, so when the claimed delta invariants already reach ten and the claimed
-points are pairwise distinct, no unclaimed singularity can exist.
+ten, so when the claimed delta invariants already reach ten at pairwise
+disjoint parameters, the claimed points are distinct and no unclaimed
+singularity can exist.
 """
 
 import json

@@ -114,8 +114,9 @@ def cmd_verify(args):
     tasks = [(rec.id, rec.curve, rec.claims)
              for rec in (_find(recs, rid) for rid in ids)]
     t0 = time.time()
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    # a pool starts all of its workers at once, so start no idle ones
+    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

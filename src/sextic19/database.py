@@ -133,13 +133,13 @@ def decode_tripoly_hform(fld, data, degree=6):
     terms = {}
     for row in data["terms"]:
         poly = decode_poly(fld, row["coeffs"])
-        for _ in range(row.get("hpow", 0)):
+        for _ in range(int(row.get("hpow", 0))):
             poly = poly * h
         for i in range(poly.degree + 1):
             c = poly.coeff(i)
             if fld.is_zero(c):
                 continue
-            key = (i, row["ypow"])
+            key = (i, int(row["ypow"]))
             cur = terms.get(key)
             terms[key] = fld.add(cur, c) if cur is not None else c
     terms = {k: v for k, v in terms.items() if not fld.is_zero(v)}
@@ -160,15 +160,16 @@ class PencilData:
 
 def decode_pencil(fld, data):
     h = decode_poly(fld, data["h"])
-    max_y = max(row["ypow"] for row in data["terms"])
+    max_y = int(max(row["ypow"] for row in data["terms"]))
     g0 = [UniPoly.zero(fld) for _ in range(max_y + 1)]
     g1 = [UniPoly.zero(fld) for _ in range(max_y + 1)]
     for row in data["terms"]:
         poly = decode_poly(fld, row["coeffs"])
-        for _ in range(row.get("hpow", 0)):
+        for _ in range(int(row.get("hpow", 0))):
             poly = poly * h
         target = g0 if row["lampow"] == 0 else g1
-        target[row["ypow"]] = target[row["ypow"]] + poly
+        ypow = int(row["ypow"])
+        target[ypow] = target[ypow] + poly
     bp = data["basepoint_factor"]
     base = decode_factors(fld, bp["factors"]).scale(
         decode_elem(fld, bp["scalar"]))

@@ -48,7 +48,7 @@ field, so a different stored form (integers over a common denominator, say)
 would change this module alone.
 """
 
-from math import lcm
+from math import isqrt, lcm
 from operator import add
 
 from .rationals import (
@@ -992,42 +992,41 @@ def adjoin_root(base_field, quad, name="th"):
         other = ext.sub(ext.neg(ext.coerce(b, base_field)), th)
         return ext, [th, other]
     if deg == 3 and base_field == QQ:
-        a3 = coeffs[3]
-        mon = [c / a3 for c in coeffs]
-        # rational root test decides reducibility for a cubic; scale to
-        # integer coefficients to enumerate candidate roots p/q
+        mon = [c / coeffs[3] for c in coeffs]
+        # x = y / L turns mon into a monic integer cubic in y, whose rational
+        # roots are integers; a rational root decides reducibility
         L = lcm(*(int(c.denominator) for c in mon))
-        ic = [int(c * L) for c in mon]  # L*mon, integer
-        # roots p/q with q | L and p | ic[0]
-        if ic[0] == 0:
-            return base_field, [QQ0]
-        divs_p = _divisors(abs(ic[0]))
-        divs_q = _divisors(L)
-        for pp in divs_p:
-            for qq in divs_q:
-                for sgn in (1, -1):
-                    r = Rat(sgn * pp, qq)
-                    if _eval_rat(mon, r) == 0:
-                        return base_field, [r]
+        y = _cubic_integer_root(
+            *(int(c * L ** (3 - i)) for i, c in enumerate(mon[:3])))
+        if y is not None:
+            return base_field, [Rat(y, L)]
         ext = ExtensionField(base_field, mon, name)
         return ext, [ext.gen]
     raise FieldError("adjoin_root supports degree 2 generally, degree 3 over Q")
 
 
-def _divisors(n):
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
+def _cubic_integer_root(a0, a1, a2):
+    """The least integer root of g = y^3 + a2 y^2 + a1 y + a0, or None.
 
+    The roots lie in (-b, b) with b = 1 + max |a_i|.  A real critical point
+    (-a2 -+ sqrt(d)) / 3, d = a2^2 - 3 a1, lies in (e - 1, e + 2) for
+    e = (-a2 -+ isqrt(d)) // 3, so between two adjacent cuts e - 1 .. e + 2:
+    g is strictly monotone on the integers between consecutive cuts, and
+    bisection finds a root there in O(log b) steps.
+    """
+    def g(y):
+        return ((y + a2) * y + a1) * y + a0
 
-def _eval_rat(coeffs, r):
-    acc = Rat(0)
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
+    b = 1 + max(abs(a0), abs(a1), abs(a2))
+    s = isqrt(max(a2 * a2 - 3 * a1, 0))
+    cuts = {-b, b}
+    for e in ((-a2 - s) // 3, (-a2 + s) // 3):
+        cuts.update(range(e - 1, e + 3))
+    cuts = sorted(cuts)
+    roots = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        while hi - lo > 1 and g(lo) * g(hi) < 0:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if g(mid) * g(lo) > 0 else (lo, mid)
+        roots += [y for y in (lo, hi) if g(y) == 0]
+    return min(roots, default=None)

@@ -5,12 +5,21 @@ Every corpus point is a double point: either one branch of type A_even
 (classified from the multiplicity-two normal form, using only field
 divisions) or two smooth branches of type A_odd (classified by the contact
 order of the branches).  A certificate combines the per-claim local checks
-with three global ones: the claimed points are pairwise distinct, the
-implicit equation has degree six with a birational parametrization, and the
-delta invariants of the claims add up to ten.  A rational birational sextic
-has total delta exactly ten, and the true delta at a claimed point can only
-exceed the claimed one, so the budget closing certifies both that every
-claim is exact and that no unclaimed singularity exists.
+with three global ones: the delta invariants of the claims add up to ten
+(the budget), the implicit equation has degree six with a birational
+parametrization, and the claims name pairwise disjoint parameters.
+
+Soundness of the global checks.  A birational parametrization identifies
+the parameters with the branches of the image, and by the genus formula a
+rational sextic has sum_p delta(p) = 10.  By the delta formula
+delta(p) = sum delta(B) + sum I(B, B') over the branches B at p, with
+I(B, B') >= 1, that sum is at least the claimed total, plus 1 for every two
+branches through one point other than the two of one A_odd claim, plus
+delta(p) >= 1 at every unclaimed singular point.  Disjoint parameters make
+the claimed branches distinct, so a budget of ten forces the claimed points
+to be pairwise distinct, with no unclaimed branch through them and no
+unclaimed singularity.  `points_distinct` reports distinctness only where
+all of these facts are certified.
 
 Truncation.  Both classifiers read one order off truncated series: the
 contact order i of two smooth branches (A_(2i-1)) or the first odd order
@@ -41,13 +50,7 @@ import time
 
 from .curve import CurveError, ProjectivePoint
 from .numberfield import FieldError, field_pow
-from .polynomial import (
-    PolynomialError,
-    UniPoly,
-    lagrange_interpolate,
-    poly_gcd,
-    resultant,
-)
+from .polynomial import PolynomialError, UniPoly, poly_gcd
 from .series import SeriesError, TruncatedSeries
 
 
@@ -346,98 +349,37 @@ def verify_claim(curve, claim):
     return SingularityType(types.pop())
 
 
-def _location_char_poly(curve, claim, l1, l2):
-    """Monic polynomial over the base field whose roots are the values of
-    the rational coordinate L1/L2 at the claim's singular points."""
-    f = curve.field
-    x, y, z = curve.components()
-    lin1 = x.scale(l1[0]) + y.scale(l1[1]) + z.scale(l1[2])
-    lin2 = x.scale(l2[0]) + y.scale(l2[1]) + z.scale(l2[2])
-    loc = claim.location
-    if claim.stype.n % 2 == 0 and loc.kind == "roots":
-        q = loc.poly
-        # char poly of L1/L2 on the roots of q: Res_t(q(t), X*L2(t) - L1(t))
-        # computed by interpolation in X
-        deg = q.degree
-        xs = [f.from_int(k) for k in range(deg + 1)]
-        vals = []
-        for xv in xs:
-            vals.append(resultant(q, lin2.scale(xv) - lin1))
-        chi = lagrange_interpolate(f, xs, vals)
-        if chi.degree != deg:
-            return None
-        return chi.monic()
-    # one point: the image of the first parameter (an odd claim's two
-    # parameters have one image)
-    field, params = loc.parameters(f)
-    t = params[0]
-    if t == "inf":
-        num, den = lin1.coeff(curve.degree), lin2.coeff(curve.degree)
-    else:
-        num, den = lin1.map_field(field).eval(t), lin2.map_field(field).eval(t)
-    if field.is_zero(den):
-        return None
-    val = field.div(num, den)
-    if field != f:
-        # the two-branch point is rational over the base field: its
-        # coordinate value must descend
-        val = field.descend(val)
-        if val is None:
-            return None
-    return UniPoly(f, (f.neg(val), f.one))
-
-
-_SEPARATOR_FORMS = [
-    ((1, 0, 0), (0, 0, 1)),
-    ((0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 0)),
-    ((1, 0, 0), (0, 1, 1)),
-    ((0, 0, 1), (0, 1, 1)),
-    ((0, 1, 0), (1, 0, 1)),
-    ((1, 0, 0), (1, 1, 1)),
-    ((0, 1, 0), (1, 1, 1)),
-    ((0, 0, 1), (1, 1, 1)),
-    ((1, -1, 0), (1, 1, 1)),
-    ((1, 2, 3), (1, 1, 1)),
-    ((1, 0, -1), (1, 2, 1)),
-    ((2, -1, 1), (1, 1, -1)),
-    ((1, 1, 1), (3, -2, 1)),
-    ((0, 1, -1), (2, 1, 2)),
-    ((3, 1, -2), (1, -3, 2)),
-]
-
-
 def claimed_points_distinct(curve, claims):
-    """Certify that the singular points named by the claims are pairwise
-    distinct: for a separating rational coordinate, the product of the
-    per-claim value polynomials must be squarefree."""
+    """True when the claims name pairwise distinct parameters: infinity at
+    most once, and the product of t - t0 over the finite values and pair
+    entries and of q over the `roots` locations squarefree over the curve's
+    field.  No root is adjoined.  Distinct parameters give distinct points
+    once every claim is certified, the delta budget closes and the image is
+    a birational sextic (see the module docstring)."""
     f = curve.field
-    for l1i, l2i in _SEPARATOR_FORMS:
-        l1 = tuple(f.from_int(v) for v in l1i)
-        l2 = tuple(f.from_int(v) for v in l2i)
-        prod = UniPoly.one(f)
-        ok = True
-        for claim in claims:
-            fac = _location_char_poly(curve, claim, l1, l2)
-            if fac is None:
-                ok = False
-                break
-            prod = prod * fac
-        if not ok:
+    prod = UniPoly.one(f)
+    infinities = 0
+    for claim in claims:
+        loc = claim.location
+        if loc.kind == "roots":
+            prod = prod * loc.poly
             continue
-        if prod.degree <= 0:
-            continue
-        g = poly_gcd(prod, prod.derivative())
-        if g.degree == 0:
-            return True
-    return False
+        for t in loc.parameters(f)[1]:
+            if t == "inf":
+                infinities += 1
+            else:
+                prod = prod * UniPoly(f, (f.neg(t), f.one))
+    # a zero `roots` polynomial makes poly_gcd raise
+    return infinities <= 1 and poly_gcd(prod, prod.derivative()).degree == 0
 
 
 def certify(curve, claims, curve_id=None, implicit_check=True):
     """Certificate for a claims list against a parametrized curve.
 
     A claim or check that the exact layers cannot complete fails with a
-    detail naming its stage; it does not abort the certificate."""
+    detail naming its stage; it does not abort the certificate.  With
+    `implicit_check` off, the birational sextic image is assumed, not
+    certified."""
     t_start = time.perf_counter()
     verdicts = []
     all_ok = True
@@ -468,13 +410,6 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
         "delta_total": delta_total,
         "delta_total_ok": delta_total == 10,
     }
-    try:
-        distinct = claimed_points_distinct(curve, claims)
-    except _DOMAIN_ERRORS as exc:
-        distinct = False
-        checks["distinct_error"] = str(exc)
-    checks["points_distinct"] = distinct
-
     if implicit_check:
         from .curve import implicitize
 
@@ -488,6 +423,17 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
             checks["implicit_error"] = str(exc)
     else:
         checks["implicit_ok"] = True
+    try:
+        distinct = claimed_points_distinct(curve, claims)
+    except _DOMAIN_ERRORS as exc:
+        distinct = False
+        checks["distinct_error"] = str(exc)
+    # disjoint parameters prove the points distinct only together with the
+    # certified claims, the closed budget and the birational sextic image
+    checks["points_distinct"] = (
+        distinct and all_ok and checks["delta_total_ok"]
+        and checks["implicit_ok"]
+    )
 
     passed = (
         all_ok

@@ -8,8 +8,10 @@ product of coefficient lists, term by term in field arithmetic, checks the
 convolution kernel `plist_mul`.  Implicitization by interpolating a grid of
 univariate resultants, with the map degree read from squarefree
 restrictions of F to lines, checks the moving-line implicitization.
-jsonschema's draft-07 validator checks the in-package schema checker of
-`database`.  The library itself uses none of these.
+Sixteen fixed separating coordinates, with a squarefree product of
+per-claim value polynomials, check the parameter test of point
+distinctness.  jsonschema's draft-07 validator checks the in-package schema
+checker of `database`.  The library itself uses none of these.
 """
 
 from math import gcd as igcd
@@ -389,6 +391,97 @@ def _mapdeg_certificate(F):
     if not mults:
         raise CurveError("could not certify the map degree")
     return min(mults)
+
+
+# ----------------------------------------------------------------------
+# point distinctness by separating coordinates
+
+
+def _location_char_poly(curve, claim, l1, l2):
+    """Monic polynomial over the base field whose roots are the values of
+    the rational coordinate L1/L2 at the claim's singular points."""
+    f = curve.field
+    x, y, z = curve.components()
+    lin1 = x.scale(l1[0]) + y.scale(l1[1]) + z.scale(l1[2])
+    lin2 = x.scale(l2[0]) + y.scale(l2[1]) + z.scale(l2[2])
+    loc = claim.location
+    if claim.stype.n % 2 == 0 and loc.kind == "roots":
+        q = loc.poly
+        # char poly of L1/L2 on the roots of q: Res_t(q(t), X*L2(t) - L1(t))
+        # computed by interpolation in X
+        deg = q.degree
+        xs = [f.from_int(k) for k in range(deg + 1)]
+        vals = []
+        for xv in xs:
+            vals.append(resultant(q, lin2.scale(xv) - lin1))
+        chi = lagrange_interpolate(f, xs, vals)
+        if chi.degree != deg:
+            return None
+        return chi.monic()
+    # one point: the image of the first parameter (an odd claim's two
+    # parameters have one image)
+    field, params = loc.parameters(f)
+    t = params[0]
+    if t == "inf":
+        num, den = lin1.coeff(curve.degree), lin2.coeff(curve.degree)
+    else:
+        num, den = lin1.map_field(field).eval(t), lin2.map_field(field).eval(t)
+    if field.is_zero(den):
+        return None
+    val = field.div(num, den)
+    if field != f:
+        # the two-branch point is rational over the base field: its
+        # coordinate value must descend
+        val = field.descend(val)
+        if val is None:
+            return None
+    return UniPoly(f, (f.neg(val), f.one))
+
+
+_SEPARATOR_FORMS = [
+    ((1, 0, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (0, 1, 1)),
+    ((0, 0, 1), (0, 1, 1)),
+    ((0, 1, 0), (1, 0, 1)),
+    ((1, 0, 0), (1, 1, 1)),
+    ((0, 1, 0), (1, 1, 1)),
+    ((0, 0, 1), (1, 1, 1)),
+    ((1, -1, 0), (1, 1, 1)),
+    ((1, 2, 3), (1, 1, 1)),
+    ((1, 0, -1), (1, 2, 1)),
+    ((2, -1, 1), (1, 1, -1)),
+    ((1, 1, 1), (3, -2, 1)),
+    ((0, 1, -1), (2, 1, 2)),
+    ((3, 1, -2), (1, -3, 2)),
+]
+
+
+def separator_points_distinct(curve, claims):
+    """Certify that the singular points named by the claims are pairwise
+    distinct: for a separating rational coordinate, the product of the
+    per-claim value polynomials must be squarefree."""
+    f = curve.field
+    for l1i, l2i in _SEPARATOR_FORMS:
+        l1 = tuple(f.from_int(v) for v in l1i)
+        l2 = tuple(f.from_int(v) for v in l2i)
+        prod = UniPoly.one(f)
+        ok = True
+        for claim in claims:
+            fac = _location_char_poly(curve, claim, l1, l2)
+            if fac is None:
+                ok = False
+                break
+            prod = prod * fac
+        if not ok:
+            continue
+        if prod.degree <= 0:
+            continue
+        g = poly_gcd(prod, prod.derivative())
+        if g.degree == 0:
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -345,3 +345,38 @@ def test_pool_workers_certify_the_parents_records(tmp_path, capsys,
     claims = report["items"][0]["claims"]
     assert [(c["claimed"], c["ok"]) for c in claims] == \
         [("A_15", False), ("A_4", False)]
+
+
+@pytest.mark.parametrize("jobs, ids, workers", [
+    ("64", ["3", "28"], [2]),
+    ("2", ["3", "28", "33"], [2]),
+    ("64", ["3"], []),
+])
+def test_verify_starts_no_more_workers_than_tasks(capsys, monkeypatch, jobs,
+                                                  ids, workers):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process is started whatever --jobs asks for
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    code, out, _ = run_cli(capsys, "--json", "--jobs", jobs, "verify", *ids)
+    assert code == 0
+    assert sizes == workers
+    assert [item["curve"] for item in json.loads(out)["items"]] == \
+        [int(i) for i in ids]

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -234,6 +236,67 @@ def test_adjoin_cubic_over_q():
         ext.sub(ext.mul(ext.mul(th, th), th),
                 ext.add(ext.scalar_mul(Rat(3), th), ext.from_int(3)))
     )
+
+
+def _first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+PRIMORIAL_40 = math.prod(_first_primes(40))
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    ([10 ** 40, 0, 0, 1], None),                   # 10^40 is no cube
+    ([PRIMORIAL_40, 0, 0, 1], None),               # squarefree constant
+    ([-10 ** 39, 0, 0, 1], 10 ** 13),
+    ([PRIMORIAL_40, -1, -PRIMORIAL_40, 1], -1),    # (t - P)(t^2 - 1)
+    ([-PRIMORIAL_40, 0, 0, 2 ** 3 * 3 ** 3 * PRIMORIAL_40 ** 2], None),
+    ([Rat(-3, 2), 1, -3, 2], Rat(3, 2)),           # (2t - 3)(t^2 + 1) / 2
+])
+def test_cubic_rational_root_test_is_fast(coeffs, root):
+    start = time.perf_counter()
+    ext, roots = adjoin_root(QQ, [Rat(c) for c in coeffs])
+    assert time.perf_counter() - start < 1.0
+    if root is None:
+        assert ext.degree == 3
+    else:
+        assert ext == QQ and roots == [Rat(root)]
+
+
+def _brute_rational_root(coeffs):
+    """The least rational root of an integer cubic: 0, or p/q with p
+    dividing the lowest nonzero coefficient and q the leading one."""
+    low, c3 = next(c for c in coeffs if c), coeffs[3]
+    candidates = [Rat(0)] + [Rat(s * p, q)
+                             for p in range(1, abs(low) + 1) if low % p == 0
+                             for q in range(1, abs(c3) + 1) if c3 % q == 0
+                             for s in (1, -1)]
+    found = [r for r in candidates
+             if sum(c * r ** i for i, c in enumerate(coeffs)) == 0]
+    return min(found) if found else None
+
+
+def test_cubic_rational_root_test_matches_divisor_search():
+    rng = random.Random(7)
+    for _ in range(300):
+        coeffs = [rng.randint(-30, 30) for _ in range(3)] + \
+            [rng.choice([1, 2, 3, 4, 6, -5])]
+        if rng.random() < 0.5:   # force a rational root r = p/q
+            p, q = rng.randint(-12, 12), rng.choice([1, 2, 3])
+            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+            coeffs = [-p * b, q * b - p * a, q * a - p, q]
+        ext, roots = adjoin_root(QQ, [Rat(c) for c in coeffs])
+        want = _brute_rational_root(coeffs)
+        if want is None:
+            assert ext.degree == 3, coeffs
+        else:
+            assert ext == QQ and roots == [want], coeffs
 
 
 @pytest.mark.parametrize("minpoly", [

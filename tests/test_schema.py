@@ -174,6 +174,19 @@ def test_location_without_its_key_exits_2(curve, kind, key):
     assert code == 2 and err.startswith("error: schema violation at ")
 
 
+@pytest.mark.parametrize("curve, section, key", [
+    (36, "pencil", "h"), (34, "pencil", "basepoint_factor"),
+    (34, "printed_implicit", "terms"), (24, "conic_reduction", "solution"),
+    (16, "alt_parametrization", "x"),
+])
+def test_optional_section_without_its_key_exits_2(curve, section, key):
+    doc = copy.deepcopy(CORPUS)
+    del doc["curves"][curve - 1][section][key]
+    assert not _valid(doc) and not jsonschema_valid(doc, SCHEMA)
+    code, err = _list_exit(doc)
+    assert code == 2 and err.startswith("error: schema violation at ")
+
+
 def test_shipped_corpus_is_valid():
     assert _valid(CORPUS) and jsonschema_valid(CORPUS, SCHEMA)
 

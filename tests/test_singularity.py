@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from oracles import separator_points_distinct
+from sextic19.autodual import discover_dual_claims
 from sextic19.curve import (
     MoebiusMap,
     ParameterLocation,
     ProjectiveMap,
     RationalPlaneCurve,
+    dual,
     reparametrize,
 )
 from sextic19.numberfield import QQ
@@ -17,6 +20,7 @@ from sextic19.singularity import (
     SingularityType,
     branch_type_at,
     certify,
+    claimed_points_distinct,
     two_branch_type,
 )
 
@@ -278,3 +282,73 @@ def test_swapped_odd_and_even_locations_fail_cleanly(by_id):
     assert not cert.passed
     assert not any(v.ok for v in cert.verdicts)
     assert "distinct_error" not in cert.checks
+
+
+@pytest.mark.parametrize("rid", range(1, 40))
+def test_parameter_test_agrees_with_separator_forms(by_id, rid):
+    rec = by_id[rid]
+    assert claimed_points_distinct(rec.curve, rec.claims)
+    assert separator_points_distinct(rec.curve, rec.claims)
+
+
+@pytest.mark.parametrize("rid", [26, 36, 38])
+def test_parameter_test_agrees_with_separator_forms_on_duals(by_id, rid):
+    dual_curve = dual(by_id[rid].curve)
+    claims = discover_dual_claims(by_id[rid], dual_curve)
+    assert claimed_points_distinct(dual_curve, claims)
+    assert separator_points_distinct(dual_curve, claims)
+
+
+def _claim(n, loc):
+    return SingularityClaim(SingularityType(n), loc)
+
+
+def _duplicated_claim(by_id):
+    rec = by_id[25]
+    return rec, rec.claims + [rec.claims[-1]]
+
+
+def _even_claim_at_the_pair(by_id):
+    # curve 36 has its A_7 at the pair {0, inf}; move an A_2 to t = 0
+    rec = by_id[36]
+    return rec, rec.claims[:2] + [_claim(2, ParameterLocation.at_value(
+        rec.field.zero))] + rec.claims[3:]
+
+
+def _infinity_twice(by_id):
+    rec = by_id[36]
+    return rec, rec.claims[:3] + [_claim(2, ParameterLocation.at_infinity())]
+
+
+@pytest.mark.parametrize("make", [
+    _duplicated_claim, _even_claim_at_the_pair, _infinity_twice])
+def test_shared_parameters_are_not_distinct(by_id, make):
+    rec, claims = make(by_id)
+    assert not claimed_points_distinct(rec.curve, claims)
+    assert not separator_points_distinct(rec.curve, claims)
+    cert = certify(rec.curve, claims, curve_id=rec.id)
+    assert cert.checks["points_distinct"] is False
+    assert "distinct_error" not in cert.checks
+    assert not cert.passed
+
+
+def test_zero_roots_polynomial_is_a_distinct_error(by_id):
+    rec = by_id[3]
+    zero = ParameterLocation.at_roots(UniPoly.zero(QQ))
+    cert = certify(rec.curve, [rec.claims[0], _claim(2, zero)], curve_id=3)
+    assert cert.checks["points_distinct"] is False
+    assert "gcd" in cert.checks["distinct_error"]
+    assert not cert.passed
+
+
+def test_points_distinct_needs_the_certified_claims(by_id):
+    # curve 3 claimed as A_15 + A_4 at its own parameters: disjoint, with
+    # delta 10 and a birational sextic, but neither claim certifies
+    rec = by_id[3]
+    claims = [_claim(15, rec.claims[0].location),
+              _claim(4, rec.claims[1].location)]
+    assert claimed_points_distinct(rec.curve, claims)
+    cert = certify(rec.curve, claims, curve_id=3)
+    assert cert.checks["delta_total_ok"] and cert.checks["implicit_ok"]
+    assert cert.checks["points_distinct"] is False
+    assert not cert.passed
