@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from .numberfield import QQ, build_tower, generator
 from .polynomial import (
     InexactDivision,
+    TriPoly,
     UniPoly,
+    determinant,
     homogenize_xy,
-    lagrange_interpolate,
-    resultant,
+    hybrid_bezout,
     squarefree_odd_even_split,
 )
 from .rationals import (
@@ -226,25 +227,31 @@ class PencilReduction:
     solvability: object  # ConicProblem over Q, when applicable
 
 
-def _bivar_from_tripoly(F, fld):
-    """Dehomogenize a TriPoly at z = 1 into a y-degree-indexed list of
-    x-polynomials."""
-    max_y = max(e[1] for e in F.terms)
-    rows = [dict() for _ in range(max_y + 1)]
+def pencil_resultant(F, pencil, fld):
+    """P(x, lambda) = Res_y(f, g_lambda), f = F(x, y, 1), as a
+    lambda-degree-indexed list of x-polynomials: a hybrid Bezout
+    determinant of TriPolys in (x, lambda), with the sign that
+    pencil_reduce's docstring derives."""
+    f_rows = [{} for _ in range(max(e[1] for e in F.terms) + 1)]
     for (ex, ey, _ez), c in F.terms.items():
-        rows[ey][ex] = fld.add(rows[ey].get(ex, fld.zero), c)
-    out = []
-    for row in rows:
-        if row:
-            deg = max(row)
-            out.append(UniPoly(fld, [row.get(i, fld.zero) for i in range(deg + 1)]))
-        else:
-            out.append(UniPoly.zero(fld))
-    return out
-
-
-def _specialize(rows, xv, fld):
-    return UniPoly(fld, [r.eval(xv) for r in rows])
+        row = f_rows[ey]
+        row[(ex, 0, 0)] = fld.add(row.get((ex, 0, 0), fld.zero), c)
+    f_rows = [TriPoly(fld, row) for row in f_rows]
+    g_rows = [TriPoly(fld, {(i, k, 0): c
+                            for k, g in enumerate((pencil.g0, pencil.g1))
+                            if j < len(g) for i, c in enumerate(g[j].coeffs)})
+              for j in range(max(len(pencil.g0), len(pencil.g1)))]
+    mu, d = len(g_rows) - 1, len(f_rows) - 1
+    if mu > d:
+        raise ConicError("the pencil has a larger y-degree than the sextic")
+    P = determinant(hybrid_bezout(g_rows, f_rows))
+    if (mu * (mu - 1) // 2 + mu * d) % 2:
+        P = -P
+    if P.is_zero():
+        raise ConicError("the pencil resultant vanishes identically")
+    return [UniPoly(fld, [P.terms.get((i, j, 0), fld.zero)
+                          for i in range(max(e[0] for e in P.terms) + 1)])
+            for j in range(max(e[1] for e in P.terms) + 1)]
 
 
 def pencil_reduce(F, pencil, fld):
@@ -256,44 +263,18 @@ def pencil_reduce(F, pencil, fld):
     the basepoint divisor of Res_y.  Returns a PencilReduction whose d1 has
     degree two; the multiplicity-split of Discr_x P1 follows Yun, with the
     leading constant split into squarefree * square over Q.
+
+    The resultant.  Let d and mu be the formal y-degrees of f = F(x, y, 1)
+    and g_lambda.  P(x, lambda) = Res_y(f, g_lambda) is a polynomial
+    identity in the coefficients, so it is a determinant of TriPolys in
+    (x, lambda) with no evaluation grid: that of the hybrid Bezout matrix
+    of g_lambda against f, of size d (polynomial.hybrid_bezout).  That
+    determinant is (-1)^(mu(mu-1)/2) Res_y(g_lambda, f), and
+    Res_y(g_lambda, f) = (-1)^(mu d) Res_y(f, g_lambda).  The corpus pencils
+    have mu = 2 and d = 4: a 4 x 4 matrix, 16 memoized minors, and
+    P = -det.
     """
-    f_rows = _bivar_from_tripoly(F, fld)
-    deg_y_f = len(f_rows) - 1
-    deg_y_g = max(len(pencil.g0), len(pencil.g1)) - 1
-    max_xf = max((r.degree for r in f_rows if not r.is_zero()), default=0)
-    max_xg = max(
-        [r.degree for r in pencil.g0 if not r.is_zero()]
-        + [r.degree for r in pencil.g1 if not r.is_zero()]
-    )
-    deg_x_bound = deg_y_g * max_xf + deg_y_f * max_xg
-    deg_l_bound = deg_y_f
-    xs = [fld.from_int(k) for k in range(deg_x_bound + 1)]
-    ls = [fld.from_int(k) for k in range(deg_l_bound + 1)]
-
-    def at_x(xv):
-        # f and g0, g1 as polynomials in y at x = xv; none depends on lambda
-        return tuple(_specialize(rows, xv, fld)
-                     for rows in (f_rows, pencil.g0, pencil.g1))
-
-    def res_at(lv, fy, g0y, g1y):
-        gy = g0y + g1y.scale(lv)
-        if fy.degree != deg_y_f or gy.degree != deg_y_g:
-            raise ConicError("degree drop on the interpolation grid")
-        return resultant(fy, gy)
-
-    # P(x, lambda): interpolate along x at every lambda of the grid, then
-    # each x-coefficient along lambda, and compare at one point off the grid
-    grid = [at_x(xv) for xv in xs]
-    per_lambda = [lagrange_interpolate(fld, xs, [res_at(lv, *g) for g in grid])
-                  for lv in ls]
-    by_x = [lagrange_interpolate(fld, ls, [p.coeff(i) for p in per_lambda])
-            for i in range(max(p.degree for p in per_lambda) + 1)]
-    p_by_lambda = [UniPoly(fld, [q.coeff(j) for q in by_x])
-                   for j in range(max(q.degree for q in by_x) + 1)]
-    lv, xv = fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3)
-    if not fld.eq(res_at(lv, *at_x(xv)),
-                  UniPoly(fld, [p.eval(xv) for p in p_by_lambda]).eval(lv)):
-        raise ConicError("pencil resultant interpolation is inconsistent")
+    p_by_lambda = pencil_resultant(F, pencil, fld)
     # divide by the basepoint factor: P(x, lambda) = P1 * P2(x)
     try:
         p1_by_lambda = [pj.exact_div(pencil.basepoint) if not pj.is_zero()

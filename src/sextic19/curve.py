@@ -17,12 +17,9 @@ Chen, "The moving line ideal basis of planar rational curves", CAGD 15,
 Resultant.  For a mu-basis, R = Res_t(p . (X, Y, Z), q . (X, Y, Z)) is
 c F^k: c a nonzero constant, F the irreducible implicit equation, k the
 degree of the map (Sederberg-Chen, "Implicitization using moving curves and
-surfaces", SIGGRAPH 1995).  R is the determinant of the hybrid Bezout matrix
-of size d = n - mu: the rows s^0 .. s^(mu-1) of the Bezoutian
-(P(s) Q(t) - P(t) Q(s)) / (s - t), then the rows t^r P(t), r < d - mu.  The
-Bezoutian rows s^k, k >= mu, are -sum_(j > k) Q_j t^(j-1-k) P(t), a
-triangular combination of those t^r P(t) with diagonal -Q_d, and the full
-Bezout determinant is +-Q_d^(d-mu) Res(P, Q); so the hybrid one is +-R.
+surfaces", SIGGRAPH 1995).  R is, up to sign, the determinant of the hybrid
+Bezout matrix of P = p . (X, Y, Z) and Q = q . (X, Y, Z) in t, of size
+d = n - mu (polynomial.hybrid_bezout).
 
 Map degree.  Take t0 with phi(t0) != phi(inf) and g the gcd of the 2 x 2
 minors of (phi(t), phi(t0)).  By Lueroth phi = psi(r) with psi birational
@@ -38,8 +35,15 @@ tried, and past its end the curve is refused.
 
 from functools import reduce
 
-from .numberfield import adjoin_root
-from .polynomial import TriPoly, UniPoly, poly_gcd, tripoly_kth_root
+from .numberfield import adjoin_root, nullspace
+from .polynomial import (
+    TriPoly,
+    UniPoly,
+    determinant,
+    hybrid_bezout,
+    poly_gcd,
+    tripoly_kth_root,
+)
 
 _XYZ = ((1, 0, 0), (0, 1, 0), (0, 0, 1))    # the exponents of X, Y and Z
 
@@ -112,7 +116,7 @@ class ParameterLocation:
 
     def point_count(self):
         if self.kind == "roots":
-            return self.poly.degree
+            return max(self.poly.degree, 0)
         return 1
 
     def parameters(self, field):
@@ -311,7 +315,7 @@ def _constants(field, values):
 def moving_lines(curve, m):
     """A basis of the moving lines of degree <= m, each a triple (a, b, c),
     from the kernel of the (n + m + 1) x 3(m + 1) system a x + b y + c z = 0
-    by Gauss-Jordan elimination.
+    in reduced row echelon form (numberfield.nullspace).
 
     The unknowns run from degree 0 up, so the basis vector of a free column
     has that column's degree, and the first basis vector has the least
@@ -322,49 +326,8 @@ def moving_lines(curve, m):
     width = 3 * (m + 1)     # unknown 3i + k: the t^i coefficient of entry k
     rows = [[phi[k % 3].coeff(j - k // 3) for k in range(width)]
             for j in range(max(c.degree for c in phi) + m + 1)]
-    pivots = []
-    for col in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows))
-                    if not f.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][col])
-        rows[r] = [f.mul(inv, v) for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and not f.is_zero(row[col]):
-                rows[i] = [v if f.is_zero(w) else f.sub(v, f.mul(row[col], w))
-                           for v, w in zip(row, rows[r])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(width) if c not in pivots):
-        vec = [f.zero] * width
-        vec[free] = f.one
-        for row, col in zip(rows, pivots):
-            vec[col] = f.neg(row[free])
-        basis.append(tuple(UniPoly(f, vec[k::3]) for k in range(3)))
-    return basis
-
-
-def _determinant(rows):
-    """Determinant of a square matrix of TriPolys by cofactor expansion along
-    the rows, memoized on the columns left to each minor."""
-    f = rows[0][0].field
-    memo = {(): TriPoly.const(f, f.one)}
-
-    def minor(cols):
-        if cols not in memo:
-            row = rows[len(rows) - len(cols)]
-            acc = TriPoly.zero(f)
-            for pos, c in enumerate(cols):
-                if not row[c].is_zero():
-                    term = row[c] * minor(cols[:pos] + cols[pos + 1:])
-                    acc = acc - term if pos % 2 else acc + term
-            memo[cols] = acc
-        return memo[cols]
-
-    return minor(tuple(range(len(rows))))
+    return [tuple(UniPoly(f, vec[k::3]) for k in range(3))
+            for vec in nullspace(f, rows)]
 
 
 def implicitize(curve):
@@ -390,19 +353,8 @@ def implicitize(curve):
         raise CurveError("no moving line of degree %d completes a mu-basis"
                          % d)
     P, Q = ([TriPoly(f, {e: c.coeff(i) for e, c in zip(_XYZ, v)})
-             for i in range(d + 1)] for v in (p, q))
-    # hybrid Bezout matrix: rows s^0 .. s^(mu-1) of the Bezoutian
-    # (P(s) Q(t) - P(t) Q(s)) / (s - t), then the rows t^r P(t), r < d - mu
-    zero = TriPoly.zero(f)
-    rows = [[zero] * d for _ in range(mu)]
-    for i in range(mu):
-        for j in range(i + 1, d + 1):
-            b = P[i] * Q[j] - P[j] * Q[i]
-            for a in range(i, min(j, mu)):
-                rows[a][i + j - 1 - a] = rows[a][i + j - 1 - a] - b
-    rows += [[P[c - r] if 0 <= c - r <= mu else zero for c in range(d)]
-             for r in range(d - mu)]
-    R = _determinant(rows).normalized()
+             for i in range(deg + 1)] for v, deg in ((p, mu), (q, d)))
+    R = determinant(hybrid_bezout(P, Q)).normalized()
     at_infinity = _constants(f, [c.coeff(n) for c in phi])
     for t0 in FIBER_PARAMETERS:
         at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])

@@ -19,7 +19,6 @@ not a scalar, is refused with CorpusError before any document is checked,
 so the schema cannot outgrow the checker unnoticed.
 """
 
-import hashlib
 import json
 import os
 import re
@@ -482,21 +481,6 @@ def load_corpus(path=None):
     if [r.id for r in records] != list(range(1, len(records) + 1)):
         raise CorpusError("record ids are not 1..%d" % len(records))
     return records
-
-
-def corpus_sha256(path=None):
-    path = path or default_corpus_path()
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def roundtrip_identity(path=None):
-    """parse -> serialize -> parse is the identity on the corpus document."""
-    path = path or default_corpus_path()
-    with open(path) as fh:
-        doc = json.load(fh)
-    again = json.loads(json.dumps(doc, sort_keys=True))
-    return doc == again
 
 
 def cross_check_record(rec):

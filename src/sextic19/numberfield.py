@@ -38,8 +38,25 @@ that each output coefficient is reduced once); and each output leaf is
 built once as Rat(num, den).  Integer sums and reduction are exact, and the
 power-basis coordinates of each output coefficient are unique, so the list
 is the same canonical one that one field.mul and one field.add per pair of
-terms gives.  The stored form of an element is unchanged: the integers live
-only inside the call.
+terms gives.  `sparse_mul` is the same convolution on polynomials stored
+as dicts from exponent tuples to coefficients (the TriPoly products).  The
+stored form of an element is unchanged: the integers live only inside the
+call.
+
+`plist_divmod` divides on the same integers.  It writes the divisor once as
+integer vectors over one denominator and inverts its leading coefficient
+once.  Running from the top down, coefficient k of the running remainder is
+computed once, when it leads (it then gives quotient coefficient k - n, for
+n = deg den) or when it ends in the remainder (k < n): num_k minus the sum
+of quo_s * den_(k-s) over the quotient coefficients found so far, a sum of
+unreduced integer products over one denominator, reduced once and built
+once as Rats.  Long division over a field has exactly one answer: the
+quotient q and remainder r with num = q * den + r and deg r < deg den are
+unique, and every step here is exact, so both are the canonical lists that
+one field.mul and one field.sub per term give (Knuth, TAOCP vol. 2,
+4.6.1).  `plist_gcd` runs Euclid's algorithm on it with each remainder made
+monic.  `nullspace` eliminates on integer rows, with one integer product
+per entry and no Rat until the unique reduced row echelon form is read off.
 
 The nested form is private to this module.  Other modules see an element
 only through its field: `coords` and `from_coords` read and build its
@@ -48,7 +65,7 @@ field, so a different stored form (integers over a common denominator, say)
 would change this module alone.
 """
 
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 
 from .rationals import (
@@ -123,22 +140,143 @@ def plist_mul(field, a, b, n=None):
 
 
 def plist_divmod(field, num, den):
-    """Quotient and normalized remainder of num by den (den normalized)."""
-    num = list(num)
+    """Quotient and normalized remainder of num by den (den normalized),
+    each coefficient computed once (see the module docstring)."""
     dn = len(den) - 1
-    inv_lead = field.inv(den[-1])
-    quo = [field.zero] * max(0, len(num) - dn)
-    while len(num) - 1 >= dn and num:
-        if field.is_zero(num[-1]):
-            num.pop()
+    nq = max(0, len(num) - dn)
+    xn, dnum = _int_vectors(field, num)
+    xd, dden = _int_vectors(field, den)
+    xi, dinv = _int_vector(field, field.inv(den[-1]))
+    quo = [field.zero] * nq
+    xq = [None] * nq        # (integer coordinates, denominator) of quo[s]
+    rem = []
+    for k in range(len(num) - 1, -1, -1):
+        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s)
+        terms = [(xq[s], xd[k - s])
+                 for s in range(max(0, k - dn), min(k + 1, nq))
+                 if xq[s] is not None]
+        r, rd = _sub_products(field, xn[k], dnum, terms, dden)
+        if k < dn:
+            rem.append(_element(field, r, rd))
             continue
-        shift = len(num) - 1 - dn
-        q = field.mul(num[-1], inv_lead)
-        quo[shift] = q
-        for i in range(dn + 1):
-            num[shift + i] = field.sub(num[shift + i], field.mul(q, den[i]))
-        num.pop()
-    return quo, _plist_normalize(field, num)
+        # r leads: the quotient coefficient is r / lc(den)
+        q = quo[k - dn] = _element(field, field._imul(r, xi),
+                                   rd * dinv * field._den)
+        if not field.is_zero(q):
+            xq[k - dn] = _int_vector(field, q)
+    rem.reverse()
+    return quo, _plist_normalize(field, rem)
+
+
+def plist_gcd(field, a, b):
+    """Monic gcd of two coefficient lists, not both zero.
+
+    Euclid's algorithm with each remainder made monic: every remainder is
+    then a unit times the one of the plain remainder sequence, so the last
+    nonzero one is a unit times the same gcd, and the monic gcd is unique;
+    only the coefficients of the intermediate remainders get smaller.
+    """
+    a, b = _plist_normalize(field, a), _plist_normalize(field, b)
+    while b:
+        a, b = b, _plist_monic(field, plist_divmod(field, a, b)[1])
+    return _plist_monic(field, a)
+
+
+def _plist_monic(field, coeffs):
+    return plist_mul(field, coeffs, [field.inv(coeffs[-1])]) if coeffs else []
+
+
+def nullspace(field, rows):
+    """A basis of the solutions v of rows . v = 0: one vector per free column
+    of the reduced row echelon form, with a one at that column and zeros at
+    the other free columns.
+
+    Gauss-Jordan elimination on integers.  Each row is written once as the
+    integer coordinates of a nonzero multiple of itself, which spans the
+    same row space.  A pivot row is multiplied by the inverse of its pivot
+    and made primitive (divided by the gcd of its integers), so that its
+    pivot is an integer D, and every other row with entry c in the pivot
+    column becomes D * row - c * (pivot row), made primitive: one integer
+    product per entry and no Rat.  At the end each pivot row is divided by
+    its pivot, one Rat per leaf.  The reduced row echelon form is unique, so
+    this is the one that elimination in field arithmetic reaches.
+    """
+    n = field.degree_over_q
+    width = len(rows[0])
+    imul = field._imul if n > 1 else (lambda a, b: [a[0] * b[0]])
+
+    def ints(elems):
+        # integer coordinates of a nonzero multiple of elems, flat lists
+        xs, _den = _int_vectors(field, elems)
+        return xs if n > 1 else [[x] for x in xs]
+
+    def primitive(row):
+        g = gcd(*[c for v in row for c in v])
+        return [[c // g for c in v] for v in row] if g > 1 else row
+
+    xs = ints([c for row in rows for c in row])
+    rows = [xs[k:k + width] for k in range(0, len(xs), width)]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if any(rows[i][col])),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = _element(field, rows[r][col] if n > 1 else rows[r][col][0], 1)
+        (xi,) = ints([field.inv(pivot)])
+        prow = rows[r] = primitive([imul(xi, w) for w in rows[r]])
+        d = prow[col][0] * field._den   # imul's products carry field._den
+        live = [any(w) for w in prow]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != r and any(c):
+                rows[i] = primitive([
+                    [d * x - y for x, y in zip(v, imul(c, w))] if on
+                    else [d * x for x in v]
+                    for v, w, on in zip(row, prow, live)])
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [field.zero] * width
+        vec[free] = field.one
+        for row, col in zip(rows, pivots):
+            neg = [-c for c in row[free]]
+            vec[col] = _element(field, neg if n > 1 else neg[0], row[col][0])
+        basis.append(vec)
+    return basis
+
+
+def sparse_mul(field, a, b):
+    """Product of two sparse polynomials, each a dict from exponent tuples to
+    nonzero coefficients: the sparse form of the plist_mul convolution, one
+    integer sum per output monomial, reduced once."""
+    xa, da = _int_vectors(field, list(a.values()))
+    xb, db = _int_vectors(field, list(b.values()))
+    pa, pb = list(zip(a, xa)), list(zip(b, xb))
+    sums = {}
+    if field.degree_over_q == 1:
+        for e1, c1 in pa:
+            for e2, c2 in pb:
+                e = tuple(map(add, e1, e2))
+                sums[e] = sums.get(e, 0) + c1 * c2
+        den = da * db
+        return {e: Rat(s, den) for e, s in sums.items() if s}
+    full = field._ifull
+    for e1, c1 in pa:
+        for e2, c2 in pb:
+            e = tuple(map(add, e1, e2))
+            p = full(c1, c2)
+            s = sums.get(e)
+            sums[e] = p if s is None else list(map(add, s, p))
+    den = da * db * field._den
+    out = {}
+    for e, s in sums.items():
+        r = field._ireduce(s)
+        if any(r):
+            out[e] = field._nest(_rats(r, den))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +304,40 @@ def _int_vectors(field, elems):
     nums, den = _int_coords([q for x in elems for q in field._leaves(x)])
     n = field.degree_over_q
     return [nums[k:k + n] for k in range(0, len(nums), n)], den
+
+
+def _int_vector(field, x):
+    """(integer coordinates, denominator) of one element."""
+    (v,), den = _int_vectors(field, [x])
+    return v, den
+
+
+def _element(field, nums, den):
+    """The element with integer coordinates nums over den."""
+    if field.degree_over_q == 1:
+        return Rat(nums, den) if nums else QQ0
+    return field._nest(_rats(nums, den))
+
+
+def _sub_products(field, x, dx, terms, de):
+    """(integer coordinates, denominator) of x/dx - sum (q/dq) * (e/de) over
+    the terms ((q, dq), e).  The products are summed unreduced in the top
+    generator over one denominator and reduced once."""
+    if not terms:
+        return x, dx
+    m = lcm(*[dq for (_q, dq), _e in terms])
+    if field.degree_over_q == 1:
+        s = sum(q * (m // dq) * e for (q, dq), e in terms)
+        return x * m * de - dx * s, dx * m * de
+    full = None
+    for (q, dq), e in terms:
+        if dq != m:
+            q = [c * (m // dq) for c in q]
+        p = field._ifull(q, e)
+        full = p if full is None else list(map(add, full, p))
+    scale = m * de * field._den
+    return ([c * scale - dx * s for c, s in zip(x, field._ireduce(full))],
+            dx * scale)
 
 
 def _solve_fraction_free(rows):
@@ -219,6 +391,12 @@ class RationalField:
 
     def __hash__(self):
         return hash("QQ")
+
+    @staticmethod
+    def _imul(a, b):
+        """The integer kernel's product: over Q the integer coordinates of an
+        element are one int."""
+        return a * b
 
     def add(self, x, y):
         return x + y
@@ -661,11 +839,8 @@ def generator(field):
 def minpoly_is_squarefree(coeffs):
     """gcd(m, m') constant test for a monic rational polynomial."""
     m = [Rat(c) for c in coeffs]
-    a = _plist_normalize(QQ, m)
-    b = _plist_normalize(QQ, [Rat(i) * m[i] for i in range(1, len(m))])
-    while b:
-        a, b = b, plist_divmod(QQ, a, b)[1]
-    return len(a) == 1
+    dm = [Rat(i) * m[i] for i in range(1, len(m))]
+    return len(plist_gcd(QQ, m, dm)) == 1
 
 
 def number_field(minpoly, name="a"):
@@ -784,8 +959,6 @@ def _rational_reconstruct(c, modulus):
     num, den = r1, s1
     if den < 0:
         num, den = -num, -den
-    from math import gcd
-
     if gcd(abs(num), den) != 1:
         return None
     return Rat(num, den)

@@ -2,11 +2,21 @@
 
 UniPoly holds coefficients low-degree-first as raw field representations.
 TriPoly holds homogeneous-or-not trivariate polynomials as a term map.
-Resultants are computed by a remainder-sequence algorithm over the
-coefficient field.
+Products, division and gcds run on the integer kernels of numberfield.
+Univariate resultants are computed by a remainder-sequence algorithm over
+the coefficient field; resultants whose coefficients are polynomials are
+determinants of hybrid Bezout matrices of TriPolys.
 """
 
-from .numberfield import QQ, field_pow, field_sqrt, plist_divmod, plist_mul
+from .numberfield import (
+    QQ,
+    field_pow,
+    field_sqrt,
+    plist_divmod,
+    plist_gcd,
+    plist_mul,
+    sparse_mul,
+)
 from .rationals import Rat, int_kth_root
 
 
@@ -244,12 +254,13 @@ class UniPoly:
 
 
 def poly_gcd(a, b):
-    """Monic gcd over the coefficient field."""
+    """Monic gcd over the coefficient field, by Euclid's algorithm with each
+    remainder made monic (numberfield.plist_gcd).  The monic gcd is unique,
+    so this changes no output; it keeps the remainders' coefficients small."""
     if a.is_zero() and b.is_zero():
         raise PolynomialError("gcd(0, 0) undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return UniPoly(a.field, plist_gcd(a.field, a.coeffs, b.coeffs),
+                   normalize=False)
 
 
 def resultant(a, b):
@@ -417,17 +428,9 @@ class TriPoly:
                        normalize=False)
 
     def __mul__(self, other):
-        f = self.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = f.mul(c1, c2)
-                if e in out:
-                    out[e] = f.add(out[e], prod)
-                else:
-                    out[e] = prod
-        return TriPoly(f, out)
+        return TriPoly(self.field,
+                       sparse_mul(self.field, self.terms, other.terms),
+                       normalize=False)
 
     def scale(self, c):
         f = self.field
@@ -443,19 +446,6 @@ class TriPoly:
         """Lexicographically largest exponent and its coefficient."""
         e = max(self.terms)
         return e, self.terms[e]
-
-    def strip_z_power(self):
-        """Divide out the largest Z^k dividing every term; returns (poly, k)."""
-        if self.is_zero():
-            return self, 0
-        k = min(e[2] for e in self.terms)
-        if k == 0:
-            return self, 0
-        return TriPoly(
-            self.field,
-            {(e[0], e[1], e[2] - k): c for e, c in self.terms.items()},
-            normalize=False,
-        ), k
 
     def normalized(self):
         """Scalar-normalize: integer-primitive with positive lex-lead over Q,
@@ -512,20 +502,6 @@ class TriPoly:
             acc = acc + term
         return acc
 
-    def apply_linear(self, matrix):
-        """Substitute variables by the linear forms given by a 3x3 matrix:
-        X_i -> sum_j matrix[i][j] * X_j."""
-        f = self.field
-        forms = [
-            TriPoly(f, {
-                (1, 0, 0): matrix[i][0],
-                (0, 1, 0): matrix[i][1],
-                (0, 0, 1): matrix[i][2],
-            })
-            for i in range(3)
-        ]
-        return self.substitute(forms, lambda c: TriPoly.const(f, c))
-
     def map_field(self, new_field):
         if new_field == self.field:
             return self
@@ -544,6 +520,55 @@ class TriPoly:
 
     def __repr__(self):
         return self.to_str()
+
+
+def determinant(rows):
+    """Determinant of a square matrix of TriPolys by cofactor expansion along
+    the rows, memoized on the columns left to each minor: 2^n minors."""
+    f = rows[0][0].field
+    memo = {(): TriPoly.const(f, f.one)}
+
+    def minor(cols):
+        if cols not in memo:
+            row = rows[len(rows) - len(cols)]
+            acc = TriPoly.zero(f)
+            for pos, c in enumerate(cols):
+                if not row[c].is_zero():
+                    term = row[c] * minor(cols[:pos] + cols[pos + 1:])
+                    acc = acc - term if pos % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(len(rows))))
+
+
+def hybrid_bezout(P, Q):
+    """The hybrid Bezout matrix of two polynomials in an eliminated variable,
+    given as coefficient lists, low first, of TriPolys, with
+    deg P = mu <= deg Q = d.
+
+    Its d rows are the rows s^0 .. s^(mu-1) of the Bezoutian
+    (P(s) Q(t) - P(t) Q(s)) / (s - t), then the rows t^r P(t), r < d - mu.
+    The Bezoutian rows s^k, k >= mu, are -sum_(j > k) Q_j t^(j-1-k) P(t), a
+    triangular combination of those t^r P(t) with diagonal -Q_d, and the
+    full Bezout determinant is +-Q_d^(d-mu) Res(P, Q); so the hybrid one is
+    +-Res(P, Q), the Sylvester resultant with the formal degrees mu and d.
+    The sign is (-1)^(mu(mu-1)/2): the tests compare the determinant with
+    the Sylvester one for every mu <= 4 and d <= 6, which covers the
+    implicitization of the corpus curves and their duals and the pencils.
+    """
+    mu, d = len(P) - 1, len(Q) - 1
+    zero = TriPoly.zero(Q[-1].field)
+    P = list(P) + [zero] * (d - mu)
+    rows = [[zero] * d for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i + 1, d + 1):
+            b = P[i] * Q[j] - P[j] * Q[i]
+            for a in range(i, min(j, mu)):
+                rows[a][i + j - 1 - a] = rows[a][i + j - 1 - a] - b
+    rows += [[P[c - r] if 0 <= c - r <= mu else zero for c in range(d)]
+             for r in range(d - mu)]
+    return rows
 
 
 def tripoly_kth_root(F, k):

@@ -373,17 +373,36 @@ def claimed_points_distinct(curve, claims):
     return infinities <= 1 and poly_gcd(prod, prod.derivative()).degree == 0
 
 
+def _refusal(location):
+    """Why a claim location is refused before it is classified, or ''."""
+    if location.kind == "roots" and location.poly.degree < 2:
+        return ("resolve: the polynomial has degree %d; a roots location "
+                "needs degree 2 or 3" % location.poly.degree)
+    return ""
+
+
 def certify(curve, claims, curve_id=None, implicit_check=True):
     """Certificate for a claims list against a parametrized curve.
 
     A claim or check that the exact layers cannot complete fails with a
-    detail naming its stage; it does not abort the certificate.  With
-    `implicit_check` off, the birational sextic image is assumed, not
-    certified."""
+    detail naming its stage; it does not abort the certificate.  A `roots`
+    claim whose polynomial has degree below two names no point count: it is
+    refused with a FAIL verdict at the stage `resolve` and counts toward no
+    total.  With `implicit_check` off, the birational sextic image is
+    assumed, not certified."""
     t_start = time.perf_counter()
     verdicts = []
+    counted = []
     all_ok = True
     for claim in claims:
+        where = claim.location.describe(curve.field)
+        refusal = _refusal(claim.location)
+        if refusal:
+            verdicts.append(ClaimVerdict(claim, None, False, [], where,
+                                         refusal))
+            all_ok = False
+            continue
+        counted.append(claim)
         try:
             computed = verify_claim(curve, claim)
             ok = computed == claim.stype
@@ -398,12 +417,11 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
                 pts.append(repr(pt))
         except _DOMAIN_ERRORS as exc:
             pts.append("<evaluate: %s>" % exc)
-        where = claim.location.describe(curve.field)
         verdicts.append(ClaimVerdict(claim, computed, ok, pts, where, detail))
         all_ok = all_ok and ok
 
-    mu_total = sum(c.stype.mu * c.point_count() for c in claims)
-    delta_total = sum(c.stype.delta * c.point_count() for c in claims)
+    mu_total = sum(c.stype.mu * c.point_count() for c in counted)
+    delta_total = sum(c.stype.delta * c.point_count() for c in counted)
     checks = {
         "milnor_total": mu_total,
         "milnor_total_ok": mu_total == 19,

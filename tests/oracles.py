@@ -3,26 +3,31 @@
 A fraction-free Sylvester/Bareiss determinant gives trivariate resultants
 without interpolation, and an exhaustive height search looks for conic
 points without Hilbert symbols.  A Fraction schoolbook multiply and an
-extended-Euclid inverse check the number-field kernel, and a schoolbook
-product of coefficient lists, term by term in field arithmetic, checks the
-convolution kernel `plist_mul`.  Implicitization by interpolating a grid of
-univariate resultants, with the map degree read from squarefree
-restrictions of F to lines, checks the moving-line implicitization.
-Sixteen fixed separating coordinates, with a squarefree product of
-per-claim value polynomials, check the parameter test of point
+extended-Euclid inverse check the number-field kernel.  The per-term loops
+that the integer kernels replaced check them: a schoolbook product of
+coefficient lists (`plist_mul`), long division with one field.mul and one
+field.sub per term (`plist_divmod`), the term-by-term TriPoly product
+(`sparse_mul`) and Gauss-Jordan elimination in field arithmetic
+(`nullspace`, through `moving_lines`).  Implicitization by interpolating a
+grid of univariate resultants, with the map degree read from squarefree
+restrictions of F to lines, checks the moving-line implicitization, and the
+pencil resultant interpolated from a grid checks its hybrid Bezout
+determinant.  Sixteen fixed separating coordinates, with a squarefree
+product of per-claim value polynomials, check the parameter test of point
 distinctness.  jsonschema's draft-07 validator checks the in-package schema
-checker of `database`.  The library itself uses none of these.
+checker of `database`.  A few helpers only the tests use (a corpus digest,
+a JSON round trip, a linear change of variables) live here too.  The
+library itself uses none of these.
 """
 
+import hashlib
+import json
 from math import gcd as igcd
 
+from sextic19.conic import ConicError
 from sextic19.curve import CurveError, DegenerateCurve
-from sextic19.numberfield import (
-    QQ,
-    FieldError,
-    field_pow,
-    plist_divmod,
-)
+from sextic19.database import default_corpus_path
+from sextic19.numberfield import QQ, FieldError, field_pow
 from sextic19.polynomial import (
     InexactDivision,
     PolynomialError,
@@ -202,6 +207,106 @@ def schoolbook_plist_mul(field, a, b):
     return out
 
 
+def schoolbook_plist_divmod(field, num, den):
+    """Quotient and normalized remainder of num by den (den normalized), one
+    field.mul and one field.sub per term of each elimination step."""
+    num = list(num)
+    dn = len(den) - 1
+    inv_lead = field.inv(den[-1])
+    quo = [field.zero] * max(0, len(num) - dn)
+    while len(num) - 1 >= dn and num:
+        if field.is_zero(num[-1]):
+            num.pop()
+            continue
+        shift = len(num) - 1 - dn
+        q = field.mul(num[-1], inv_lead)
+        quo[shift] = q
+        for i in range(dn + 1):
+            num[shift + i] = field.sub(num[shift + i], field.mul(q, den[i]))
+        num.pop()
+    while num and field.is_zero(num[-1]):
+        num.pop()
+    return quo, num
+
+
+def schoolbook_tri_mul(a, b):
+    """Product of two TriPolys, one field.mul and one field.add per pair of
+    terms."""
+    f = a.field
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            prod = f.mul(c1, c2)
+            if e in out:
+                out[e] = f.add(out[e], prod)
+            else:
+                out[e] = prod
+    return TriPoly(f, out)
+
+
+def gauss_moving_lines(curve, m):
+    """The moving lines of degree <= m by Gauss-Jordan elimination with one
+    field.mul and one field.sub per entry of each row update."""
+    f = curve.field
+    phi = curve.components()
+    width = 3 * (m + 1)     # unknown 3i + k: the t^i coefficient of entry k
+    rows = [[phi[k % 3].coeff(j - k // 3) for k in range(width)]
+            for j in range(max(c.degree for c in phi) + m + 1)]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows))
+                    if not f.is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = f.inv(rows[r][col])
+        rows[r] = [f.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not f.is_zero(row[col]):
+                rows[i] = [v if f.is_zero(w) else f.sub(v, f.mul(row[col], w))
+                           for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [f.zero] * width
+        vec[free] = f.one
+        for row, col in zip(rows, pivots):
+            vec[col] = f.neg(row[free])
+        basis.append(tuple(UniPoly(f, vec[k::3]) for k in range(3)))
+    return basis
+
+
+def strip_z_power(F):
+    """Divide out the largest Z^k dividing every term; returns (poly, k)."""
+    if F.is_zero():
+        return F, 0
+    k = min(e[2] for e in F.terms)
+    if k == 0:
+        return F, 0
+    return TriPoly(
+        F.field,
+        {(e[0], e[1], e[2] - k): c for e, c in F.terms.items()},
+        normalize=False,
+    ), k
+
+
+def apply_linear(F, matrix):
+    """Substitute variables by the linear forms given by a 3x3 matrix:
+    X_i -> sum_j matrix[i][j] * X_j."""
+    f = F.field
+    forms = [
+        TriPoly(f, {
+            (1, 0, 0): matrix[i][0],
+            (0, 1, 0): matrix[i][1],
+            (0, 0, 1): matrix[i][2],
+        })
+        for i in range(3)
+    ]
+    return F.substitute(forms, lambda c: TriPoly.const(f, c))
+
+
 def fraction_mul(field, x, y):
     """Product in an extension field by schoolbook multiplication over the
     base field's own arithmetic, one rational operation at a time, then
@@ -239,7 +344,7 @@ def euclid_inv(field, x):
     r0, r1 = list(field.modulus), trim(x)
     s0, s1 = [], [b.one]
     while r1:
-        q, r = plist_divmod(b, r0, r1)
+        q, r = schoolbook_plist_divmod(b, r0, r1)
         r0, r1 = r1, r
         prod = schoolbook_plist_mul(b, q, s1)
         ns = list(s0) + [b.zero] * max(0, len(prod) - len(s0))
@@ -394,6 +499,75 @@ def _mapdeg_certificate(F):
 
 
 # ----------------------------------------------------------------------
+# the pencil resultant by a grid of resultants
+
+
+def _bivar_from_tripoly(F, fld):
+    """Dehomogenize a TriPoly at z = 1 into a y-degree-indexed list of
+    x-polynomials."""
+    max_y = max(e[1] for e in F.terms)
+    rows = [dict() for _ in range(max_y + 1)]
+    for (ex, ey, _ez), c in F.terms.items():
+        rows[ey][ex] = fld.add(rows[ey].get(ex, fld.zero), c)
+    out = []
+    for row in rows:
+        if row:
+            deg = max(row)
+            out.append(UniPoly(fld, [row.get(i, fld.zero) for i in range(deg + 1)]))
+        else:
+            out.append(UniPoly.zero(fld))
+    return out
+
+
+def _specialize(rows, xv, fld):
+    return UniPoly(fld, [r.eval(xv) for r in rows])
+
+
+def grid_pencil_resultant(F, pencil, fld):
+    """P(x, lambda) = Res_y(f, g0 + lambda g1) as a lambda-degree-indexed
+    list of x-polynomials, interpolated from a grid of univariate resultants
+    and checked at one point off the grid."""
+    f_rows = _bivar_from_tripoly(F, fld)
+    deg_y_f = len(f_rows) - 1
+    deg_y_g = max(len(pencil.g0), len(pencil.g1)) - 1
+    max_xf = max((r.degree for r in f_rows if not r.is_zero()), default=0)
+    max_xg = max(
+        [r.degree for r in pencil.g0 if not r.is_zero()]
+        + [r.degree for r in pencil.g1 if not r.is_zero()]
+    )
+    deg_x_bound = deg_y_g * max_xf + deg_y_f * max_xg
+    deg_l_bound = deg_y_f
+    xs = [fld.from_int(k) for k in range(deg_x_bound + 1)]
+    ls = [fld.from_int(k) for k in range(deg_l_bound + 1)]
+
+    def at_x(xv):
+        # f and g0, g1 as polynomials in y at x = xv; none depends on lambda
+        return tuple(_specialize(rows, xv, fld)
+                     for rows in (f_rows, pencil.g0, pencil.g1))
+
+    def res_at(lv, fy, g0y, g1y):
+        gy = g0y + g1y.scale(lv)
+        if fy.degree != deg_y_f or gy.degree != deg_y_g:
+            raise ConicError("degree drop on the interpolation grid")
+        return resultant(fy, gy)
+
+    # P(x, lambda): interpolate along x at every lambda of the grid, then
+    # each x-coefficient along lambda, and compare at one point off the grid
+    grid = [at_x(xv) for xv in xs]
+    per_lambda = [lagrange_interpolate(fld, xs, [res_at(lv, *g) for g in grid])
+                  for lv in ls]
+    by_x = [lagrange_interpolate(fld, ls, [p.coeff(i) for p in per_lambda])
+            for i in range(max(p.degree for p in per_lambda) + 1)]
+    p_by_lambda = [UniPoly(fld, [q.coeff(j) for q in by_x])
+                   for j in range(max(q.degree for q in by_x) + 1)]
+    lv, xv = fld.from_int(deg_l_bound + 3), fld.from_int(deg_x_bound + 3)
+    if not fld.eq(res_at(lv, *at_x(xv)),
+                  UniPoly(fld, [p.eval(xv) for p in p_by_lambda]).eval(lv)):
+        raise ConicError("pencil resultant interpolation is inconsistent")
+    return p_by_lambda
+
+
+# ----------------------------------------------------------------------
 # point distinctness by separating coordinates
 
 
@@ -482,6 +656,25 @@ def separator_points_distinct(curve, claims):
         if g.degree == 0:
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# the corpus file
+
+
+def corpus_sha256(path=None):
+    path = path or default_corpus_path()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def roundtrip_identity(path=None):
+    """parse -> serialize -> parse is the identity on the corpus document."""
+    path = path or default_corpus_path()
+    with open(path) as fh:
+        doc = json.load(fh)
+    again = json.loads(json.dumps(doc, sort_keys=True))
+    return doc == again
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from sextic19.curve import (
     implicitize,
     verify_symmetry,
 )
-from sextic19.database import corpus_sha256, cross_check_record
+from sextic19.database import cross_check_record
 from sextic19.numberfield import QQ, adjoin_root, generator
 from sextic19.polynomial import (
     UniPoly,
@@ -39,7 +39,7 @@ from sextic19.polynomial import (
 from sextic19.rationals import Rat
 from sextic19.singularity import branch_type_at
 
-from oracles import brute_force_conic_search
+from oracles import brute_force_conic_search, corpus_sha256
 
 
 def report(num, ok, text):

@@ -7,6 +7,7 @@ from sextic19.conic import (
     conic_solvable_over_q,
     hilbert_symbol,
     pencil_reduce,
+    pencil_resultant,
     relevant_places,
     verify_case24_solution,
     verify_case34_obstruction,
@@ -141,6 +142,40 @@ def test_pencil_reduce_case34(by_id):
     pi = ((1 - a) / 2).rep
     assert field_sqrt(fld, fld.div(red.qform.u_coeff, pi)) is not None
     assert field_sqrt(fld, fld.div(red.qform.const, a.rep)) is not None
+
+
+@pytest.mark.parametrize("rid", [34, 36])
+def test_pencil_resultant_matches_the_grid_oracle(by_id, rid):
+    # term by term and sign included: curve 36's P1 shows a wrong sign,
+    # curve 34's reduction does not
+    from oracles import grid_pencil_resultant
+
+    rec = by_id[rid]
+    fld = rec.pencil.g0[0].field
+    F = rec.printed_implicit.map_field(fld)
+    got = pencil_resultant(F, rec.pencil, fld)
+    want = grid_pencil_resultant(F, rec.pencil, fld)
+    assert [p.coeffs for p in got] == [p.coeffs for p in want]
+
+
+def test_pencil_reduce_evaluates_no_univariate_resultant(by_id, monkeypatch):
+    import sys
+
+    def refuse(*args):
+        raise AssertionError("pencil_reduce evaluated a grid")
+
+    for name in ("resultant", "lagrange_interpolate"):
+        orig = getattr(sys.modules["sextic19.polynomial"], name)
+        for mod in [m for k, m in sys.modules.items()
+                    if k.startswith("sextic19.") and m is not None]:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, refuse)
+    for rid in (34, 36):
+        rec = by_id[rid]
+        fld = rec.pencil.g0[0].field
+        red = pencil_reduce(rec.printed_implicit.map_field(fld), rec.pencil,
+                            fld)
+        assert red.d1.degree == 2
 
 
 def test_pencil_reduce_wrong_basepoint(by_id):

@@ -5,11 +5,11 @@ import pytest
 from sextic19.database import (
     CorpusError,
     cross_check_record,
-    corpus_sha256,
     default_corpus_path,
     load_corpus,
-    roundtrip_identity,
 )
+
+from oracles import corpus_sha256, roundtrip_identity
 
 CORPUS_SHA256 = (
     "3b399429f27952e5fce540dc6c586d1d5b8b696e5378a470864f3b47998b0d7d"

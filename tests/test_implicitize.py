@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import grid_implicitize
+from oracles import gauss_moving_lines, grid_implicitize
 from sextic19.curve import RationalPlaneCurve, dual, implicitize, moving_lines
 from sextic19.numberfield import QQ, generator
 from sextic19.polynomial import TriPoly, UniPoly
@@ -21,6 +21,23 @@ def test_agrees_with_resultant_grid(by_id, kind, rid):
     G, grid_mapdeg = grid_implicitize(curve)
     assert F == G
     assert mapdeg == grid_mapdeg == 1
+
+
+MOVING_CASES = [("curve", rid) for rid in range(1, 40)] + [
+    ("dual", rid) for rid in (26, 36, 38)]
+
+
+@pytest.mark.parametrize("kind,rid", MOVING_CASES,
+                         ids=["%s%d" % case for case in MOVING_CASES])
+def test_moving_lines_match_gauss_jordan_oracle(by_id, kind, rid):
+    curve = by_id[rid].curve
+    if kind == "dual":
+        curve = dual(curve)
+    half = curve.degree - curve.degree // 2
+    for m in (half - 1, half, half + 1):
+        got = [[c.coeffs for c in v] for v in moving_lines(curve, m)]
+        want = [[c.coeffs for c in v] for v in gauss_moving_lines(curve, m)]
+        assert got == want, m
 
 
 def test_odd_degree_duals_have_unbalanced_mu_bases(by_id):

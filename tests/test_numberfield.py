@@ -15,7 +15,10 @@ from sextic19.numberfield import (
     is_square,
     minpoly_is_squarefree,
     number_field,
+    plist_divmod,
+    plist_gcd,
     plist_mul,
+    sparse_mul,
 )
 from sextic19.rationals import Rat
 
@@ -166,6 +169,85 @@ def test_plist_mul_matches_schoolbook_oracle(by_id):
             for n in (None, 1, max(1, full - 3), full, full + 4):
                 assert plist_mul(f, a, b, n) == want[:n], (f, a, b, n)
     assert plist_mul(QQ, [], [QQ.one], 3) == []
+
+
+def _divisors(f, lists):
+    """The nonzero lists normalized, and some of them shifted up so that
+    their low coefficients are zero."""
+    dens = []
+    for a in lists:
+        a = list(a)
+        while a and f.is_zero(a[-1]):
+            a.pop()
+        if a:
+            dens.append(a)
+    return dens + [[f.zero] * k + d for k, d in zip((1, 2, 3), dens[3::3])]
+
+
+def test_plist_divmod_matches_schoolbook_oracle(by_id):
+    from oracles import schoolbook_plist_divmod
+
+    rng = random.Random(8)
+    for f in [QQ] + _kernel_fields(by_id):
+        lists = _coefficient_lists(f, rng)
+        # numerators with trailing zeros, as UniPoly never stores them
+        nums = lists + [a + [f.zero] * 2 for a in lists[::4]]
+        dens = _divisors(f, lists)
+        assert any(f.is_zero(d[0]) for d in dens)
+        pairs = [(a, b) for a in nums[::2] for b in dens[::3]]
+        pairs += [(rng.choice(nums), rng.choice(dens)) for _ in range(12)]
+        for num, den in pairs:
+            quo, rem = plist_divmod(f, num, den)
+            assert (quo, rem) == schoolbook_plist_divmod(f, num, den), \
+                (f, num, den)
+
+
+def test_plist_gcd_is_the_monic_gcd_of_plain_euclid(by_id):
+    from oracles import schoolbook_plist_divmod
+
+    rng = random.Random(9)
+    for f in [QQ] + _kernel_fields(by_id):
+        # plain Euclid's coefficients grow fast: short lists only
+        lists = [a for a in _divisors(f, _coefficient_lists(f, rng))
+                 if len(a) <= 5]
+        for _ in range(4):
+            g, a, b = (rng.choice(lists) for _ in range(3))
+            a, b = plist_mul(f, g, a), plist_mul(f, g, b)
+            got = plist_gcd(f, a, b)
+            while b:
+                a, b = b, schoolbook_plist_divmod(f, a, b)[1]
+            inv = f.inv(a[-1])
+            assert got == [f.mul(inv, c) for c in a], (f, g)
+
+
+def _sparse_poly(f, rng, size):
+    """A dict of up to `size` terms with exponents below 4 and random,
+    sparse, zero-free coefficients."""
+    terms = {}
+    for _ in range(size):
+        c = f.random(rng, 30)
+        if rng.random() < 0.5:
+            c = _sparse(f, c, rng)
+        if not f.is_zero(c):
+            terms[tuple(rng.randrange(4) for _ in range(3))] = c
+    return terms
+
+
+def test_sparse_mul_matches_schoolbook_tripoly_product(by_id):
+    from oracles import schoolbook_tri_mul
+    from sextic19.polynomial import TriPoly
+
+    rng = random.Random(10)
+    for f in [QQ] + _kernel_fields(by_id):
+        polys = [_sparse_poly(f, rng, size) for size in (0, 1, 3, 8, 20)]
+        # (X + 3Y)(X - 3Y): the XY terms cancel
+        three = f.from_int(3)
+        polys += [{(1, 0, 0): f.one, (0, 1, 0): c}
+                  for c in (three, f.neg(three))]
+        for a in polys:
+            for b in polys:
+                want = schoolbook_tri_mul(TriPoly(f, a), TriPoly(f, b))
+                assert sparse_mul(f, a, b) == want.terms, (f, a, b)
 
 
 def test_inv_kernel_matches_euclid_oracle(by_id):

@@ -8,7 +8,9 @@ from sextic19.polynomial import (
     TriPoly,
     UniPoly,
     _field_kth_root,
+    determinant,
     discriminant,
+    hybrid_bezout,
     lagrange_interpolate,
     poly_gcd,
     resultant,
@@ -18,7 +20,7 @@ from sextic19.polynomial import (
 from sextic19.rationals import Rat
 from sextic19.series import TruncatedSeries
 
-from oracles import tri_resultant_pair
+from oracles import strip_z_power, tri_resultant_pair
 
 P = lambda *c: UniPoly.from_ints(QQ, c)
 
@@ -161,7 +163,7 @@ def test_tri_resultant_conic():
     A = [-X, Z]
     B = [-Y, TriPoly.zero(QQ), Z]
     R = tri_resultant_pair(A, B, QQ)
-    stripped, k = R.strip_z_power()
+    stripped, k = strip_z_power(R)
     assert k == 1
     unit = stripped.scalar_multiple_of(X * X - Y * Z)
     assert unit is not None
@@ -180,6 +182,28 @@ def test_tri_resultant_matches_field_resultant(seed):
     R = tri_resultant_pair(A, B, QQ)
     val = R.terms.get((0, 0, 0), QQ.zero)
     assert val == resultant(f, g)
+
+
+@pytest.mark.parametrize("mu,d", [(mu, d) for mu in range(1, 5)
+                                  for d in range(mu, 7)])
+def test_hybrid_bezout_determinant_sign(mu, d):
+    # det H(P, Q) = (-1)^(mu(mu-1)/2) Res(P, Q), Res the Sylvester
+    # determinant, with coefficients a + b X so that no cancellation hides
+    # a sign
+    rng = random.Random(100 * mu + d)
+    X = TriPoly.variable(QQ, 0)
+
+    def coeff(lead=False):
+        c = TriPoly.const(QQ, Rat(rng.choice([1, 2, -3]) if lead
+                                  else rng.randint(-4, 4)))
+        return c + X.scale(Rat(rng.randint(-3, 3)))
+
+    P = [coeff() for _ in range(mu)] + [coeff(lead=True)]
+    Q = [coeff() for _ in range(d)] + [coeff(lead=True)]
+    det = determinant(hybrid_bezout(P, Q))
+    res = tri_resultant_pair(P, Q, QQ)
+    assert not res.is_zero()
+    assert det == (-res if mu * (mu - 1) // 2 % 2 else res)
 
 
 def test_lagrange_roundtrip():

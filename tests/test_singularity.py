@@ -352,3 +352,26 @@ def test_points_distinct_needs_the_certified_claims(by_id):
     assert cert.checks["delta_total_ok"] and cert.checks["implicit_ok"]
     assert cert.checks["points_distinct"] is False
     assert not cert.passed
+
+
+@pytest.mark.parametrize("poly", [UniPoly.zero(QQ), P(5), P(-1, 1)],
+                         ids=["zero", "constant", "linear"])
+def test_roots_claim_below_degree_two_is_refused(by_id, poly):
+    # such a polynomial names no point count: the zero polynomial has
+    # degree -1, which summed into milnor_total would be a wrong total
+    rec = by_id[3]
+    odd = rec.claims[0]
+    claims = [odd, _claim(2, ParameterLocation.at_roots(poly))]
+    cert = certify(rec.curve, claims, curve_id=3)
+    assert not cert.passed
+    bad = cert.verdicts[1]
+    assert not bad.ok and bad.computed is None and bad.points == []
+    assert bad.detail.startswith("resolve:")
+    assert "degree %d" % poly.degree in bad.detail
+    assert cert.verdicts[0].ok
+    # the refused claim counts toward no total
+    assert cert.checks["milnor_total"] == odd.stype.mu
+    assert cert.checks["delta_total"] == odd.stype.delta
+    out = cert.to_dict()["claims"][1]
+    assert out["location"] == "roots of %s" % poly.to_str()
+    assert out["point_count"] == max(poly.degree, 0)
