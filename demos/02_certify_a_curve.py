@@ -26,7 +26,8 @@ print("branch at t = infinity:", branch_type_at(curve, "inf"))
 
 # the two roots of p carry the unique two-branch point
 print("two branches at roots of %s: %s"
-      % (rec.p.to_str(), two_branch_type(curve, rec.odd_claim.location)))
+      % (rec.p.to_str(),
+         two_branch_type(*rec.odd_claim.location.resolve(curve))))
 
 # the full certificate
 cert = certify(curve, rec.claims, curve_id=rec.id)

@@ -88,6 +88,9 @@ class ParameterLocation:
       roots        all roots of a squarefree polynomial (degree 2 or 3);
                    one singular point per root
       pair         two parameters mapped to one point (each finite or 'inf')
+
+    The constructors build any location; `resolve`, called once per claim,
+    refuses one it cannot turn into parameters of the curve.
     """
 
     __slots__ = ("kind", "value", "poly", "pair")
@@ -119,27 +122,31 @@ class ParameterLocation:
             return max(self.poly.degree, 0)
         return 1
 
-    def parameters(self, field):
-        """(field or an extension of it, [parameters]), 'inf' for infinity.
+    def resolve(self, curve):
+        """(curve over the parameters' field, [parameters]), 'inf' for
+        infinity: `curve`, or `curve.map_field(ext)` if a root is adjoined.
 
-        Where no root lies in `field`, a `roots` location adjoins one and
-        Galois equivariance covers its conjugates.  Roots in `field` must
-        number point_count(): a check of some roots of a reducible
-        polynomial says nothing of the others.
+        A `roots` polynomial of degree 2 or 3 adjoins one root where none
+        lies in the curve's field.  Roots in the field must number
+        point_count(): a check of some roots of a reducible polynomial says
+        nothing of the others.
         """
         if self.kind == "value":
-            return field, [self.value]
+            return curve, [self.value]
         if self.kind == "infinity":
-            return field, ["inf"]
+            return curve, ["inf"]
         if self.kind == "pair":
-            return field, list(self.pair)
-        ext, roots = adjoin_root(field, list(self.poly.coeffs))
-        if ext == field and len(roots) != self.point_count():
+            return curve, list(self.pair)
+        if self.poly.degree < 2:
+            raise CurveError("the polynomial has degree %d; a roots location "
+                             "needs degree 2 or 3" % self.poly.degree)
+        ext, roots = adjoin_root(curve.field, list(self.poly.coeffs))
+        if ext == curve.field and len(roots) != self.point_count():
             raise CurveError(
                 "%s has %d of its %d roots in the field; claim each factor "
                 "separately" % (self.poly.to_str(), len(roots),
                                 self.point_count()))
-        return ext, roots
+        return curve.map_field(ext), roots
 
     def describe(self, field):
         if self.kind == "value":
@@ -270,9 +277,8 @@ class RationalPlaneCurve:
         location over an irreducible polynomial gives its points over the
         extension field.
         """
-        ext, params = location.parameters(self.field)
-        lifted = self.map_field(ext)
-        return [(ext, lifted.evaluate_at(t)) for t in params]
+        work, params = location.resolve(self)
+        return [(work.field, work.evaluate_at(t)) for t in params]
 
     def apply_projective(self, pmap):
         f = self.field

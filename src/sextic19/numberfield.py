@@ -913,10 +913,6 @@ def _sqrt_quadratic_ext(field, x):
     return None
 
 
-def _mod_inverse(a, m):
-    return pow(a % m, -1, m)
-
-
 def _tonelli_shanks(n, p):
     """Square root of n mod odd prime p, or None for a non-residue."""
     n %= p
@@ -965,12 +961,13 @@ def _rational_reconstruct(c, modulus):
 
 
 def _poly_mod_p(coeffs, p):
+    """Coefficients mod the prime p, or None if p divides a denominator."""
     out = []
     for c in coeffs:
         den = int(c.denominator) % p
         if den == 0:
             return None
-        out.append(int(c.numerator) % p * _mod_inverse(den, p) % p)
+        out.append(int(c.numerator) % p * pow(den, -1, p) % p)
     return out
 
 
@@ -1039,11 +1036,11 @@ def _try_reconstruct_sqrt(field, xs, mc, p, roots, sqrts):
             while prec < k:
                 prec = min(2 * prec, k)
                 mm = p ** prec
-                num = _eval_rat_poly_mod(mc, rr, mm)
-                den = _eval_rat_poly_mod(
-                    [Rat(i) * mc[i] for i in range(1, len(mc))], rr, mm
-                )
-                rr = (rr - num * _mod_inverse(den, mm)) % mm
+                # mc and xs reduced mod p: their denominators are units mod mm
+                mq = _poly_mod_p(mc, mm)
+                num = _eval_mod(mq, rr, mm)
+                den = _eval_mod([i * c for i, c in enumerate(mq)][1:], rr, mm)
+                rr = (rr - num * pow(den, -1, mm)) % mm
             lroots.append(rr)
         # lift square roots by Newton iteration on s^2 = x(root)
         lsq = []
@@ -1052,9 +1049,9 @@ def _try_reconstruct_sqrt(field, xs, mc, p, roots, sqrts):
             while prec < k:
                 prec = min(2 * prec, k)
                 mm = p ** prec
-                val = _eval_rat_poly_mod(xs, r % mm, mm)
-                ss = (ss + val * _mod_inverse(ss, mm)) % mm
-                ss = ss * _mod_inverse(2, mm) % mm
+                val = _eval_mod(_poly_mod_p(xs, mm), r % mm, mm)
+                ss = (ss + val * pow(ss, -1, mm)) % mm
+                ss = ss * pow(2, -1, mm) % mm
             lsq.append(ss)
         for mask in range(1 << (d - 1)):
             targets = [lsq[0]]
@@ -1079,14 +1076,6 @@ def _try_reconstruct_sqrt(field, xs, mc, p, roots, sqrts):
     return None
 
 
-def _eval_rat_poly_mod(coeffs, r, m):
-    acc = 0
-    for c in reversed(coeffs):
-        cv = int(c.numerator) % m * _mod_inverse(int(c.denominator) % m, m) % m
-        acc = (acc * r + cv) % m
-    return acc
-
-
 def _solve_vandermonde_mod(nodes, values, M, p):
     """Solve sum_j c_j * r_i^j = v_i mod M (nodes distinct mod p)."""
     d = len(nodes)
@@ -1100,7 +1089,7 @@ def _solve_vandermonde_mod(nodes, values, M, p):
         if piv is None:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = _mod_inverse(rows[col][col], M)
+        inv = pow(rows[col][col], -1, M)
         rows[col] = [v * inv % M for v in rows[col]]
         for i in range(d):
             if i != col and rows[i][col]:

@@ -21,6 +21,16 @@ to be pairwise distinct, with no unclaimed branch through them and no
 unclaimed singularity.  `points_distinct` reports distinctness only where
 all of these facts are certified.
 
+Resolution.  `verify_claim` runs three stages per claim, and a failure
+names its stage.  `resolve` (ParameterLocation.resolve) turns the location
+into parameters once, adjoining a root of a `roots` polynomial where none
+lies in the curve's field; a claim it refuses names no point and counts
+toward no total.  `classify` runs the classifier at the parameters and
+`evaluate` computes their images.  With a root adjoined, an even claim is
+classified at that root only: an automorphism over the curve's field maps
+the expansions at one root to those at a conjugate term by term, so the
+classifier sees the same orders, and the same type, at every conjugate.
+
 Truncation.  Both classifiers read one order off truncated series: the
 contact order i of two smooth branches (A_(2i-1)) or the first odd order
 2k+1 of a one-branch double point (A_2k).  Every series operation is exact
@@ -233,31 +243,30 @@ def _branch_type_once(curve, t0, trunc):
         ov = v.order()
 
 
-def two_branch_type(curve, loc, claimed=None):
+def two_branch_type(curve, params, claimed=None):
     """A_odd index of the double point whose two smooth branches sit at the
-    two parameters of `loc` (a pair, or the roots of a quadratic).
+    two parameters `params` of the curve's field (each finite or 'inf').
 
     The second branch is rewritten as a graph via series reversion and the
     intersection order i of the first branch with it gives A_(2i-1).  A
     `claimed` A_n index sizes the first pass.
     """
+    if len(params) != 2:
+        raise SingularityError("two-branch location must have two parameters")
     return _classify(
-        _two_branch_once, curve, loc,
+        _two_branch_once, curve, params,
         None if claimed is None else (claimed + 1) // 2 + 1,
         _genus_bound(curve) + 1,
     )
 
 
-def _two_branch_once(curve, loc, trunc):
-    f, params = loc.parameters(curve.field)
-    if len(params) != 2:
-        raise SingularityError("two-branch location must have two parameters")
-    work = curve.map_field(f)
+def _two_branch_once(curve, params, trunc):
+    f = curve.field
     t1, t2 = params
 
-    sx1 = _component_series(work, t1, trunc)
+    sx1 = _component_series(curve, t1, trunc)
     values1 = tuple(s.coeffs[0] for s in sx1)
-    sx2 = _component_series(work, t2, trunc)
+    sx2 = _component_series(curve, t2, trunc)
     values2 = tuple(s.coeffs[0] for s in sx2)
     p1 = ProjectivePoint(f, values1)
     p2 = ProjectivePoint(f, values2)
@@ -290,15 +299,20 @@ def _two_branch_once(curve, loc, trunc):
 
 
 class ClaimVerdict:
-    __slots__ = ("claim", "computed", "ok", "points", "detail", "where")
+    """`resolved` is False for a claim whose location `resolve` refused."""
 
-    def __init__(self, claim, computed, ok, points, where, detail=""):
+    __slots__ = ("claim", "computed", "ok", "points", "detail", "where",
+                 "resolved")
+
+    def __init__(self, claim, computed, ok, points, where, detail="",
+                 resolved=True):
         self.claim = claim
         self.computed = computed
         self.ok = ok
         self.points = points
         self.where = where
         self.detail = detail
+        self.resolved = resolved
 
     def to_dict(self):
         return {
@@ -331,18 +345,41 @@ class Certificate:
 
 
 def verify_claim(curve, claim):
-    """Run the appropriate local classifier for one claim."""
+    """The verdict on one claim: resolve, classify and evaluate (see
+    Resolution in the module docstring)."""
+    where = claim.location.describe(curve.field)
+    try:
+        work, params = claim.location.resolve(curve)
+    except _DOMAIN_ERRORS as exc:
+        return ClaimVerdict(claim, None, False, [], where,
+                            "resolve: %s" % exc, resolved=False)
+    try:
+        computed = _classify_claim(claim, curve, work, params)
+        ok = computed == claim.stype
+        detail = "" if ok else "computed %r" % computed
+    except _DOMAIN_ERRORS as exc:
+        computed = None
+        ok = False
+        detail = "classify: %s" % exc
+    pts = []
+    try:
+        for t in params:
+            pts.append(repr(work.evaluate_at(t)))
+    except _DOMAIN_ERRORS as exc:
+        pts.append("<evaluate: %s>" % exc)
+    return ClaimVerdict(claim, computed, ok, pts, where, detail)
+
+
+def _classify_claim(claim, curve, work, params):
+    """The type at the parameters that `resolve` gave over `work`."""
     n = claim.stype.n
     if n % 2 == 1:
-        return two_branch_type(curve, claim.location, claimed=n)
-    field, params = claim.location.parameters(curve.field)
-    if field != curve.field:
-        # one computation covers every conjugate root: the classification is
-        # Galois-equivariant, so the orders it sees are the same at each root
-        return branch_type_at(curve.map_field(field), params[0], claimed=n)
-    if len(params) != claim.point_count():
+        return two_branch_type(work, params, claimed=n)
+    if work.field != curve.field:
+        params = params[:1]     # one root stands for its conjugates
+    elif len(params) != claim.point_count():
         raise SingularityError("an A_even claim needs one parameter per point")
-    types = {branch_type_at(curve, t, claimed=n).n for t in params}
+    types = {branch_type_at(work, t, claimed=n).n for t in params}
     if len(types) != 1:
         raise SingularityError(
             "conjugate points computed different types %s" % types)
@@ -364,7 +401,7 @@ def claimed_points_distinct(curve, claims):
         if loc.kind == "roots":
             prod = prod * loc.poly
             continue
-        for t in loc.parameters(f)[1]:
+        for t in loc.resolve(curve)[1]:
             if t == "inf":
                 infinities += 1
             else:
@@ -373,52 +410,19 @@ def claimed_points_distinct(curve, claims):
     return infinities <= 1 and poly_gcd(prod, prod.derivative()).degree == 0
 
 
-def _refusal(location):
-    """Why a claim location is refused before it is classified, or ''."""
-    if location.kind == "roots" and location.poly.degree < 2:
-        return ("resolve: the polynomial has degree %d; a roots location "
-                "needs degree 2 or 3" % location.poly.degree)
-    return ""
-
-
 def certify(curve, claims, curve_id=None, implicit_check=True):
     """Certificate for a claims list against a parametrized curve.
 
-    A claim or check that the exact layers cannot complete fails with a
-    detail naming its stage; it does not abort the certificate.  A `roots`
-    claim whose polynomial has degree below two names no point count: it is
-    refused with a FAIL verdict at the stage `resolve` and counts toward no
-    total.  With `implicit_check` off, the birational sextic image is
-    assumed, not certified."""
+    Each claim gets one `verify_claim` verdict.  A claim or check that the
+    exact layers cannot complete fails with a detail naming its stage; it
+    does not abort the certificate.  A claim whose location cannot be
+    resolved names no points and counts toward no total.  With
+    `implicit_check` off, the birational sextic image is assumed, not
+    certified."""
     t_start = time.perf_counter()
-    verdicts = []
-    counted = []
-    all_ok = True
-    for claim in claims:
-        where = claim.location.describe(curve.field)
-        refusal = _refusal(claim.location)
-        if refusal:
-            verdicts.append(ClaimVerdict(claim, None, False, [], where,
-                                         refusal))
-            all_ok = False
-            continue
-        counted.append(claim)
-        try:
-            computed = verify_claim(curve, claim)
-            ok = computed == claim.stype
-            detail = "" if ok else "computed %r" % computed
-        except _DOMAIN_ERRORS as exc:
-            computed = None
-            ok = False
-            detail = "classify: %s" % exc
-        pts = []
-        try:
-            for _fld, pt in curve.evaluate(claim.location):
-                pts.append(repr(pt))
-        except _DOMAIN_ERRORS as exc:
-            pts.append("<evaluate: %s>" % exc)
-        verdicts.append(ClaimVerdict(claim, computed, ok, pts, where, detail))
-        all_ok = all_ok and ok
+    verdicts = [verify_claim(curve, claim) for claim in claims]
+    counted = [v.claim for v in verdicts if v.resolved]
+    all_ok = all(v.ok for v in verdicts)
 
     mu_total = sum(c.stype.mu * c.point_count() for c in counted)
     delta_total = sum(c.stype.delta * c.point_count() for c in counted)

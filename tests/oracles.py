@@ -594,7 +594,8 @@ def _location_char_poly(curve, claim, l1, l2):
         return chi.monic()
     # one point: the image of the first parameter (an odd claim's two
     # parameters have one image)
-    field, params = loc.parameters(f)
+    work, params = loc.resolve(curve)
+    field = work.field
     t = params[0]
     if t == "inf":
         num, den = lin1.coeff(curve.degree), lin2.coeff(curve.degree)

@@ -433,7 +433,8 @@ def _coordinate_fields(by_id):
     fields = [rec.field for rec in by_id.values()]
     for rid in (7, 10, 16):
         rec = by_id[rid]
-        fields += [c.location.parameters(rec.field)[0] for c in rec.claims]
+        fields += [c.location.resolve(rec.curve)[0].field
+                   for c in rec.claims]
     out = []
     for f in fields:
         if f != QQ and f not in out:

@@ -65,21 +65,21 @@ def test_high_multiplicity_rejected():
 def test_node_on_cubic():
     curve = RationalPlaneCurve(QQ, P(-1, 0, 1), P(0, -1, 0, 1), P(1))
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
-    assert two_branch_type(curve, loc).n == 1
+    assert two_branch_type(*loc.resolve(curve)).n == 1
 
 
 def test_two_branch_images_differ():
     curve = RationalPlaneCurve(QQ, P(0, 0, 1), P(0, 1), P(1))
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(2))
     with pytest.raises(SingularityError):
-        two_branch_type(curve, loc)
+        two_branch_type(*loc.resolve(curve))
 
 
 def test_case3_types(by_id):
     rec = by_id[3]
     assert branch_type_at(rec.curve, "inf", claimed=2).n == 2
     assert two_branch_type(
-        rec.curve, ParameterLocation.at_roots(rec.p), claimed=17
+        *ParameterLocation.at_roots(rec.p).resolve(rec.curve), claimed=17
     ).n == 17
 
 
@@ -87,7 +87,8 @@ def test_two_branch_symmetric(by_id):
     curve = RationalPlaneCurve(QQ, P(-1, 0, 1), P(0, -1, 0, 1), P(1))
     a = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
     b = ParameterLocation.at_pair(QQ.from_int(-1), QQ.from_int(1))
-    assert two_branch_type(curve, a).n == two_branch_type(curve, b).n
+    assert (two_branch_type(*a.resolve(curve)).n
+            == two_branch_type(*b.resolve(curve)).n)
 
 
 def test_case25_certificate(by_id):
@@ -158,7 +159,7 @@ def test_branch_type_invariance(by_id, seed):
     re = reparametrize(moved, m)
     shifted_p = rec.p.taylor_shift(QQ.from_int(shift))
     assert two_branch_type(
-        re, ParameterLocation.at_roots(shifted_p), claimed=17
+        *ParameterLocation.at_roots(shifted_p).resolve(re), claimed=17
     ).n == 17
 
 
@@ -173,7 +174,9 @@ def test_certify_reports_locations(by_id):
 
 def test_case37_odd_pair_is_node(by_id):
     rec = by_id[37]
-    assert two_branch_type(rec.curve, rec.odd_claim.location, claimed=1).n == 1
+    assert two_branch_type(
+        *rec.odd_claim.location.resolve(rec.curve), claimed=1
+    ).n == 1
 
 
 def test_case1_certificate(by_id):
@@ -203,7 +206,7 @@ def test_low_claims_find_true_type_in_two_passes(by_id, monkeypatch):
     calls = _count_passes(monkeypatch)
     rec3 = by_id[3]
     assert two_branch_type(
-        rec3.curve, rec3.odd_claim.location, claimed=1
+        *rec3.odd_claim.location.resolve(rec3.curve), claimed=1
     ).n == 17
     assert len(calls) == 2
     del calls[:]
@@ -216,7 +219,7 @@ def test_claim_sized_truncation_is_one_pass(by_id, monkeypatch):
     calls = _count_passes(monkeypatch)
     rec3 = by_id[3]
     assert two_branch_type(
-        rec3.curve, rec3.odd_claim.location, claimed=17
+        *rec3.odd_claim.location.resolve(rec3.curve), claimed=17
     ).n == 17
     assert calls == [10]
 
@@ -235,7 +238,7 @@ def test_each_branch_is_expanded_once_per_pass(by_id, monkeypatch):
     calls = _count_passes(monkeypatch)
     rec3 = by_id[3]
     assert two_branch_type(
-        rec3.curve, rec3.odd_claim.location, claimed=17
+        *rec3.odd_claim.location.resolve(rec3.curve), claimed=17
     ).n == 17
     assert calls == [10] and expansions == [10, 10]
     del calls[:], expansions[:]
@@ -253,7 +256,7 @@ def test_non_birational_pair_raises_after_two_passes(monkeypatch):
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
     calls = _count_passes(monkeypatch)
     with pytest.raises(SingularityError, match="not birational"):
-        two_branch_type(curve, loc, claimed=1)
+        two_branch_type(*loc.resolve(curve), claimed=1)
     assert calls == [2, 11]
 
 
@@ -265,7 +268,7 @@ def test_non_squarefree_location_is_a_fail_verdict(by_id):
     assert not cert.passed
     bad = cert.verdicts[0]
     assert not bad.ok and bad.computed is None
-    assert bad.detail.startswith("classify:")
+    assert bad.detail.startswith("resolve:")
     assert "squarefree" in bad.detail
     assert cert.verdicts[1].ok
     assert cert.to_dict()["claims"][0]["point_count"] == 1
@@ -375,3 +378,75 @@ def test_roots_claim_below_degree_two_is_refused(by_id, poly):
     out = cert.to_dict()["claims"][1]
     assert out["location"] == "roots of %s" % poly.to_str()
     assert out["point_count"] == max(poly.degree, 0)
+
+
+
+def _over(field, *coeffs):
+    return UniPoly(field, [field.from_int(c) for c in coeffs])
+
+
+# Malformed locations: (record id, claimed A_n, location over the record's
+# field, the stage that fails).  Each is added to the record's own claims.
+MALFORMED = {
+    "zero": (3, 2, lambda f: ParameterLocation.at_roots(UniPoly.zero(f)),
+             "resolve"),
+    "constant": (3, 2, lambda f: ParameterLocation.at_roots(_over(f, 5)),
+                 "resolve"),
+    "linear": (3, 2, lambda f: ParameterLocation.at_roots(_over(f, -1, 1)),
+               "resolve"),
+    "square": (3, 2, lambda f: ParameterLocation.at_roots(_over(f, 1, -2, 1)),
+               "resolve"),
+    # (t - 1)(t^2 + 1): one of its three roots is rational
+    "reducible_cubic": (3, 2, lambda f: ParameterLocation.at_roots(
+        _over(f, -1, 1, -1, 1)), "resolve"),
+    # curve 4 lives over a quadratic field, where no cubic root is adjoined
+    "cubic_over_extension": (4, 2, lambda f: ParameterLocation.at_roots(
+        _over(f, -2, 0, 0, 1)), "resolve"),
+    "even_at_pair": (3, 2, lambda f: ParameterLocation.at_pair(
+        f.from_int(5), f.from_int(7)), "classify"),
+    "odd_at_value": (3, 1, lambda f: ParameterLocation.at_value(
+        f.from_int(5)), "classify"),
+    "odd_at_infinity": (3, 1, lambda f: ParameterLocation.at_infinity(),
+                        "classify"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_location_is_a_fail_verdict(by_id, shape):
+    rid, n, make, stage = MALFORMED[shape]
+    rec = by_id[rid]
+    bad_claim = _claim(n, make(rec.field))
+    cert = certify(rec.curve, rec.claims + [bad_claim], curve_id=rid,
+                   implicit_check=False)
+    assert not cert.passed
+    *good, bad = cert.verdicts
+    assert all(v.ok for v in good)
+    assert not bad.ok and bad.computed is None
+    assert bad.detail.startswith(stage + ":")
+    assert "Traceback" not in bad.detail
+    mu = sum(c.stype.mu * c.point_count() for c in rec.claims)
+    if stage == "resolve":
+        # an unresolved claim names no point and counts toward no total
+        assert bad.points == [] and not bad.resolved
+        assert cert.checks["milnor_total"] == mu
+    else:
+        assert bad.points and bad.resolved
+        assert cert.checks["milnor_total"] == mu + n * bad_claim.point_count()
+
+
+def test_each_roots_claim_adjoins_once(corpus, monkeypatch):
+    from sextic19 import curve
+
+    calls = []
+    adjoin_root = curve.adjoin_root
+
+    def counted(*args):
+        calls.append(args)
+        return adjoin_root(*args)
+
+    monkeypatch.setattr(curve, "adjoin_root", counted)
+    for rec in corpus:
+        assert certify(rec.curve, rec.claims, curve_id=rec.id).passed
+    roots = sum(c.location.kind == "roots" for r in corpus for c in r.claims)
+    assert roots == 46
+    assert len(calls) == roots
