@@ -46,7 +46,7 @@ swapped = [
     SingularityClaim(SingularityType(4),
                      ParameterLocation.at_value(curve.field.from_int(4))),
 ]
-bad = certify(curve, swapped, curve_id=rec.id, implicit_check=False)
+bad = certify(curve, swapped, curve_id=rec.id)
 print("\nswapped-locations control passes:", bad.passed)
 for v in bad.verdicts:
     if not v.ok:

@@ -126,8 +126,9 @@ def descend(poly):
     return type(poly)(fld, data, normalize=False)
 
 
-def decode_tripoly_hform(fld, data, degree=6):
-    """Printed implicit equation: sum of coeffs(x) * y^ypow * h(x)^hpow."""
+def decode_tripoly_hform(fld, data):
+    """Printed implicit sextic: sum of coeffs(x) * y^ypow * h(x)^hpow,
+    homogenized to degree six."""
     h = decode_poly(fld, data["h"])
     terms = {}
     for row in data["terms"]:
@@ -142,7 +143,7 @@ def decode_tripoly_hform(fld, data, degree=6):
             cur = terms.get(key)
             terms[key] = fld.add(cur, c) if cur is not None else c
     terms = {k: v for k, v in terms.items() if not fld.is_zero(v)}
-    return homogenize_xy(fld, terms, degree), h
+    return homogenize_xy(fld, terms, 6), h
 
 
 @dataclass

@@ -54,9 +54,10 @@ once as Rats.  Long division over a field has exactly one answer: the
 quotient q and remainder r with num = q * den + r and deg r < deg den are
 unique, and every step here is exact, so both are the canonical lists that
 one field.mul and one field.sub per term give (Knuth, TAOCP vol. 2,
-4.6.1).  `plist_gcd` runs Euclid's algorithm on it with each remainder made
-monic.  `nullspace` eliminates on integer rows, with one integer product
-per entry and no Rat until the unique reduced row echelon form is read off.
+4.6.1).  `plist_gcd` runs Euclid's algorithm on it and makes the last
+remainder monic.  `nullspace` eliminates on integer rows, with one integer
+product per entry and no Rat until the unique reduced row echelon form is
+read off.
 
 The nested form is private to this module.  Other modules see an element
 only through its field: `coords` and `from_coords` read and build its
@@ -171,19 +172,15 @@ def plist_divmod(field, num, den):
 def plist_gcd(field, a, b):
     """Monic gcd of two coefficient lists, not both zero.
 
-    Euclid's algorithm with each remainder made monic: every remainder is
-    then a unit times the one of the plain remainder sequence, so the last
-    nonzero one is a unit times the same gcd, and the monic gcd is unique;
-    only the coefficients of the intermediate remainders get smaller.
+    Euclid's algorithm; the last nonzero remainder is made monic, since the
+    monic gcd is unique.  Making every remainder monic would cost one
+    inverse and one list product per step and, at the corpus's degrees,
+    saves less than that on the divisions.
     """
     a, b = _plist_normalize(field, a), _plist_normalize(field, b)
     while b:
-        a, b = b, _plist_monic(field, plist_divmod(field, a, b)[1])
-    return _plist_monic(field, a)
-
-
-def _plist_monic(field, coeffs):
-    return plist_mul(field, coeffs, [field.inv(coeffs[-1])]) if coeffs else []
+        a, b = b, plist_divmod(field, a, b)[1]
+    return plist_mul(field, a, [field.inv(a[-1])]) if a else []
 
 
 def nullspace(field, rows):

@@ -254,9 +254,8 @@ class UniPoly:
 
 
 def poly_gcd(a, b):
-    """Monic gcd over the coefficient field, by Euclid's algorithm with each
-    remainder made monic (numberfield.plist_gcd).  The monic gcd is unique,
-    so this changes no output; it keeps the remainders' coefficients small."""
+    """Monic gcd over the coefficient field, by Euclid's algorithm
+    (numberfield.plist_gcd)."""
     if a.is_zero() and b.is_zero():
         raise PolynomialError("gcd(0, 0) undefined")
     return UniPoly(a.field, plist_gcd(a.field, a.coeffs, b.coeffs),

@@ -5,11 +5,16 @@ order.  Every operation returns exact coefficients strictly below the
 smaller truncation order of its inputs.  order() reports the exponent of
 the first nonzero stored coefficient, or None when every stored coefficient
 vanishes, in which case the caller must retry at a higher truncation.
+
+Products run on `plist_mul` and the inverse of a unit on `plist_divmod`.
+`in_powers_of` writes a series in powers of another by peeling one leading
+term at a time (Knuth, TAOCP vol. 2, 4.7); the classifiers and `reversion`
+use it.  At the at most 22 terms that the genus bound allows, plain peeling
+costs less than Newton iteration.
 """
 
-from .numberfield import plist_mul
-from .polynomial import format_terms, power_str, ring_power
-from .rationals import Rat
+from .numberfield import plist_divmod, plist_mul
+from .polynomial import format_terms, power_str
 
 
 class SeriesError(Exception):
@@ -88,41 +93,21 @@ class TruncatedSeries:
             self.field, plist_mul(self.field, self.coeffs, other.coeffs, n), n
         )
 
-    def __pow__(self, k):
-        return ring_power(
-            TruncatedSeries(self.field, (self.field.one,), self.trunc), self, k
-        )
-
     def truncate(self, n):
         if n == self.trunc:
             return self
         return TruncatedSeries(self.field, self.coeffs[:n], n)
 
-    def derivative(self):
-        f = self.field
-        out = [
-            f.scalar_mul(Rat(i), self.coeffs[i]) for i in range(1, self.trunc)
-        ]
-        return TruncatedSeries(f, out, max(1, self.trunc - 1))
-
     def invert_unit(self):
+        """1/self mod s^n, for n = trunc: the reversed quotient of one long
+        division of t^(2n-2) by t^(n-1) * self(1/t)."""
         f = self.field
-        a0 = self.coeffs[0]
-        if f.is_zero(a0):
+        if f.is_zero(self.coeffs[0]):
             raise SeriesError("inversion requires a nonzero constant term")
-        inv0 = f.inv(a0)
         n = self.trunc
-        out = [f.zero] * n
-        out[0] = inv0
-        for k in range(1, n):
-            acc = f.zero
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if f.is_zero(ai):
-                    continue
-                acc = f.add(acc, f.mul(ai, out[k - i]))
-            out[k] = f.neg(f.mul(acc, inv0))
-        return TruncatedSeries(f, out, n)
+        num = [f.zero] * (2 * n - 2) + [f.one]
+        quo, _rem = plist_divmod(f, num, self.coeffs[::-1])
+        return TruncatedSeries(f, quo[::-1], n)
 
     def compose(self, inner):
         """self(inner(s)); requires inner(0) = 0."""
@@ -140,27 +125,41 @@ class TruncatedSeries:
                 )
         return acc
 
-    def reversion(self):
-        """Compositional inverse g with self(g) = g(self) = s.
+    def in_powers_of(self, u):
+        """(c, stop) with self = sum_m c_m u^m + r below the truncation.
 
-        Requires order exactly 1.  Newton iteration with doubling precision.
+        Peels the lowest term of r while its order is a multiple of
+        e = ord u, dividing it by the leading coefficient of u^m; each new
+        power of u costs one product.  c holds the c_m for m*e below the
+        truncation, and stop is the order of r, which is not a multiple of
+        e, or None when r vanishes below the truncation.  Every step is
+        exact.
         """
         f = self.field
+        e = u.order()
+        if not e:
+            raise SeriesError("peeling requires a series u of positive order")
+        n = self._common(u)
+        r, u = self.truncate(n), u.truncate(n)
+        powers = [TruncatedSeries(f, (f.one,), n)]
+        c = [f.zero] * ((n - 1) // e + 1)
+        while True:
+            o = r.order()
+            if o is None or o % e:
+                return TruncatedSeries(f, c, len(c)), o
+            m = o // e
+            while len(powers) <= m:
+                powers.append(powers[-1] * u)
+            c[m] = f.div(r.coeffs[o], powers[m].coeffs[o])
+            r = r - powers[m].scale(c[m])
+
+    def reversion(self):
+        """Compositional inverse g with self(g) = g(self) = s: the series s
+        peeled against self.  Requires order exactly 1."""
         if self.order() != 1:
             raise SeriesError("reversion requires a series of order exactly 1")
-        n = self.trunc
-        f1 = self.coeffs[1]
-        g = TruncatedSeries(f, (f.zero, f.inv(f1)), 2)
-        prec = 2
-        fder = self.derivative()
-        while prec < n:
-            prec = min(2 * prec, n)
-            ft = self.truncate(prec)
-            gt = g.truncate(prec)
-            err = ft.compose(gt) - TruncatedSeries.identity(f, prec)
-            corr = err * fder.truncate(prec).compose(gt).invert_unit()
-            g = gt - corr
-        return g.truncate(n)
+        s = TruncatedSeries.identity(self.field, self.trunc)
+        return s.in_powers_of(self)[0]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries) or self.field != other.field:

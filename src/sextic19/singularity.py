@@ -33,10 +33,12 @@ classifier sees the same orders, and the same type, at every conjugate.
 
 Truncation.  Both classifiers read one order off truncated series: the
 contact order i of two smooth branches (A_(2i-1)) or the first odd order
-2k+1 of a one-branch double point (A_2k).  Every series operation is exact
-below its truncation, so an order the classifier sees is the exact order
-and the truncation only decides when to stop looking.  A classifier makes
-at most two passes:
+2k+1 of a one-branch double point (A_2k).  Each rewrites one coordinate in
+powers of another by peeling (TruncatedSeries.in_powers_of), one leading
+term at a time with an exact product, difference and division, so peeling
+is exact below the truncation, like every other series operation.  An
+order the classifier sees is therefore the exact order, and the truncation
+only decides when to stop looking.  A classifier makes at most two passes:
 
 - the smallest truncation that shows the claimed order: i + 1 for a claimed
   A_(2i-1), and 2k + 2 for a claimed A_2k;
@@ -59,7 +61,7 @@ fails.
 import time
 
 from .curve import CurveError, ProjectivePoint
-from .numberfield import FieldError, field_pow
+from .numberfield import FieldError
 from .polynomial import PolynomialError, UniPoly, poly_gcd
 from .series import SeriesError, TruncatedSeries
 
@@ -144,8 +146,8 @@ def _component_series(curve, t0, trunc):
     return out
 
 
-def _pick_chart(field, values, prefer=(2, 1, 0)):
-    for idx in prefer:
+def _pick_chart(field, values):
+    for idx in (2, 1, 0):
         if not field.is_zero(values[idx]):
             return idx
     raise SingularityError("all components vanish at the parameter")
@@ -200,12 +202,11 @@ def _classify(once, curve, where, claim_trunc, bound_trunc):
 def branch_type_at(curve, t0, claimed=None):
     """A_even index of the one-branch double point at the image of t0.
 
-    Expands the branch in an affine chart, takes a coordinate of order two,
-    and repeatedly kills even-order leading terms of the other coordinate by
-    subtracting multiples of powers of the first; the first odd surviving
-    order 2k+1 gives A_2k.  Raises if the branch is smooth or has
-    multiplicity greater than two.  A `claimed` A_n index sizes the first
-    pass.
+    Expands the branch in an affine chart, takes a coordinate u of order
+    two, and peels the other coordinate against powers of u
+    (TruncatedSeries.in_powers_of); the first odd order 2k+1 it cannot peel
+    gives A_2k.  Raises if the branch is smooth or has multiplicity greater
+    than two.  A `claimed` A_n index sizes the first pass.
     """
     return _classify(
         _branch_type_once, curve, t0,
@@ -231,24 +232,19 @@ def _branch_type_once(curve, t0, trunc):
         raise SingularityError(
             "branch multiplicity exceeds two (leading order %s)" % ou
         )
-    lead_u = u.coeffs[2]
-    while True:
-        if ov is None:
-            raise TruncationExhausted("order query hit the truncation")
-        if ov % 2 == 1:
-            return SingularityType(ov - 1)
-        m = ov // 2
-        c = f.div(v.coeffs[ov], field_pow(f, lead_u, m))
-        v = v - (u ** m).scale(c)
-        ov = v.order()
+    stop = v.in_powers_of(u)[1]
+    if stop is None:
+        raise TruncationExhausted("order query hit the truncation")
+    return SingularityType(stop - 1)
 
 
 def two_branch_type(curve, params, claimed=None):
     """A_odd index of the double point whose two smooth branches sit at the
     two parameters `params` of the curve's field (each finite or 'inf').
 
-    The second branch is rewritten as a graph via series reversion and the
-    intersection order i of the first branch with it gives A_(2i-1).  A
+    The second branch is rewritten as a graph v = h(u) by peeling its v
+    against its u (TruncatedSeries.in_powers_of), and the intersection
+    order i of the first branch with that graph gives A_(2i-1).  A
     `claimed` A_n index sizes the first pass.
     """
     if len(params) != 2:
@@ -286,7 +282,7 @@ def _two_branch_once(curve, params, trunc):
     if u2.order() != 1:
         u1, v1 = v1, u1
         u2, v2 = v2, u2
-    h = v2.compose(u2.reversion())
+    h = v2.in_powers_of(u2)[0]      # v2 = h(u2)
     w = v1 - h.compose(u1)
     i = w.order()
     if i is None:
@@ -410,15 +406,14 @@ def claimed_points_distinct(curve, claims):
     return infinities <= 1 and poly_gcd(prod, prod.derivative()).degree == 0
 
 
-def certify(curve, claims, curve_id=None, implicit_check=True):
+def certify(curve, claims, curve_id=None):
     """Certificate for a claims list against a parametrized curve.
 
     Each claim gets one `verify_claim` verdict.  A claim or check that the
     exact layers cannot complete fails with a detail naming its stage; it
     does not abort the certificate.  A claim whose location cannot be
-    resolved names no points and counts toward no total.  With
-    `implicit_check` off, the birational sextic image is assumed, not
-    certified."""
+    resolved names no points and counts toward no total, nor toward the
+    distinctness test."""
     t_start = time.perf_counter()
     verdicts = [verify_claim(curve, claim) for claim in claims]
     counted = [v.claim for v in verdicts if v.resolved]
@@ -432,21 +427,18 @@ def certify(curve, claims, curve_id=None, implicit_check=True):
         "delta_total": delta_total,
         "delta_total_ok": delta_total == 10,
     }
-    if implicit_check:
-        from .curve import implicitize
+    from .curve import implicitize
 
-        try:
-            F, mapdeg = implicitize(curve)
-            checks["implicit_degree"] = F.total_degree()
-            checks["map_degree"] = mapdeg
-            checks["implicit_ok"] = F.total_degree() == 6 and mapdeg == 1
-        except _DOMAIN_ERRORS as exc:
-            checks["implicit_ok"] = False
-            checks["implicit_error"] = str(exc)
-    else:
-        checks["implicit_ok"] = True
     try:
-        distinct = claimed_points_distinct(curve, claims)
+        F, mapdeg = implicitize(curve)
+        checks["implicit_degree"] = F.total_degree()
+        checks["map_degree"] = mapdeg
+        checks["implicit_ok"] = F.total_degree() == 6 and mapdeg == 1
+    except _DOMAIN_ERRORS as exc:
+        checks["implicit_ok"] = False
+        checks["implicit_error"] = str(exc)
+    try:
+        distinct = claimed_points_distinct(curve, counted)
     except _DOMAIN_ERRORS as exc:
         distinct = False
         checks["distinct_error"] = str(exc)

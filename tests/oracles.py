@@ -8,16 +8,18 @@ that the integer kernels replaced check them: a schoolbook product of
 coefficient lists (`plist_mul`), long division with one field.mul and one
 field.sub per term (`plist_divmod`), the term-by-term TriPoly product
 (`sparse_mul`) and Gauss-Jordan elimination in field arithmetic
-(`nullspace`, through `moving_lines`).  Implicitization by interpolating a
-grid of univariate resultants, with the map degree read from squarefree
-restrictions of F to lines, checks the moving-line implicitization, and the
-pencil resultant interpolated from a grid checks its hybrid Bezout
-determinant.  Sixteen fixed separating coordinates, with a squarefree
-product of per-claim value polynomials, check the parameter test of point
-distinctness.  jsonschema's draft-07 validator checks the in-package schema
-checker of `database`.  A few helpers only the tests use (a corpus digest,
-a JSON round trip, a linear change of variables) live here too.  The
-library itself uses none of these.
+(`nullspace`, through `moving_lines`).  Newton iteration and the per-term
+series inverse check the peeled reversion and the inverse by division of
+`TruncatedSeries`.  Implicitization by interpolating a grid of univariate
+resultants, with the map degree read from squarefree restrictions of F to
+lines, checks the moving-line implicitization, and the pencil resultant
+interpolated from a grid checks its hybrid Bezout determinant.  Sixteen
+fixed separating coordinates, with a squarefree product of per-claim value
+polynomials, check the parameter test of point distinctness.  jsonschema's
+draft-07 validator checks the in-package schema checker of `database`.  A
+few helpers only the tests use (a corpus digest, a JSON round trip, a
+linear change of variables) live here too.  The library itself uses none of
+these.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ from sextic19.polynomial import (
     tripoly_kth_root,
 )
 from sextic19.rationals import Rat, rat_sqrt
+from sextic19.series import SeriesError, TruncatedSeries
 
 
 def tri_exact_div(num, den):
@@ -227,6 +230,52 @@ def schoolbook_plist_divmod(field, num, den):
     while num and field.is_zero(num[-1]):
         num.pop()
     return quo, num
+
+
+def per_term_invert_unit(u):
+    """1/u mod s^n of a series with a nonzero constant term, one coefficient
+    at a time: out_k = -(sum_(i=1..k) u_i out_(k-i)) / u_0."""
+    f = u.field
+    a0 = u.coeffs[0]
+    if f.is_zero(a0):
+        raise SeriesError("inversion requires a nonzero constant term")
+    inv0 = f.inv(a0)
+    n = u.trunc
+    out = [f.zero] * n
+    out[0] = inv0
+    for k in range(1, n):
+        acc = f.zero
+        for i in range(1, k + 1):
+            ai = u.coeffs[i]
+            if f.is_zero(ai):
+                continue
+            acc = f.add(acc, f.mul(ai, out[k - i]))
+        out[k] = f.neg(f.mul(acc, inv0))
+    return TruncatedSeries(f, out, n)
+
+
+def newton_reversion(u):
+    """The compositional inverse of a series of order exactly 1 by Newton
+    iteration with doubling precision (Brent and Kung, "Fast algorithms for
+    manipulating formal power series", JACM 1978):
+    g <- g - (u(g) - s) / u'(g)."""
+    f = u.field
+    if u.order() != 1:
+        raise SeriesError("reversion requires a series of order exactly 1")
+    n = u.trunc
+    g = TruncatedSeries(f, (f.zero, f.inv(u.coeffs[1])), 2)
+    prec = 2
+    uder = TruncatedSeries(
+        f, [f.scalar_mul(Rat(i), u.coeffs[i]) for i in range(1, n)],
+        max(1, n - 1))
+    while prec < n:
+        prec = min(2 * prec, n)
+        ut = u.truncate(prec)
+        gt = g.truncate(prec)
+        err = ut.compose(gt) - TruncatedSeries.identity(f, prec)
+        corr = err * per_term_invert_unit(uder.truncate(prec).compose(gt))
+        g = gt - corr
+    return g.truncate(n)
 
 
 def schoolbook_tri_mul(a, b):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import newton_reversion, per_term_invert_unit
 from sextic19.numberfield import QQ, build_tower, number_field
 from sextic19.polynomial import UniPoly
 from sextic19.series import SeriesError, TruncatedSeries
@@ -11,13 +12,13 @@ def S(*coeffs, trunc=10):
     return TruncatedSeries(QQ, [QQ.from_int(c) for c in coeffs], trunc)
 
 
-def rand_series(rng, field, trunc, order=0):
+def rand_series(rng, field, trunc, order=0, height=5):
     coeffs = [field.zero] * order
-    coeffs.append(field.random(rng, 5))
+    coeffs.append(field.random(rng, height))
     while field.is_zero(coeffs[-1]):
-        coeffs[-1] = field.random(rng, 5)
+        coeffs[-1] = field.random(rng, height)
     while len(coeffs) < trunc:
-        coeffs.append(field.random(rng, 5))
+        coeffs.append(field.random(rng, height))
     return TruncatedSeries(field, coeffs, trunc)
 
 
@@ -101,3 +102,45 @@ def test_mul_is_truncated_poly_product(seed):
     prod = (UniPoly(F, f.coeffs) * UniPoly(F, g.coeffs)).coeffs
     assert (f * g).coeffs == TruncatedSeries(F, prod, 9).coeffs
     assert (g * f).trunc == 9
+
+
+ORACLE_FIELDS = {
+    "QQ": QQ,
+    "quadratic": number_field([-2, 0, 1], "a"),
+    "cubic": number_field([-2, -2, 0, 1], "c"),
+    "tower": build_tower([("a", [-2, 0, 1]), ("b", [3, 0, 1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_reversion_and_inverse_equal_the_oracles(name):
+    # the peeled reversion and the inverse by one division store the same
+    # coefficients as Newton iteration and the per-term loop; both oracles
+    # are exact below their truncation, so one run at 42 terms gives the
+    # oracle at every smaller n
+    F = ORACLE_FIELDS[name]
+    rng = random.Random(name)
+    unit = rand_series(rng, F, 42, height=1)
+    f = rand_series(rng, F, 42, order=1, height=1)
+    inverse, reverse = per_term_invert_unit(unit), newton_reversion(f)
+    for n in range(1, 43):
+        got = unit.truncate(n).invert_unit()
+        assert got.coeffs == inverse.coeffs[:n]
+        if n == 1:
+            with pytest.raises(SeriesError):
+                f.truncate(n).reversion()
+            continue
+        assert f.truncate(n).reversion().coeffs == reverse.coeffs[:n]
+
+
+def test_in_powers_of_stops_at_the_first_unpeelable_order():
+    s = TruncatedSeries.identity(QQ, 10)
+    u = S(0, 0, 2, 3, -2)                   # order 2
+    c, stop = (u * u + s * s * s * s * s).in_powers_of(u)
+    assert stop == 5
+    assert [int(x) for x in c.coeffs] == [0, 0, 1, 0, 0]
+    c, stop = (u * u * u).in_powers_of(u)
+    assert stop is None
+    assert [int(x) for x in c.coeffs] == [0, 0, 0, 1, 0]
+    with pytest.raises(SeriesError):
+        s.in_powers_of(S(1, 1))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import separator_points_distinct
+from oracles import newton_reversion, separator_points_distinct
 from sextic19.autodual import discover_dual_claims
 from sextic19.curve import (
     MoebiusMap,
@@ -131,7 +131,7 @@ def test_case25_swapped_locations_fail(by_id):
         SingularityClaim(SingularityType(4),
                          ParameterLocation.at_value(QQ.from_int(4))),
     ]
-    cert = certify(rec.curve, claims, curve_id=25, implicit_check=False)
+    cert = certify(rec.curve, claims, curve_id=25)
     assert not cert.passed
     bad = [v for v in cert.verdicts if not v.ok]
     assert len(bad) == 2
@@ -165,7 +165,7 @@ def test_branch_type_invariance(by_id, seed):
 
 def test_certify_reports_locations(by_id):
     rec = by_id[3]
-    cert = certify(rec.curve, rec.claims, curve_id=3, implicit_check=False)
+    cert = certify(rec.curve, rec.claims, curve_id=3)
     d = cert.to_dict()
     assert d["curve"] == 3
     assert all(v["ok"] for v in d["claims"])
@@ -181,7 +181,7 @@ def test_case37_odd_pair_is_node(by_id):
 
 def test_case1_certificate(by_id):
     rec = by_id[1]
-    cert = certify(rec.curve, rec.claims, curve_id=1, implicit_check=False)
+    cert = certify(rec.curve, rec.claims, curve_id=1)
     assert cert.passed
     assert cert.checks["milnor_total"] == 19
     assert cert.checks["delta_total"] == 10
@@ -246,6 +246,31 @@ def test_each_branch_is_expanded_once_per_pass(by_id, monkeypatch):
     assert expansions == calls == [4]
 
 
+@pytest.mark.parametrize("rid", [3, 10, 16])
+def test_two_branch_graph_equals_newton_reversion(by_id, monkeypatch, rid):
+    # curve 10's odd claim lives over a degree-8 field, curve 16's over a
+    # tower; the peeled h with v2 = h(u2) is the Newton-reversion graph
+    from sextic19.series import TruncatedSeries
+
+    peels = []
+    peel = TruncatedSeries.in_powers_of
+
+    def recorded(v, u):
+        out = peel(v, u)
+        peels.append((v, u, out))
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "in_powers_of", recorded)
+    rec = by_id[rid]
+    claim = rec.odd_claim
+    work, params = claim.location.resolve(rec.curve)
+    assert two_branch_type(work, params, claimed=claim.stype.n) == claim.stype
+    assert peels
+    for v2, u2, (h, stop) in peels:
+        assert stop is None
+        assert h.coeffs == v2.compose(newton_reversion(u2)).coeffs
+
+
 def test_non_birational_pair_raises_after_two_passes(monkeypatch):
     # the nodal cubic (t^2 - 1, t^3 - t, 1) composed with t -> t^2: the
     # parameters 1 and -1 both map to the cubic's parameter 1, so they trace
@@ -264,7 +289,7 @@ def test_non_squarefree_location_is_a_fail_verdict(by_id):
     rec = by_id[3]
     square = ParameterLocation.at_roots(P(1, -2, 1))
     claims = [SingularityClaim(SingularityType(17), square)] + rec.claims[1:]
-    cert = certify(rec.curve, claims, curve_id=3, implicit_check=False)
+    cert = certify(rec.curve, claims, curve_id=3)
     assert not cert.passed
     bad = cert.verdicts[0]
     assert not bad.ok and bad.computed is None
@@ -281,7 +306,7 @@ def test_swapped_odd_and_even_locations_fail_cleanly(by_id):
     odd, even = rec.claims
     claims = [SingularityClaim(odd.stype, even.location),
               SingularityClaim(even.stype, odd.location)]
-    cert = certify(rec.curve, claims, curve_id=3, implicit_check=False)
+    cert = certify(rec.curve, claims, curve_id=3)
     assert not cert.passed
     assert not any(v.ok for v in cert.verdicts)
     assert "distinct_error" not in cert.checks
@@ -335,13 +360,16 @@ def test_shared_parameters_are_not_distinct(by_id, make):
     assert not cert.passed
 
 
-def test_zero_roots_polynomial_is_a_distinct_error(by_id):
+def test_zero_roots_polynomial_fails_at_resolve_only(by_id):
+    # the refused claim names no parameter, so the distinctness test skips
+    # it instead of taking gcd(0, 0)
     rec = by_id[3]
     zero = ParameterLocation.at_roots(UniPoly.zero(QQ))
     cert = certify(rec.curve, [rec.claims[0], _claim(2, zero)], curve_id=3)
+    assert "distinct_error" not in cert.checks
     assert cert.checks["points_distinct"] is False
-    assert "gcd" in cert.checks["distinct_error"]
     assert not cert.passed
+    assert cert.verdicts[1].detail.startswith("resolve:")
 
 
 def test_points_distinct_needs_the_certified_claims(by_id):
@@ -416,8 +444,7 @@ def test_malformed_location_is_a_fail_verdict(by_id, shape):
     rid, n, make, stage = MALFORMED[shape]
     rec = by_id[rid]
     bad_claim = _claim(n, make(rec.field))
-    cert = certify(rec.curve, rec.claims + [bad_claim], curve_id=rid,
-                   implicit_check=False)
+    cert = certify(rec.curve, rec.claims + [bad_claim], curve_id=rid)
     assert not cert.passed
     *good, bad = cert.verdicts
     assert all(v.ok for v in good)
