@@ -3,7 +3,8 @@
 A curve is a triple phi = (x(t), y(t), z(t)) of coprime polynomials over a
 number field, of largest degree n.  Implicitization eliminates t with a
 mu-basis of moving lines and certifies the degree of the map onto the image
-with one polynomial gcd.
+with one polynomial gcd.  When that gcd shows a birational map, it gives
+the degree of the image as well, with no elimination.
 
 Moving lines.  A moving line of degree m is a triple (a, b, c) of
 polynomials of degree <= m with a x + b y + c z = 0, a kernel vector of an
@@ -31,6 +32,19 @@ parameter of it.  So deg g >= k, and deg g = 1 certifies k = 1.  Otherwise
 the normalized R must be a (deg g)-th power, so that deg g divides
 k <= deg g and k = deg g; if it is not, the next t0 of a fixed list is
 tried, and past its end the curve is refused.
+
+Image degree.  A factor h shared by x, y and z divides every minor, and so
+does t - t0, with h(t0) != 0 because phi(t0) != 0.  So deg g = 1 also
+certifies coprime components.  For coprime components and k = 1 the image
+has degree n: a generic line a X + b Y + c Z meets it in deg F points,
+each the image of k parameters, and those parameters are the n roots of
+a x + b y + c z, none at infinity and none a common root of x, y and z
+(Sendra-Winkler-Perez-Diaz, "Rational Algebraic Curves", Springer 2008,
+ch. 4).  `image_degree` therefore reads (n, 1) off the first fiber with
+deg g = 1, with no mu-basis and no resultant, when n > 1; for n = 1 the
+image is a line, which `implicitize` refuses.  Any other first fiber falls
+back to `implicitize`, so a map of degree k > 1 and a refused curve get
+the same answer from both.
 """
 
 from functools import reduce
@@ -336,6 +350,33 @@ def moving_lines(curve, m):
             for vec in nullspace(f, rows)]
 
 
+def _fiber_degrees(curve):
+    """deg g for each t0 of FIBER_PARAMETERS with phi(t0) != phi(inf), g the
+    monic gcd of the 2 x 2 minors of (phi(t), phi(t0)) (see Map degree in
+    the module docstring)."""
+    f = curve.field
+    phi = curve.components()
+    n = max(c.degree for c in phi)
+    at_infinity = _constants(f, [c.coeff(n) for c in phi])
+    for t0 in FIBER_PARAMETERS:
+        at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])
+        if not triples_proportional(at_t0, at_infinity):
+            yield reduce(poly_gcd,
+                         [m for m in cross(phi, at_t0) if not m.is_zero()]
+                         ).degree
+
+
+def image_degree(curve):
+    """(deg F, mapdeg) as `implicitize` gives them.  A first usable fiber
+    of degree one certifies (n, 1) with no implicit equation (see Image
+    degree in the module docstring); otherwise F is built."""
+    n = max(c.degree for c in curve.components())
+    if n > 1 and next(_fiber_degrees(curve), None) == 1:
+        return n, 1
+    F, mapdeg = implicitize(curve)
+    return F.total_degree(), mapdeg
+
+
 def implicitize(curve):
     """(F, mapdeg): the normalized homogeneous TriPoly cut out by the image
     and the degree of the parametrization onto it, certified as the module
@@ -361,15 +402,10 @@ def implicitize(curve):
     P, Q = ([TriPoly(f, {e: c.coeff(i) for e, c in zip(_XYZ, v)})
              for i in range(deg + 1)] for v, deg in ((p, mu), (q, d)))
     R = determinant(hybrid_bezout(P, Q)).normalized()
-    at_infinity = _constants(f, [c.coeff(n) for c in phi])
-    for t0 in FIBER_PARAMETERS:
-        at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])
-        if triples_proportional(at_t0, at_infinity):
-            continue
-        g = reduce(poly_gcd, [m for m in cross(phi, at_t0) if not m.is_zero()])
-        F = tripoly_kth_root(R, g.degree)
+    for k in _fiber_degrees(curve):
+        F = tripoly_kth_root(R, k)
         if F is not None:
-            return F.normalized(), g.degree
+            return F.normalized(), k
     raise CurveError("no fiber in %s certifies the map degree"
                      % (FIBER_PARAMETERS,))
 

@@ -43,6 +43,15 @@ as dicts from exponent tuples to coefficients (the TriPoly products).  The
 stored form of an element is unchanged: the integers live only inside the
 call.
 
+`plist_shift` gives the coefficients of a(t + t0) on the same integers.
+It takes the powers of t0 once, each one integer product of the one
+before, over one common denominator, and writes the list a once as integer
+vectors.  Coefficient j is the sum of C(k, j) a_k t0^(k-j) over k >= j,
+summed unreduced in the top generator and reduced once.  By the binomial
+theorem that is the coefficient of t^j in a(t + t0), and every step is
+exact, so the list is the canonical one that Horner's rule in field
+arithmetic gives.
+
 `plist_divmod` divides on the same integers.  It writes the divisor once as
 integer vectors over one denominator and inverts its leading coefficient
 once.  Running from the top down, coefficient k of the running remainder is
@@ -66,7 +75,7 @@ field, so a different stored form (integers over a common denominator, say)
 would change this module alone.
 """
 
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add
 
 from .rationals import (
@@ -138,6 +147,32 @@ def plist_mul(field, a, b, n=None):
     return [zero if s is None else
             field._nest(_rats(field._ireduce(s), den))
             for s in sums]
+
+
+def plist_shift(field, a, t0):
+    """The coefficient list of a(t + t0) (see the module docstring)."""
+    n = len(a)
+    if n < 2:
+        return list(a)
+    xa, da = _int_vectors(field, a)
+    xp, dp = _int_powers(field, t0, n)
+    if field.degree_over_q == 1:
+        return _rats([sum(comb(k, j) * xa[k] * xp[k - j]
+                          for k in range(j, n) if xa[k])
+                      for j in range(n)], da * dp)
+    full = field._ifull
+    den = da * dp * field._den
+    out = []
+    for j in range(n):
+        s = None
+        for k in range(j, n):
+            if any(xa[k]):
+                c = comb(k, j)
+                p = full([c * x for x in xa[k]], xp[k - j])
+                s = p if s is None else list(map(add, s, p))
+        out.append(field.zero if s is None else
+                   field._nest(_rats(field._ireduce(s), den)))
+    return out
 
 
 def plist_divmod(field, num, den):
@@ -307,6 +342,22 @@ def _int_vector(field, x):
     """(integer coordinates, denominator) of one element."""
     (v,), den = _int_vectors(field, [x])
     return v, den
+
+
+def _int_powers(field, x, n):
+    """(integer coordinates of x^0, ..., x^(n-1), one common denominator),
+    n >= 2: each power is one _imul of the one before, scaled once to the
+    denominator of the last."""
+    v, d = _int_vector(field, x)
+    one = 1 if field.degree_over_q == 1 else [1] + [0] * (len(v) - 1)
+    powers = [(one, 1), (v, d)]
+    while len(powers) < n:
+        p, dp = powers[-1]
+        powers.append((field._imul(p, v), dp * d * field._den))
+    top = powers[-1][1]
+    if field.degree_over_q == 1:
+        return [p * (top // dp) for p, dp in powers], top
+    return [[c * (top // dp) for c in p] for p, dp in powers], top
 
 
 def _element(field, nums, den):

@@ -15,6 +15,7 @@ from .numberfield import (
     plist_divmod,
     plist_gcd,
     plist_mul,
+    plist_shift,
     sparse_mul,
 )
 from .rationals import Rat, int_kth_root
@@ -197,10 +198,8 @@ class UniPoly:
         return acc
 
     def taylor_shift(self, t0):
-        """self(t + t0)."""
-        f = self.field
-        shift = UniPoly(f, (t0, f.one))
-        return self.compose(shift)
+        """self(t + t0) (numberfield.plist_shift)."""
+        return UniPoly(self.field, plist_shift(self.field, self.coeffs, t0))
 
     def reverse(self, n=None):
         """t^n * self(1/t); n defaults to the degree."""

@@ -6,20 +6,25 @@ Every corpus point is a double point: either one branch of type A_even
 divisions) or two smooth branches of type A_odd (classified by the contact
 order of the branches).  A certificate combines the per-claim local checks
 with three global ones: the delta invariants of the claims add up to ten
-(the budget), the implicit equation has degree six with a birational
-parametrization, and the claims name pairwise disjoint parameters.
+(the budget), the parametrization is birational onto a sextic, and the
+claims name pairwise disjoint parameters.
 
-Soundness of the global checks.  A birational parametrization identifies
-the parameters with the branches of the image, and by the genus formula a
-rational sextic has sum_p delta(p) = 10.  By the delta formula
-delta(p) = sum delta(B) + sum I(B, B') over the branches B at p, with
-I(B, B') >= 1, that sum is at least the claimed total, plus 1 for every two
-branches through one point other than the two of one A_odd claim, plus
-delta(p) >= 1 at every unclaimed singular point.  Disjoint parameters make
-the claimed branches distinct, so a budget of ten forces the claimed points
-to be pairwise distinct, with no unclaimed branch through them and no
-unclaimed singularity.  `points_distinct` reports distinctness only where
-all of these facts are certified.
+Soundness of the global checks.  Birationality and the degree of the
+image come from `curve.image_degree`, which builds no implicit equation
+when it need not: one fiber gcd of degree one certifies map degree one and
+coprime components, and then the image has the degree n of the components
+(see Image degree in the curve module).  Any other curve goes to
+`curve.implicitize`, which builds the implicit equation.  A birational
+parametrization identifies the parameters with the branches of the image,
+and by the genus formula a rational sextic has sum_p delta(p) = 10.  By
+the delta formula delta(p) = sum delta(B) + sum I(B, B') over the branches
+B at p, with I(B, B') >= 1, that sum is at least the claimed total, plus 1
+for every two branches through one point other than the two of one A_odd
+claim, plus delta(p) >= 1 at every unclaimed singular point.  Disjoint
+parameters make the claimed branches distinct, so a budget of ten forces
+the claimed points to be pairwise distinct, with no unclaimed branch
+through them and no unclaimed singularity.  `points_distinct` reports
+distinctness only where all of these facts are certified.
 
 Resolution.  `verify_claim` runs three stages per claim, and a failure
 names its stage.  `resolve` (ParameterLocation.resolve) turns the location
@@ -60,7 +65,7 @@ fails.
 
 import time
 
-from .curve import CurveError, ProjectivePoint
+from .curve import CurveError, ProjectivePoint, image_degree
 from .numberfield import FieldError
 from .polynomial import PolynomialError, UniPoly, poly_gcd
 from .series import SeriesError, TruncatedSeries
@@ -427,13 +432,11 @@ def certify(curve, claims, curve_id=None):
         "delta_total": delta_total,
         "delta_total_ok": delta_total == 10,
     }
-    from .curve import implicitize
-
     try:
-        F, mapdeg = implicitize(curve)
-        checks["implicit_degree"] = F.total_degree()
+        degree, mapdeg = image_degree(curve)
+        checks["implicit_degree"] = degree
         checks["map_degree"] = mapdeg
-        checks["implicit_ok"] = F.total_degree() == 6 and mapdeg == 1
+        checks["implicit_ok"] = degree == 6 and mapdeg == 1
     except _DOMAIN_ERRORS as exc:
         checks["implicit_ok"] = False
         checks["implicit_error"] = str(exc)

@@ -1,9 +1,16 @@
-"""The moving-line implicitization against the resultant-grid reference."""
+"""The moving-line implicitization against the resultant-grid reference,
+and the degrees that `image_degree` reads off one fiber against it."""
 
 import pytest
 
 from oracles import gauss_moving_lines, grid_implicitize
-from sextic19.curve import RationalPlaneCurve, dual, implicitize, moving_lines
+from sextic19.curve import (
+    RationalPlaneCurve,
+    dual,
+    image_degree,
+    implicitize,
+    moving_lines,
+)
 from sextic19.numberfield import QQ, generator
 from sextic19.polynomial import TriPoly, UniPoly
 
@@ -40,6 +47,16 @@ def test_moving_lines_match_gauss_jordan_oracle(by_id, kind, rid):
         assert got == want, m
 
 
+@pytest.mark.parametrize("kind,rid", MOVING_CASES,
+                         ids=["%s%d" % case for case in MOVING_CASES])
+def test_image_degree_agrees_with_implicitize(by_id, kind, rid):
+    curve = by_id[rid].curve
+    if kind == "dual":
+        curve = dual(curve)
+    F, mapdeg = implicitize(curve)
+    assert image_degree(curve) == (F.total_degree(), mapdeg)
+
+
 def test_odd_degree_duals_have_unbalanced_mu_bases(by_id):
     # dual of 33: degree 5, mu = 2; dual of 3: degree 9, mu = 4
     for rid, n, mu in ((33, 5, 2), (3, 9, 4)):
@@ -57,6 +74,7 @@ def test_curve3_composed_with_a_square_has_map_degree_two(by_id):
     F, mapdeg = implicitize(doubled)
     assert mapdeg == 2
     assert F == implicitize(c)[0]
+    assert image_degree(doubled) == (6, 2)
 
 
 def test_fiber_through_infinity_is_skipped():
@@ -70,6 +88,7 @@ def test_fiber_through_infinity_is_skipped():
     assert mapdeg == 2
     X, Y, Z = (TriPoly.variable(QQ, k) for k in range(3))
     assert F.scalar_multiple_of(X * Z - Y * Y) is not None
+    assert image_degree(doubled) == (2, 2)
 
 
 def test_odd_map_degree_over_a_number_field(by_id):
@@ -77,7 +96,9 @@ def test_odd_map_degree_over_a_number_field(by_id):
     # resultant is a cube whose normalized leading coefficient is 1
     f = by_id[36].field
     s = UniPoly(f, (f.zero, generator(f).rep, f.zero, f.one))
-    F, mapdeg = implicitize(RationalPlaneCurve(f, s * s, s, UniPoly.one(f)))
+    tripled = RationalPlaneCurve(f, s * s, s, UniPoly.one(f))
+    F, mapdeg = implicitize(tripled)
     assert mapdeg == 3
     X, Y, Z = (TriPoly.variable(f, k) for k in range(3))
     assert F.scalar_multiple_of(X * Z - Y * Y) is not None
+    assert image_degree(tripled) == (2, 3)

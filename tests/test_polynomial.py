@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sextic19.numberfield import QQ, generator, number_field
+from sextic19.numberfield import QQ, adjoin_root, generator, number_field
 from sextic19.polynomial import (
     InexactDivision,
     TriPoly,
@@ -53,6 +53,24 @@ def test_compose_taylor_reverse():
     assert g.eval(Rat(0)) == f.eval(Rat(2))
     rev = P(0, -3, 1).reverse(4)
     assert rev == P(0, 0, 1, -3)
+
+
+def test_taylor_shift_stores_the_coefficients_of_compose(by_id):
+    rng = random.Random(15)
+    curves = [rec.curve for rec in by_id.values()]
+    for rid in (10, 7):     # the degree-8 and degree-12 fields
+        rec = by_id[rid]
+        ext, _ = adjoin_root(rec.field,
+                             list(rec.odd_claim.location.poly.coeffs))
+        curves.append(rec.curve.map_field(ext))
+    assert sorted({c.field.degree_over_q for c in curves})[-2:] == [8, 12]
+    for curve in curves:
+        f = curve.field
+        for comp in curve.components() + (P(3, -2), P(5), P()):
+            comp = comp.map_field(f)
+            for t0 in (f.zero, f.random(rng), f.random(rng, 1000)):
+                want = comp.compose(UniPoly(f, (t0, f.one)))
+                assert comp.taylor_shift(t0).coeffs == want.coeffs
 
 
 def test_gcd_examples(by_id):

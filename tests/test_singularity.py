@@ -477,3 +477,29 @@ def test_each_roots_claim_adjoins_once(corpus, monkeypatch):
     roots = sum(c.location.kind == "roots" for r in corpus for c in r.claims)
     assert roots == 46
     assert len(calls) == roots
+
+
+def test_certify_builds_no_implicit_equation(corpus, monkeypatch):
+    # one fiber gcd of degree one certifies every corpus curve birational
+    from sextic19 import curve
+
+    calls = []
+    implicitize = curve.implicitize
+
+    def counted(*args):
+        calls.append(args)
+        return implicitize(*args)
+
+    monkeypatch.setattr(curve, "implicitize", counted)
+    for rec in corpus:
+        assert certify(rec.curve, rec.claims, curve_id=rec.id).passed
+    assert calls == []
+
+
+def test_certify_reports_the_map_degree_of_a_double_cover(by_id):
+    c = by_id[3].curve
+    doubled = RationalPlaneCurve(
+        QQ, *(comp.compose(P(0, 0, 1)) for comp in c.components()))
+    checks = certify(doubled, [], curve_id=3).checks
+    assert checks["map_degree"] == 2 and checks["implicit_degree"] == 6
+    assert not checks["implicit_ok"] and "implicit_error" not in checks
