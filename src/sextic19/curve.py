@@ -214,16 +214,18 @@ class ProjectiveMap:
         return cls(field, [[field.from_int(v) for v in r] for r in rows])
 
     def det(self):
+        """Expansion along the first row.  The cyclic minor of entry j,
+        m[1][j+1] m[2][j+2] - m[1][j+2] m[2][j+1] with indices mod 3, is
+        already the signed cofactor, so every term is added."""
         f = self.field
         m = self.rows
         out = f.zero
-        for j, sgn in ((0, 1), (1, -1), (2, 1)):
+        for j in range(3):
             minor = f.sub(
                 f.mul(m[1][(j + 1) % 3], m[2][(j + 2) % 3]),
                 f.mul(m[1][(j + 2) % 3], m[2][(j + 1) % 3]),
             )
-            term = f.mul(m[0][j], minor)
-            out = f.add(out, term) if sgn > 0 else f.sub(out, term)
+            out = f.add(out, f.mul(m[0][j], minor))
         return out
 
     def inverse(self):

@@ -7,27 +7,29 @@ singularity analysis adjoins one more quadratic root when a curve's special
 parameters live in a quadratic extension.
 
 Raw element representations are plain: an element of Q is a Rat (mpq or
-Fraction), an element of an extension is a tuple of base elements (power
-basis, low degree first), so a tower element is nested tuples with rational
-leaves.  The FieldElement wrapper provides operator syntax on top of that.
+Fraction), and an element of an extension is one flat tuple of its
+degree_over_q rational coordinates, tower levels low first.  The tower
+lives in the field, not in the element, so adding, comparing, hashing and
+coercing up the tower work on the flat tuple alone.  The FieldElement
+wrapper provides operator syntax on top of that.
 
-`ExtensionField.mul` does not compute on that form.  It flattens each
-operand to its degree_over_q rational leaves and writes them as integers
-over one common denominator.  It multiplies the two integer vectors with a
-schoolbook product in the top generator, whose coefficient products at lower
-tower levels are integer products of the same kind, and reduces by the rows
-g^(d+i), which each field stores once as integers over one common
-denominator.  No rational is formed until the end, so no intermediate gcd is
-paid; each output leaf is then built once as Rat(num, den), which divides
-out the gcd and makes the denominator positive.  The power-basis
-coordinates of a product are unique and every step is exact, so the result
-is the same canonical tuple that multiplying leaf by leaf in rationals gives.
+`ExtensionField.mul` writes the rational coordinates of each operand as
+integers over one common denominator.  It multiplies the two integer
+vectors with a schoolbook product in the top generator, whose coefficient
+products at lower tower levels are integer products of the same kind, and
+reduces by the rows g^(d+i), which each field stores once as integers over
+one common denominator.  No rational is formed until the end, so no
+intermediate gcd is paid; each output leaf is then built once as
+Rat(num, den), which divides out the gcd and makes the denominator
+positive.  The power-basis coordinates of a product are unique and every
+step is exact, so the result is the same canonical tuple that multiplying
+leaf by leaf in rationals gives.
 
 `ExtensionField.inv` uses the same kernel: the products x * e_j with the
 basis elements e_j are the columns of the matrix of multiplication by x,
 and 1/x solves that integer system against the coordinates of 1 by
 fraction-free elimination, again with one Rat per output leaf.  Addition
-and negation work leaf by leaf on the rationals.
+and negation work coordinate by coordinate on the rationals.
 
 `plist_mul` multiplies coefficient lists (polynomials and truncated series,
 cut to the first n coefficients) on the same integers.  Each operand list
@@ -68,15 +70,16 @@ remainder monic.  `nullspace` eliminates on integer rows, with one integer
 product per entry and no Rat until the unique reduced row echelon form is
 read off.
 
-The nested form is private to this module.  Other modules see an element
+The flat form is private to this module, and only `coords`, `from_coords`
+and `descend` split it at the base field.  Other modules see an element
 only through its field: `coords` and `from_coords` read and build its
-base-field coordinates, and `descend` tests whether it lies in the base
-field, so a different stored form (integers over a common denominator, say)
-would change this module alone.
+base-field coordinates (the corpus JSON keeps them nested), and `descend`
+tests whether it lies in the base field, so a different stored form
+(integers over a common denominator, say) would change this module alone.
 """
 
 from math import comb, gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 
 from .rationals import (
     QQ0,
@@ -145,7 +148,7 @@ def plist_mul(field, a, b, n=None):
     den = da * db * field._den
     zero = field.zero
     return [zero if s is None else
-            field._nest(_rats(field._ireduce(s), den))
+            tuple(_rats(field._ireduce(s), den))
             for s in sums]
 
 
@@ -171,7 +174,7 @@ def plist_shift(field, a, t0):
                 p = full([c * x for x in xa[k]], xp[k - j])
                 s = p if s is None else list(map(add, s, p))
         out.append(field.zero if s is None else
-                   field._nest(_rats(field._ireduce(s), den)))
+                   tuple(_rats(field._ireduce(s), den)))
     return out
 
 
@@ -307,7 +310,7 @@ def sparse_mul(field, a, b):
     for e, s in sums.items():
         r = field._ireduce(s)
         if any(r):
-            out[e] = field._nest(_rats(r, den))
+            out[e] = tuple(_rats(r, den))
     return out
 
 
@@ -333,7 +336,7 @@ def _int_vectors(field, elems):
     int per element over Q, a flat list of degree_over_q ints otherwise."""
     if field.degree_over_q == 1:
         return _int_coords(elems)
-    nums, den = _int_coords([q for x in elems for q in field._leaves(x)])
+    nums, den = _int_coords([q for x in elems for q in x])
     n = field.degree_over_q
     return [nums[k:k + n] for k in range(0, len(nums), n)], den
 
@@ -364,7 +367,7 @@ def _element(field, nums, den):
     """The element with integer coordinates nums over den."""
     if field.degree_over_q == 1:
         return Rat(nums, den) if nums else QQ0
-    return field._nest(_rats(nums, den))
+    return tuple(_rats(nums, den))
 
 
 def _sub_products(field, x, dx, terms, de):
@@ -424,7 +427,6 @@ class RationalField:
     name = None
     degree = 1
     degree_over_q = 1
-    _shape = ()
     _den = 1
 
     def __init__(self):
@@ -504,8 +506,9 @@ QQ = RationalField()
 class ExtensionField:
     """base[g]/(m(g)) with m monic squarefree over base.
 
-    Raw elements are tuples of `degree` base elements in the power basis
-    1, g, ..., g^(degree-1).
+    Raw elements are flat tuples of `degree_over_q` rationals: the base
+    coordinates in the power basis 1, g, ..., g^(degree-1), each the base's
+    own raw element, joined low first (`from_coords`, split by `coords`).
     """
 
     def __init__(self, base, modulus, name):
@@ -520,11 +523,10 @@ class ExtensionField:
         self.degree = len(modulus) - 1
         self.degree_over_q = self.degree * base.degree_over_q
         d = self.degree
-        self.zero = tuple([base.zero] * d)
-        self.one = tuple([base.one] + [base.zero] * (d - 1))
-        self.gen = tuple(
-            [base.zero, base.one] + [base.zero] * (d - 2)
-        ) if d >= 2 else None
+        self.zero = (QQ0,) * self.degree_over_q
+        self.one = (QQ1,) + self.zero[1:]
+        self.gen = self.from_coords([base.zero, base.one]
+                                    + [base.zero] * (d - 2))
         # reduction rows: g^(d+i) in the power basis, for i = 0..d-2
         rows = []
         cur = [base.neg(c) for c in modulus[:-1]]  # g^d
@@ -538,10 +540,9 @@ class ExtensionField:
         # the integer kernel of `mul` and `inv`: the same rows as flat integer
         # coordinates over one common denominator, entry j of row i held as
         # the integer coordinates of a base element (an int when base is Q)
-        self._shape = base._shape + (d,)
         bd = base.degree_over_q
         nums, self._rden = _int_coords(
-            [q for row in rows for q in self._leaves(row)]
+            [q for row in rows for q in self.from_coords(row)]
         )
         coords = [nums[k:k + bd] for k in range(0, len(nums), bd)]
         if bd == 1:
@@ -569,22 +570,18 @@ class ExtensionField:
         return hash((self.name, self.degree, self.base))
 
     def add(self, x, y):
-        b = self.base
-        return tuple(b.add(xi, yi) for xi, yi in zip(x, y))
+        return tuple(map(add, x, y))
 
     def sub(self, x, y):
-        b = self.base
-        return tuple(b.sub(xi, yi) for xi, yi in zip(x, y))
+        return tuple(map(sub, x, y))
 
     def neg(self, x):
-        b = self.base
-        return tuple(b.neg(xi) for xi in x)
+        return tuple(-q for q in x)
 
     def mul(self, x, y):
-        xs, xd = _int_coords(self._leaves(x))
-        ys, yd = _int_coords(self._leaves(y))
-        den = xd * yd * self._den
-        return self._nest(_rats(self._imul(xs, ys), den))
+        xs, xd = _int_coords(x)
+        ys, yd = _int_coords(y)
+        return tuple(_rats(self._imul(xs, ys), xd * yd * self._den))
 
     def _imul(self, a, b):
         """Product of flat integer coordinate lists a and b, returned as the
@@ -646,33 +643,25 @@ class ExtensionField:
 
     def coords(self, x):
         """The base-field coordinates of x in the power basis."""
-        return list(x)
+        bd = self.base.degree_over_q
+        if bd == 1:
+            return list(x)
+        return [x[k:k + bd] for k in range(0, len(x), bd)]
 
     def from_coords(self, cs):
         """The element with base-field coordinates cs in the power basis."""
-        cs = tuple(cs)
+        cs = list(cs)
         if len(cs) != self.degree:
             raise FieldError("%d coordinates for an extension of degree %d"
                              % (len(cs), self.degree))
-        return cs
+        return tuple(cs) if self.base == QQ else sum(cs, ())
 
     def descend(self, x):
         """x as an element of the base field, or None when x is not in it."""
-        if all(self.base.is_zero(c) for c in x[1:]):
-            return x[0]
-        return None
-
-    def _leaves(self, x):
-        """The rational coordinates of x, tower levels flattened low first."""
-        for _ in self._shape[1:]:
-            x = [q for c in x for q in c]
-        return x
-
-    def _nest(self, leaves):
-        """Inverse of _leaves: nested tuples of base elements."""
-        for k in self._shape[:-1]:
-            leaves = [tuple(leaves[i:i + k]) for i in range(0, len(leaves), k)]
-        return tuple(leaves)
+        bd = self.base.degree_over_q
+        if any(x[bd:]):
+            return None
+        return x[0] if bd == 1 else x[:bd]
 
     def inv(self, x):
         if self.is_zero(x):
@@ -682,14 +671,14 @@ class ExtensionField:
             return cached
         # 1/x solves M y = e_0 for the matrix M of multiplication by x; the
         # integer kernel gives the columns x * e_j, all times xd * self._den
-        xs, xd = _int_coords(self._leaves(x))
+        xs, xd = _int_coords(x)
         n = self.degree_over_q
         cols = [self._imul([0] * j + [1] + [0] * (n - 1 - j), xs)
                 for j in range(n)]
         rows = [[c[i] for c in cols] + [0] for i in range(n)]
         rows[0][n] = xd * self._den
         nums, den = _solve_fraction_free(rows)
-        inv = self._nest(_rats(nums, den))
+        inv = tuple(_rats(nums, den))
         if len(self._inv_cache) < 4096:
             self._inv_cache[x] = inv
         return inv
@@ -698,44 +687,37 @@ class ExtensionField:
         return self.mul(x, self.inv(y))
 
     def is_zero(self, x):
-        b = self.base
-        return all(b.is_zero(xi) for xi in x)
+        return not any(x)
 
     def eq(self, x, y):
-        b = self.base
-        return all(b.eq(xi, yi) for xi, yi in zip(x, y))
+        return x == y
 
     def from_int(self, n):
-        return tuple(
-            [self.base.from_int(n)] + [self.base.zero] * (self.degree - 1)
-        )
+        return (Rat(n),) + self.zero[1:]
 
     def from_rat(self, q):
-        return tuple(
-            [self.base.from_rat(q)] + [self.base.zero] * (self.degree - 1)
-        )
+        return (Rat(q),) + self.zero[1:]
 
     def scalar_mul(self, q, x):
-        b = self.base
-        return tuple(b.scalar_mul(q, xi) for xi in x)
+        return tuple(q * c for c in x)
 
     def tower_chain(self):
         return self.base.tower_chain() + [self]
 
     def coerce(self, x, src):
+        """x from src, a field of the tower under self: its rational
+        coordinates padded with zeros."""
         if src == self:
             return x
         if src in self.base.tower_chain():
-            lifted = self.base.coerce(x, src)
-            return tuple(
-                [lifted] + [self.base.zero] * (self.degree - 1)
-            )
+            low = (x,) if src == QQ else x
+            return low + self.zero[len(low):]
         raise FieldMismatch("cannot coerce from %r to %r" % (src, self))
 
     def to_str(self, x):
         b = self.base
         parts = []
-        for i, xi in enumerate(x):
+        for i, xi in enumerate(self.coords(x)):
             if b.is_zero(xi):
                 continue
             cs = b.to_str(xi)
@@ -759,7 +741,8 @@ class ExtensionField:
         return out
 
     def random(self, rng, height=10):
-        return tuple(self.base.random(rng, height) for _ in range(self.degree))
+        return tuple(QQ.random(rng, height)
+                     for _ in range(self.degree_over_q))
 
 
 def field_pow(field, x, n):
@@ -930,13 +913,14 @@ def _sqrt_quadratic_ext(field, x):
     b1, b0 = field.modulus[1], field.modulus[0]
     # centered generator h = g + B/2 with h^2 = e = B^2/4 - C
     e = base.sub(base.mul(base.mul(b1, b1), base.mul(half, half)), b0)
-    # x = y0 + y1*h with y1 = x[1], y0 = x[0] - x[1]*B/2
-    y1 = x[1]
-    y0 = base.sub(x[0], base.mul(x[1], base.mul(b1, half)))
+    # x = x0 + x1*g = y0 + y1*h with y1 = x1, y0 = x0 - x1*B/2
+    x0, y1 = field.coords(x)
+    y0 = base.sub(x0, base.mul(y1, base.mul(b1, half)))
 
     def back(u, v):
         # u + v*h = (u + v*B/2) + v*g
-        return (base.add(u, base.mul(v, base.mul(b1, half))), v)
+        return field.from_coords((base.add(u, base.mul(v, base.mul(b1, half))),
+                                  v))
 
     if base.is_zero(y1):
         r = field_sqrt(base, y0)

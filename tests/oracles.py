@@ -15,15 +15,17 @@ resultants, with the map degree read from squarefree restrictions of F to
 lines, checks the moving-line implicitization, and the pencil resultant
 interpolated from a grid checks its hybrid Bezout determinant.  Sixteen
 fixed separating coordinates, with a squarefree product of per-claim value
-polynomials, check the parameter test of point distinctness.  jsonschema's
-draft-07 validator checks the in-package schema checker of `database`.  A
-few helpers only the tests use (a corpus digest, a JSON round trip, a
-linear change of variables) live here too.  The library itself uses none of
-these.
+polynomials, check the parameter test of point distinctness.  The Leibniz
+sum over permutations checks the 3 x 3 determinant of `ProjectiveMap`.
+jsonschema's draft-07 validator checks the in-package schema checker of
+`database`.  A few helpers only the tests use (a corpus digest, a JSON
+round trip, a linear change of variables) live here too.  The library
+itself uses none of these.
 """
 
 import hashlib
 import json
+from itertools import permutations
 from math import gcd as igcd
 
 from sextic19.conic import ConicError
@@ -356,6 +358,22 @@ def apply_linear(F, matrix):
     return F.substitute(forms, lambda c: TriPoly.const(f, c))
 
 
+def leibniz_det(rows):
+    """Determinant of a square matrix of integers or rationals: the sum over
+    permutations p of sign(p) * prod_i rows[i][p(i)], the sign read off the
+    inversion count."""
+    n = len(rows)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][p[i]]
+        total += term
+    return total
+
+
 def fraction_mul(field, x, y):
     """Product in an extension field by schoolbook multiplication over the
     base field's own arithmetic, one rational operation at a time, then
@@ -365,10 +383,10 @@ def fraction_mul(field, x, y):
     bmul = b.mul if b == QQ else (lambda u, v: fraction_mul(b, u, v))
     d = field.degree
     full = [b.zero] * (2 * d - 1)
-    for i, xi in enumerate(x):
+    for i, xi in enumerate(field.coords(x)):
         if b.is_zero(xi):
             continue
-        for j, yj in enumerate(y):
+        for j, yj in enumerate(field.coords(y)):
             full[i + j] = b.add(full[i + j], bmul(xi, yj))
     m = field.modulus
     for i in range(2 * d - 2, d - 1, -1):
@@ -376,7 +394,7 @@ def fraction_mul(field, x, y):
         if not b.is_zero(hi):
             for j in range(d):
                 full[i - d + j] = b.sub(full[i - d + j], bmul(hi, m[j]))
-    return tuple(full[:d])
+    return field.from_coords(full[:d])
 
 
 def euclid_inv(field, x):
@@ -390,7 +408,7 @@ def euclid_inv(field, x):
             p.pop()
         return p
 
-    r0, r1 = list(field.modulus), trim(x)
+    r0, r1 = list(field.modulus), trim(field.coords(x))
     s0, s1 = [], [b.one]
     while r1:
         q, r = schoolbook_plist_divmod(b, r0, r1)
@@ -405,7 +423,7 @@ def euclid_inv(field, x):
                          % (len(r0) - 1))
     c = b.inv(r0[0])
     inv = [b.mul(c, s) for s in s0]
-    return tuple(inv + [b.zero] * (field.degree - len(inv)))
+    return field.from_coords(inv + [b.zero] * (field.degree - len(inv)))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sextic19.curve import (
+    CurveError,
     DegenerateCurve,
     MoebiusMap,
     ParameterLocation,
@@ -134,6 +135,30 @@ def test_symmetry_claims(by_id):
     bad = ProjectiveMap.from_ints(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     m = MoebiusMap.from_ints(QQ, -1, 0, 0, 1)
     assert not verify_symmetry(rec.curve, bad, m)
+
+
+def test_projective_map_det_against_leibniz(by_id):
+    from oracles import leibniz_det
+
+    # det -2: the cyclic cofactors already carry their signs
+    T = ProjectiveMap.from_ints(QQ, [[1, 1, 0], [1, -1, 0], [0, 0, 1]])
+    assert T.det() == -2
+    with pytest.raises(CurveError, match="singular"):
+        ProjectiveMap.from_ints(QQ, [[2, 2, 2], [-2, -2, -2], [-1, 2, 2]])
+    T37, _m = by_id[37].symmetry      # a cyclic permutation of x, y, z
+    assert T37.det() == 1
+    rng = random.Random(7)
+    singular = 0
+    for _ in range(300):
+        rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        d = leibniz_det(rows)
+        if d == 0:
+            singular += 1
+            with pytest.raises(CurveError, match="singular"):
+                ProjectiveMap.from_ints(QQ, rows)
+        else:
+            assert ProjectiveMap.from_ints(QQ, rows).det() == d, rows
+    assert 0 < singular < 300
 
 
 def test_evaluate_locations(by_id):

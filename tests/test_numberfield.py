@@ -82,14 +82,17 @@ def test_field_axioms_on_corpus_fields(corpus, seed):
             assert f.eq(f.mul(x, f.inv(x)), f.one)
 
 
-def test_reduction_idempotent(corpus):
-    # elements are kept reduced; multiplying by one must not change the
-    # stored representation
+def test_reduction_idempotent(corpus, by_id):
+    # elements are kept reduced; multiplying by one or adding zero must not
+    # change the stored representation or its hash
     rng = random.Random(11)
-    for rec in corpus[:10]:
-        f = rec.field
+    fields = [rec.field for rec in corpus[:10]] + _adjoined_fields(by_id)
+    assert max(len(f.tower_chain()) for f in fields) == 4
+    for f in fields:
         x = f.random(rng, 9)
-        assert f.mul(x, f.one) == x
+        for same in (f.mul(x, f.one), f.add(x, f.zero)):
+            assert same == x
+            assert hash(same) == hash(x)
 
 
 def _kernel_operands(f, rng):
@@ -104,8 +107,8 @@ def _sparse(f, x, rng):
     rational leaves zero."""
     if f == QQ:
         return QQ.zero if rng.random() < 0.5 else x
-    return tuple(f.base.zero if i % 2 else _sparse(f.base, c, rng)
-                 for i, c in enumerate(x))
+    return f.from_coords(f.base.zero if i % 2 else _sparse(f.base, c, rng)
+                         for i, c in enumerate(f.coords(x)))
 
 
 def _kernel_fields(by_id):
@@ -114,16 +117,23 @@ def _kernel_fields(by_id):
         if rec.field != QQ:
             fields.setdefault((repr(rec.field), str(rec.field.modulus)),
                               rec.field)
-    out = list(fields.values())
+    # a root of 2t^2 - 5: the modulus t^2 - 5/2 has a non-integral row
+    half, _ = adjoin_root(QQ, [Rat(-5), Rat(0), Rat(2)])
+    assert half.modulus[0] == Rat(-5, 2)
+    return list(fields.values()) + _adjoined_fields(by_id) + [half]
+
+
+def _adjoined_fields(by_id):
+    """The fields that the odd claims of curves 10, 7 and 16 adjoin a root
+    in: Q(a)(th) of degrees 8 and 12, and the depth-4 tower Q < a < i < th
+    of degree 8."""
+    out = []
     for rid in (10, 7, 16):
         rec = by_id[rid]
         ext, _ = adjoin_root(rec.field,
                              list(rec.odd_claim.location.poly.coeffs))
         out.append(ext)
-    # a root of 2t^2 - 5: the modulus t^2 - 5/2 has a non-integral row
-    half, _ = adjoin_root(QQ, [Rat(-5), Rat(0), Rat(2)])
-    assert half.modulus[0] == Rat(-5, 2)
-    return out + [half]
+    return out
 
 
 def test_mul_kernel_matches_fraction_oracle(by_id):
@@ -140,7 +150,7 @@ def test_mul_kernel_matches_fraction_oracle(by_id):
         for x, y in pairs:
             got = f.mul(x, y)
             assert got == fraction_mul(f, x, y), (f, x, y)
-            assert type(got) is tuple and len(got) == f.degree
+            assert type(got) is tuple and len(got) == f.degree_over_q
 
 
 def _coefficient_lists(f, rng):
@@ -267,7 +277,7 @@ def test_inverting_a_zero_divisor_raises():
     # t^2 - 1 is squarefree but reducible: (g - 1)(g + 1) = 0
     F = number_field([-1, 0, 1], "g")
     with pytest.raises(FieldError, match="reducible"):
-        F.inv((Rat(-1), Rat(1)))
+        F.inv(F.from_coords([Rat(-1), Rat(1)]))
 
 
 def test_corpus_minpolys_squarefree(corpus):
@@ -446,6 +456,8 @@ def test_coords_roundtrip(by_id):
     rng = random.Random(11)
     fields = _coordinate_fields(by_id)
     assert sum(f.base != QQ for f in fields) >= 4   # towers are covered
+    lift_rng = random.Random(12)
+    depths = set()
     for f in fields:
         b, d = f.base, f.degree
         for _ in range(4):
@@ -468,3 +480,15 @@ def test_coords_roundtrip(by_id):
         assert f.descend(f.gen) is None
         with pytest.raises(FieldError):
             f.from_coords([b.one] * (d + 1))
+        # an element of a field under f is coerced to its coordinates in
+        # that field, lifted one level at a time with zeros on top
+        chain = f.tower_chain()
+        depths.add(len(chain))
+        for k, src in enumerate(chain):
+            y = src.random(lift_rng, 6)
+            want = y
+            for up in chain[k + 1:]:
+                want = up.from_coords([want]
+                                      + [up.base.zero] * (up.degree - 1))
+            assert f.coerce(y, src) == want
+    assert 4 in depths      # Q < a < i < th
