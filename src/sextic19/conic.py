@@ -27,6 +27,10 @@ from .rationals import (
 )
 
 
+# the largest height max(|p|, q) of X = p/q that the witness search tries
+WITNESS_HEIGHT_BOUND = 100000
+
+
 class ConicError(Exception):
     pass
 
@@ -144,7 +148,7 @@ class ConicProblem:
         return out
 
 
-def conic_solvable_over_q(a, b, max_height=100000):
+def conic_solvable_over_q(a, b):
     """Decide a X^2 + b Y^2 = 1 over Q by Hilbert symbols; when solvable,
     produce an exact witness by increasing-height search on X."""
     a, b = Rat(a), Rat(b)
@@ -162,7 +166,7 @@ def conic_solvable_over_q(a, b, max_height=100000):
     }
     if bad:
         return ConicProblem(a, b, "unsolvable", obstructions=bad, trace=trace)
-    witness = _conic_witness(Rat(sa), Rat(sb), max_height)
+    witness = _conic_witness(Rat(sa), Rat(sb))
     if witness is None:  # pragma: no cover - Hasse-Minkowski guarantees one
         raise ConicError("no witness found below the height cap")
     X, Y = witness
@@ -172,10 +176,10 @@ def conic_solvable_over_q(a, b, max_height=100000):
     return ConicProblem(a, b, "solvable", witness=(X, Y), trace=trace)
 
 
-def _conic_witness(a, b, max_height):
+def _conic_witness(a, b):
     """Smallest-height X = p/q with (1 - a X^2)/b a rational square."""
     h = 0
-    while h <= max_height:
+    while h <= WITNESS_HEIGHT_BOUND:
         for q in range(1, h + 1):
             for p in range(-h, h + 1):
                 if max(abs(p), q) != h:

@@ -85,12 +85,29 @@ class ProjectivePoint:
         self.coords = tuple(field.mul(inv, c) for c in coords)
 
     def same_point(self, other):
-        """Equality via vanishing cross product (no normalization pitfalls)."""
-        return triples_proportional(_constants(self.field, self.coords),
-                                    _constants(self.field, other.coords))
+        """Normalized coordinates are canonical, so equal points have equal
+        coordinate tuples."""
+        return self.coords == other.coords
 
     def __repr__(self):
         return "(%s)" % " : ".join(self.field.to_str(c) for c in self.coords)
+
+
+class Germ:
+    """The expansions of (x, y, z) around one parameter and their image.
+
+    `expansions` are the components in the local parameter s: the Taylor
+    shifts x(t + s) at a finite t, and the reversals s^n x(1/s) at 'inf',
+    for n the curve's degree.  Their constant terms are the coordinates of
+    the image, and `point` is that image, normalized.  A common root of
+    the components has no image, and the germ refuses it with CurveError.
+    """
+
+    __slots__ = ("expansions", "point")
+
+    def __init__(self, field, expansions):
+        self.expansions = expansions
+        self.point = ProjectivePoint(field, [e.coeff(0) for e in expansions])
 
 
 class ParameterLocation:
@@ -228,20 +245,6 @@ class ProjectiveMap:
             out = f.add(out, f.mul(m[0][j], minor))
         return out
 
-    def inverse(self):
-        f = self.field
-        m = self.rows
-        det = self.det()
-        cof = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                a = m[(i + 1) % 3][(j + 1) % 3]
-                b = m[(i + 1) % 3][(j + 2) % 3]
-                c = m[(i + 2) % 3][(j + 1) % 3]
-                d = m[(i + 2) % 3][(j + 2) % 3]
-                cof[j][i] = f.div(f.sub(f.mul(a, d), f.mul(b, c)), det)
-        return ProjectiveMap(f, cof)
-
 
 class RationalPlaneCurve:
     """Parametrized plane curve (x(t) : y(t) : z(t)) over a number field."""
@@ -278,13 +281,17 @@ class RationalPlaneCurve:
             check=False,
         )
 
-    def evaluate_at(self, t):
-        """Image point at a parameter of self.field, or at 'inf'."""
+    def germ(self, t):
+        """The Germ of the curve at a parameter of self.field, or at 'inf'."""
         if t == "inf":
-            coords = [c.coeff(self.degree) for c in self.components()]
-        else:
-            coords = [c.eval(t) for c in self.components()]
-        return ProjectivePoint(self.field, coords)
+            return Germ(self.field,
+                        [c.reverse(self.degree) for c in self.components()])
+        return Germ(self.field, [c.taylor_shift(t) for c in self.components()])
+
+    def evaluate_at(self, t):
+        """Image point at a parameter of self.field, or at 'inf': the point
+        of its germ."""
+        return self.germ(t).point
 
     def evaluate(self, location):
         """Image point(s) for a ParameterLocation.

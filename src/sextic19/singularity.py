@@ -30,11 +30,17 @@ Resolution.  `verify_claim` runs three stages per claim, and a failure
 names its stage.  `resolve` (ParameterLocation.resolve) turns the location
 into parameters once, adjoining a root of a `roots` polynomial where none
 lies in the curve's field; a claim it refuses names no point and counts
-toward no total.  `classify` runs the classifier at the parameters and
-`evaluate` computes their images.  With a root adjoined, an even claim is
-classified at that root only: an automorphism over the curve's field maps
-the expansions at one root to those at a conjugate term by term, so the
-classifier sees the same orders, and the same type, at every conjugate.
+toward no total.  `evaluate` builds one germ per parameter
+(RationalPlaneCurve.germ): the expansions of x, y and z around it and
+their normalized image point.  The germ points are the claim's points; a
+parameter where every component vanishes has no germ, and its claim names
+no point.  `classify` runs the classifier on the germs.  Every pass
+truncates the same germs, and the two-branch classifier compares their
+points, which are canonical, by equality.  With a root adjoined, an even
+claim is classified at that root only: an automorphism over the curve's
+field maps the expansions at one root to those at a conjugate term by
+term, so the classifier sees the same orders, and the same type, at every
+conjugate.
 
 Truncation.  Both classifiers read one order off truncated series: the
 contact order i of two smooth branches (A_(2i-1)) or the first odd order
@@ -65,7 +71,7 @@ fails.
 
 import time
 
-from .curve import CurveError, ProjectivePoint, image_degree
+from .curve import CurveError, image_degree
 from .numberfield import FieldError
 from .polynomial import PolynomialError, UniPoly, poly_gcd
 from .series import SeriesError, TruncatedSeries
@@ -139,34 +145,15 @@ class SingularityClaim:
 # local expansions
 
 
-def _component_series(curve, t0, trunc):
-    """Series expansions of (x, y, z) around t = t0 (or around infinity)."""
-    out = []
-    for comp in curve.components():
-        if t0 == "inf":
-            poly = comp.reverse(curve.degree)
-        else:
-            poly = comp.taylor_shift(t0)
-        out.append(TruncatedSeries.from_poly(poly, trunc))
-    return out
+def _chart(f, point):
+    """A chart where the point is finite: its last nonzero coordinate."""
+    return next(i for i in (2, 1, 0) if not f.is_zero(point.coords[i]))
 
 
-def _pick_chart(field, values):
-    for idx in (2, 1, 0):
-        if not field.is_zero(values[idx]):
-            return idx
-    raise SingularityError("all components vanish at the parameter")
-
-
-def _affine_branch(f, series, chart=None):
-    """Centered affine expansions (u(s), v(s)) of a branch, given the series
-    of its (x, y, z) components, in a chart where the image point is
-    finite."""
-    values = tuple(s.coeffs[0] for s in series)
-    if chart is None:
-        chart = _pick_chart(f, values)
-    if f.is_zero(values[chart]):
-        raise SingularityError("requested chart is invalid at the point")
+def _affine_branch(f, germ, trunc, chart):
+    """Centered affine expansions (u(s), v(s)) of the branch of a germ,
+    truncated at order trunc, in a chart where its point is finite."""
+    series = [TruncatedSeries.from_poly(p, trunc) for p in germ.expansions]
     den_inv = series[chart].invert_unit()
     out = []
     for idx in range(3):
@@ -204,8 +191,8 @@ def _classify(once, curve, where, claim_trunc, bound_trunc):
     )
 
 
-def branch_type_at(curve, t0, claimed=None):
-    """A_even index of the one-branch double point at the image of t0.
+def branch_type_at(curve, germ, claimed=None):
+    """A_even index of the one-branch double point of a germ of the curve.
 
     Expands the branch in an affine chart, takes a coordinate u of order
     two, and peels the other coordinate against powers of u
@@ -214,15 +201,15 @@ def branch_type_at(curve, t0, claimed=None):
     than two.  A `claimed` A_n index sizes the first pass.
     """
     return _classify(
-        _branch_type_once, curve, t0,
+        _branch_type_once, curve, germ,
         None if claimed is None else claimed + 2,
         2 * _genus_bound(curve) + 2,
     )
 
 
-def _branch_type_once(curve, t0, trunc):
+def _branch_type_once(curve, germ, trunc):
     f = curve.field
-    u, v = _affine_branch(f, _component_series(curve, t0, trunc))
+    u, v = _affine_branch(f, germ, trunc, _chart(f, germ.point))
     ou, ov = u.order(), v.order()
     if ou is None and ov is None:
         raise SingularityError(
@@ -243,41 +230,34 @@ def _branch_type_once(curve, t0, trunc):
     return SingularityType(stop - 1)
 
 
-def two_branch_type(curve, params, claimed=None):
-    """A_odd index of the double point whose two smooth branches sit at the
-    two parameters `params` of the curve's field (each finite or 'inf').
+def two_branch_type(curve, germs, claimed=None):
+    """A_odd index of the double point whose two smooth branches are the two
+    germs `germs` of the curve.
 
     The second branch is rewritten as a graph v = h(u) by peeling its v
     against its u (TruncatedSeries.in_powers_of), and the intersection
     order i of the first branch with that graph gives A_(2i-1).  A
     `claimed` A_n index sizes the first pass.
     """
-    if len(params) != 2:
+    if len(germs) != 2:
         raise SingularityError("two-branch location must have two parameters")
     return _classify(
-        _two_branch_once, curve, params,
+        _two_branch_once, curve, germs,
         None if claimed is None else (claimed + 1) // 2 + 1,
         _genus_bound(curve) + 1,
     )
 
 
-def _two_branch_once(curve, params, trunc):
+def _two_branch_once(curve, germs, trunc):
     f = curve.field
-    t1, t2 = params
-
-    sx1 = _component_series(curve, t1, trunc)
-    values1 = tuple(s.coeffs[0] for s in sx1)
-    sx2 = _component_series(curve, t2, trunc)
-    values2 = tuple(s.coeffs[0] for s in sx2)
-    p1 = ProjectivePoint(f, values1)
-    p2 = ProjectivePoint(f, values2)
-    if not p1.same_point(p2):
+    g1, g2 = germs
+    if not g1.point.same_point(g2.point):
         raise SingularityError("the two parameters map to different points")
-    # equal projective points have equal zero patterns, so the chart chosen
-    # from the first branch's values is valid for the second as well
-    chart = _pick_chart(f, values1)
-    u1, v1 = _affine_branch(f, sx1, chart=chart)
-    u2, v2 = _affine_branch(f, sx2, chart=chart)
+    # equal points have equal zero patterns, so the chart chosen from the
+    # first point is valid for the second as well
+    chart = _chart(f, g1.point)
+    u1, v1 = _affine_branch(f, g1, trunc, chart)
+    u2, v2 = _affine_branch(f, g2, trunc, chart)
     # branch 1 and branch 2 are centered at the same affine point since the
     # images agree and the chart normalizes the denominator coordinate
     for u, v in ((u1, v1), (u2, v2)):
@@ -346,7 +326,7 @@ class Certificate:
 
 
 def verify_claim(curve, claim):
-    """The verdict on one claim: resolve, classify and evaluate (see
+    """The verdict on one claim: resolve, evaluate and classify (see
     Resolution in the module docstring)."""
     where = claim.location.describe(curve.field)
     try:
@@ -355,32 +335,33 @@ def verify_claim(curve, claim):
         return ClaimVerdict(claim, None, False, [], where,
                             "resolve: %s" % exc, resolved=False)
     try:
-        computed = _classify_claim(claim, curve, work, params)
+        germs = [work.germ(t) for t in params]
+    except _DOMAIN_ERRORS as exc:
+        return ClaimVerdict(claim, None, False, [], where,
+                            "evaluate: %s" % exc)
+    try:
+        computed = _classify_claim(claim, curve, work, germs)
         ok = computed == claim.stype
         detail = "" if ok else "computed %r" % computed
     except _DOMAIN_ERRORS as exc:
         computed = None
         ok = False
         detail = "classify: %s" % exc
-    pts = []
-    try:
-        for t in params:
-            pts.append(repr(work.evaluate_at(t)))
-    except _DOMAIN_ERRORS as exc:
-        pts.append("<evaluate: %s>" % exc)
-    return ClaimVerdict(claim, computed, ok, pts, where, detail)
+    return ClaimVerdict(claim, computed, ok, [repr(g.point) for g in germs],
+                        where, detail)
 
 
-def _classify_claim(claim, curve, work, params):
-    """The type at the parameters that `resolve` gave over `work`."""
+def _classify_claim(claim, curve, work, germs):
+    """The type at the germs of the parameters that `resolve` gave over
+    `work`."""
     n = claim.stype.n
     if n % 2 == 1:
-        return two_branch_type(work, params, claimed=n)
+        return two_branch_type(work, germs, claimed=n)
     if work.field != curve.field:
-        params = params[:1]     # one root stands for its conjugates
-    elif len(params) != claim.point_count():
+        germs = germs[:1]     # one root stands for its conjugates
+    elif len(germs) != claim.point_count():
         raise SingularityError("an A_even claim needs one parameter per point")
-    types = {branch_type_at(work, t, claimed=n).n for t in params}
+    types = {branch_type_at(work, g, claimed=n).n for g in germs}
     if len(types) != 1:
         raise SingularityError(
             "conjugate points computed different types %s" % types)

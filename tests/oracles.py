@@ -17,9 +17,12 @@ interpolated from a grid checks its hybrid Bezout determinant.  Sixteen
 fixed separating coordinates, with a squarefree product of per-claim value
 polynomials, check the parameter test of point distinctness.  The Leibniz
 sum over permutations checks the 3 x 3 determinant of `ProjectiveMap`.
+Horner's rule in field arithmetic checks the image points that the germs
+of `RationalPlaneCurve.germ` give.
 jsonschema's draft-07 validator checks the in-package schema checker of
 `database`.  A few helpers only the tests use (a corpus digest, a JSON
-round trip, a linear change of variables) live here too.  The library
+round trip, a linear change of variables, the inverse of a projective
+map, claims carried along a Moebius map) live here too.  The library
 itself uses none of these.
 """
 
@@ -29,7 +32,13 @@ from itertools import permutations
 from math import gcd as igcd
 
 from sextic19.conic import ConicError
-from sextic19.curve import CurveError, DegenerateCurve
+from sextic19.curve import (
+    CurveError,
+    DegenerateCurve,
+    ParameterLocation,
+    ProjectiveMap,
+    ProjectivePoint,
+)
 from sextic19.database import default_corpus_path
 from sextic19.numberfield import QQ, FieldError, field_pow
 from sextic19.polynomial import (
@@ -724,6 +733,70 @@ def separator_points_distinct(curve, claims):
         if g.degree == 0:
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# points and maps
+
+
+def horner_point(curve, t):
+    """The image of a parameter of curve.field by Horner's rule in field
+    arithmetic (UniPoly.eval), or read off the coefficients of t^n at
+    'inf'."""
+    if t == "inf":
+        coords = [c.coeff(curve.degree) for c in curve.components()]
+    else:
+        coords = [c.eval(t) for c in curve.components()]
+    return ProjectivePoint(curve.field, coords)
+
+
+def projective_inverse(pmap):
+    """The inverse of a ProjectiveMap: its adjugate divided by its
+    determinant."""
+    f = pmap.field
+    m = pmap.rows
+    det = pmap.det()
+    cof = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            a = m[(i + 1) % 3][(j + 1) % 3]
+            b = m[(i + 1) % 3][(j + 2) % 3]
+            c = m[(i + 2) % 3][(j + 1) % 3]
+            d = m[(i + 2) % 3][(j + 2) % 3]
+            cof[j][i] = f.div(f.sub(f.mul(a, d), f.mul(b, c)), det)
+    return ProjectiveMap(f, cof)
+
+
+def moebius_transport(location, m):
+    """The location on curve(m(s)), for m the MoebiusMap
+    t -> (a t + b)/(c t + d), of a ParameterLocation on curve(t).
+
+    A parameter t goes to m^-1(t) = (d t - b)/(a - c t), which is 'inf'
+    where a = c t, and 'inf' goes to -d/c, or stays when c = 0.  A `roots`
+    polynomial q of degree g goes to q(m(s)) (c s + d)^g, whose roots are
+    m^-1 of the roots of q."""
+    f = m.field
+
+    def back(t):
+        if t == "inf":
+            return "inf" if f.is_zero(m.c) else f.neg(f.div(m.d, m.c))
+        den = f.sub(m.a, f.mul(m.c, t))
+        if f.is_zero(den):
+            return "inf"
+        return f.div(f.sub(f.mul(m.d, t), m.b), den)
+
+    if location.kind in ("value", "infinity"):
+        s = back("inf" if location.kind == "infinity" else location.value)
+        return (ParameterLocation.at_infinity() if s == "inf"
+                else ParameterLocation.at_value(s))
+    if location.kind == "pair":
+        return ParameterLocation.at_pair(*map(back, location.pair))
+    q = location.poly
+    num, den = UniPoly(f, (m.b, m.a)), UniPoly(f, (m.d, m.c))
+    out = UniPoly.zero(f)
+    for k, c in enumerate(q.coeffs):
+        out = out + (num ** k * den ** (q.degree - k)).scale(c)
+    return ParameterLocation.at_roots(out)
 
 
 # ----------------------------------------------------------------------

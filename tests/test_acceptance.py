@@ -255,7 +255,8 @@ def test_criterion_8_property_suites(corpus):
             UniPoly.from_ints(QQ, [0] * (2 * k + 1) + [1]),
             UniPoly.from_ints(QQ, [1]),
         )
-        ok = ok and branch_type_at(model, QQ.zero, claimed=2 * k).n == 2 * k
+        ok = ok and branch_type_at(
+            model, model.germ(QQ.zero), claimed=2 * k).n == 2 * k
 
     # Hilbert symbol product formula on 100 random pairs
     for _ in range(100):

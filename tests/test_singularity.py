@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import newton_reversion, separator_points_distinct
+from oracles import (
+    horner_point,
+    leibniz_det,
+    moebius_transport,
+    newton_reversion,
+    separator_points_distinct,
+)
 from sextic19.autodual import discover_dual_claims
 from sextic19.curve import (
     MoebiusMap,
@@ -22,9 +28,16 @@ from sextic19.singularity import (
     certify,
     claimed_points_distinct,
     two_branch_type,
+    verify_claim,
 )
 
 P = lambda *c: UniPoly.from_ints(QQ, c)
+
+
+def resolved_germs(location, curve):
+    """(curve over the parameters' field, the germs at the parameters)."""
+    work, params = location.resolve(curve)
+    return work, [work.germ(t) for t in params]
 
 
 def test_type_invariants():
@@ -42,44 +55,46 @@ def test_standard_models(k):
     curve = RationalPlaneCurve(
         QQ, P(0, 0, 1), P(*([0] * (2 * k + 1) + [1])), P(1)
     )
-    assert branch_type_at(curve, QQ.zero, claimed=2 * k).n == 2 * k
+    assert branch_type_at(
+        curve, curve.germ(QQ.zero), claimed=2 * k).n == 2 * k
 
 
 def test_cusp():
     curve = RationalPlaneCurve(QQ, P(0, 0, 1), P(0, 0, 0, 1), P(1))
-    assert branch_type_at(curve, QQ.zero).n == 2
+    assert branch_type_at(curve, curve.germ(QQ.zero)).n == 2
 
 
 def test_smooth_point_rejected():
     curve = RationalPlaneCurve(QQ, P(0, 1), P(0, 0, 1), P(1))
     with pytest.raises(SingularityError):
-        branch_type_at(curve, QQ.zero)
+        branch_type_at(curve, curve.germ(QQ.zero))
 
 
 def test_high_multiplicity_rejected():
     curve = RationalPlaneCurve(QQ, P(0, 0, 0, 1), P(0, 0, 0, 0, 1), P(1))
     with pytest.raises(SingularityError):
-        branch_type_at(curve, QQ.zero)
+        branch_type_at(curve, curve.germ(QQ.zero))
 
 
 def test_node_on_cubic():
     curve = RationalPlaneCurve(QQ, P(-1, 0, 1), P(0, -1, 0, 1), P(1))
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
-    assert two_branch_type(*loc.resolve(curve)).n == 1
+    assert two_branch_type(*resolved_germs(loc, curve)).n == 1
 
 
 def test_two_branch_images_differ():
     curve = RationalPlaneCurve(QQ, P(0, 0, 1), P(0, 1), P(1))
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(2))
     with pytest.raises(SingularityError):
-        two_branch_type(*loc.resolve(curve))
+        two_branch_type(*resolved_germs(loc, curve))
 
 
 def test_case3_types(by_id):
     rec = by_id[3]
-    assert branch_type_at(rec.curve, "inf", claimed=2).n == 2
+    assert branch_type_at(rec.curve, rec.curve.germ("inf"), claimed=2).n == 2
     assert two_branch_type(
-        *ParameterLocation.at_roots(rec.p).resolve(rec.curve), claimed=17
+        *resolved_germs(ParameterLocation.at_roots(rec.p), rec.curve),
+        claimed=17
     ).n == 17
 
 
@@ -87,8 +102,8 @@ def test_two_branch_symmetric(by_id):
     curve = RationalPlaneCurve(QQ, P(-1, 0, 1), P(0, -1, 0, 1), P(1))
     a = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
     b = ParameterLocation.at_pair(QQ.from_int(-1), QQ.from_int(1))
-    assert (two_branch_type(*a.resolve(curve)).n
-            == two_branch_type(*b.resolve(curve)).n)
+    assert (two_branch_type(*resolved_germs(a, curve)).n
+            == two_branch_type(*resolved_germs(b, curve)).n)
 
 
 def test_case25_certificate(by_id):
@@ -152,14 +167,14 @@ def test_branch_type_invariance(by_id, seed):
         except Exception:
             continue
     moved = curve.apply_projective(T)
-    assert branch_type_at(moved, "inf", claimed=2).n == 2
+    assert branch_type_at(moved, moved.germ("inf"), claimed=2).n == 2
     # shift the parameter so the pair location moves with it
     shift = rng.randint(1, 5)
     m = MoebiusMap.from_ints(QQ, 1, shift, 0, 1)   # t -> t + shift
     re = reparametrize(moved, m)
     shifted_p = rec.p.taylor_shift(QQ.from_int(shift))
     assert two_branch_type(
-        *ParameterLocation.at_roots(shifted_p).resolve(re), claimed=17
+        *resolved_germs(ParameterLocation.at_roots(shifted_p), re), claimed=17
     ).n == 17
 
 
@@ -175,7 +190,7 @@ def test_certify_reports_locations(by_id):
 def test_case37_odd_pair_is_node(by_id):
     rec = by_id[37]
     assert two_branch_type(
-        *rec.odd_claim.location.resolve(rec.curve), claimed=1
+        *resolved_germs(rec.odd_claim.location, rec.curve), claimed=1
     ).n == 1
 
 
@@ -206,12 +221,13 @@ def test_low_claims_find_true_type_in_two_passes(by_id, monkeypatch):
     calls = _count_passes(monkeypatch)
     rec3 = by_id[3]
     assert two_branch_type(
-        *rec3.odd_claim.location.resolve(rec3.curve), claimed=1
+        *resolved_germs(rec3.odd_claim.location, rec3.curve), claimed=1
     ).n == 17
     assert len(calls) == 2
     del calls[:]
     rec2 = by_id[2]
-    assert branch_type_at(rec2.curve, "inf", claimed=2).n == 18
+    assert branch_type_at(
+        rec2.curve, rec2.curve.germ("inf"), claimed=2).n == 18
     assert len(calls) == 2
 
 
@@ -219,31 +235,124 @@ def test_claim_sized_truncation_is_one_pass(by_id, monkeypatch):
     calls = _count_passes(monkeypatch)
     rec3 = by_id[3]
     assert two_branch_type(
-        *rec3.odd_claim.location.resolve(rec3.curve), claimed=17
+        *resolved_germs(rec3.odd_claim.location, rec3.curve), claimed=17
     ).n == 17
     assert calls == [10]
 
 
+def _count_germs(monkeypatch):
+    calls = []
+    germ = RationalPlaneCurve.germ
+
+    def counted(curve, t):
+        calls.append(t)
+        return germ(curve, t)
+
+    monkeypatch.setattr(RationalPlaneCurve, "germ", counted)
+    return calls
+
+
 def test_each_branch_is_expanded_once_per_pass(by_id, monkeypatch):
-    from sextic19 import singularity
-
-    expansions = []
-    series = singularity._component_series
-
-    def counted(curve, t0, trunc):
-        expansions.append(trunc)
-        return series(curve, t0, trunc)
-
-    monkeypatch.setattr(singularity, "_component_series", counted)
+    # the two-pass claims of test_low_claims_find_true_type_in_two_passes:
+    # both passes truncate the germs that `evaluate` built, one per parameter
+    germs = _count_germs(monkeypatch)
     calls = _count_passes(monkeypatch)
-    rec3 = by_id[3]
-    assert two_branch_type(
-        *rec3.odd_claim.location.resolve(rec3.curve), claimed=17
-    ).n == 17
-    assert calls == [10] and expansions == [10, 10]
-    del calls[:], expansions[:]
-    assert branch_type_at(rec3.curve, "inf", claimed=2).n == 2
-    assert expansions == calls == [4]
+    rec3, rec2 = by_id[3], by_id[2]
+    for curve, claim, parameters, true_n in (
+            (rec3.curve, _claim(1, rec3.odd_claim.location), 2, 17),
+            (rec2.curve, _claim(2, ParameterLocation.at_infinity()), 1, 18)):
+        del germs[:], calls[:]
+        verdict = verify_claim(curve, claim)
+        assert verdict.computed.n == true_n and len(calls) == 2
+        assert len(germs) == len(verdict.points) == parameters
+
+
+def test_certify_makes_one_germ_per_resolved_parameter(corpus, monkeypatch):
+    parameters = sum(len(c.location.resolve(rec.curve)[1])
+                     for rec in corpus for c in rec.claims)
+    germs = _count_germs(monkeypatch)
+    for rec in corpus:
+        assert certify(rec.curve, rec.claims, curve_id=rec.id).passed
+    assert len(germs) == parameters
+
+
+def test_claim_at_a_common_root_fails_at_evaluate():
+    # t = 0 is a root of every component of an unchecked curve, so it has
+    # no image: each claim there names no point, yet is resolved and counts
+    curve = RationalPlaneCurve(QQ, P(0, -1, 1), P(0, -2, 1), P(0, 3, 1),
+                               check=False)
+    claims = [_claim(2, ParameterLocation.at_value(QQ.zero)),
+              _claim(1, ParameterLocation.at_pair(QQ.zero, QQ.from_int(5)))]
+    cert = certify(curve, claims)
+    for v in cert.verdicts:
+        assert not v.ok and v.computed is None
+        assert v.detail.startswith("evaluate:") and "Traceback" not in v.detail
+        assert v.points == [] and v.resolved
+    assert cert.checks["milnor_total"] == 3 and not cert.passed
+
+
+def _assert_claim_points_are_horner_images(curve, claims):
+    cert = certify(curve, claims)
+    for claim, verdict in zip(claims, cert.verdicts):
+        work, params = claim.location.resolve(curve)
+        # both roots of an adjoined quadratic, one of an irreducible cubic
+        if claim.location.kind == "roots":
+            assert len(params) == {2: 2, 3: 1}[claim.location.poly.degree]
+        assert verdict.points == [repr(horner_point(work, t)) for t in params]
+
+
+@pytest.mark.parametrize("rid", range(1, 40))
+def test_claim_points_are_the_horner_images(by_id, rid):
+    rec = by_id[rid]
+    _assert_claim_points_are_horner_images(rec.curve, rec.claims)
+
+
+@pytest.mark.parametrize("rid", [26, 36, 38])
+def test_dual_claim_points_are_the_horner_images(by_id, rid):
+    dual_curve = dual(by_id[rid].curve)
+    _assert_claim_points_are_horner_images(
+        dual_curve, discover_dual_claims(by_id[rid], dual_curve))
+
+
+def _parameters(location):
+    if location.kind == "infinity":
+        return ["inf"]
+    if location.kind == "value":
+        return [location.value]
+    return list(location.pair or ())
+
+
+def test_certificates_survive_moebius_and_projective_maps(corpus):
+    # each record PASSes after a Moebius reparametrization m and a
+    # projective map, with its claims carried by m^-1; every third map
+    # fixes a = 0, which sends t = 0 to infinity and infinity to -d/c
+    rng = random.Random(1)
+    to_finite = to_infinity = 0
+    for rec in corpus:
+        f = rec.field
+        while True:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if rec.id % 3 == 0:
+                a = 0
+            if a * d - b * c:
+                break
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if leibniz_det(rows):
+                break
+        m = MoebiusMap.from_ints(f, a, b, c, d)
+        curve = reparametrize(rec.curve, m).apply_projective(
+            ProjectiveMap.from_ints(f, rows))
+        claims = [_claim(cl.stype.n, moebius_transport(cl.location, m))
+                  for cl in rec.claims]
+        cert = certify(curve, claims, curve_id=rec.id)
+        assert cert.passed, (rec.id, cert.to_dict())
+        for old, new in zip(rec.claims, claims):
+            for t, s in zip(_parameters(old.location),
+                            _parameters(new.location)):
+                to_finite += t == "inf" and s != "inf"
+                to_infinity += t != "inf" and s == "inf"
+    assert to_finite and to_infinity
 
 
 @pytest.mark.parametrize("rid", [3, 10, 16])
@@ -263,8 +372,8 @@ def test_two_branch_graph_equals_newton_reversion(by_id, monkeypatch, rid):
     monkeypatch.setattr(TruncatedSeries, "in_powers_of", recorded)
     rec = by_id[rid]
     claim = rec.odd_claim
-    work, params = claim.location.resolve(rec.curve)
-    assert two_branch_type(work, params, claimed=claim.stype.n) == claim.stype
+    assert two_branch_type(*resolved_germs(claim.location, rec.curve),
+                           claimed=claim.stype.n) == claim.stype
     assert peels
     for v2, u2, (h, stop) in peels:
         assert stop is None
@@ -281,7 +390,7 @@ def test_non_birational_pair_raises_after_two_passes(monkeypatch):
     loc = ParameterLocation.at_pair(QQ.from_int(1), QQ.from_int(-1))
     calls = _count_passes(monkeypatch)
     with pytest.raises(SingularityError, match="not birational"):
-        two_branch_type(*loc.resolve(curve), claimed=1)
+        two_branch_type(*resolved_germs(loc, curve), claimed=1)
     assert calls == [2, 11]
 
 
