@@ -155,16 +155,9 @@ def _affine_branch(f, germ, trunc, chart):
     truncated at order trunc, in a chart where its point is finite."""
     series = [TruncatedSeries.from_poly(p, trunc) for p in germ.expansions]
     den_inv = series[chart].invert_unit()
-    out = []
-    for idx in range(3):
-        if idx == chart:
-            continue
-        ratio = series[idx] * den_inv
-        centered = TruncatedSeries(
-            f, (f.zero,) + ratio.coeffs[1:], ratio.trunc
-        )
-        out.append(centered)
-    return out[0], out[1]
+    ratios = [series[i] * den_inv for i in range(3) if i != chart]
+    return tuple(TruncatedSeries(f, (f.zero,) + r.coeffs[1:], r.trunc)
+                 for r in ratios)
 
 
 def _genus_bound(curve):

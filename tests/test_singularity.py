@@ -238,6 +238,10 @@ def test_claim_sized_truncation_is_one_pass(by_id, monkeypatch):
         *resolved_germs(rec3.odd_claim.location, rec3.curve), claimed=17
     ).n == 17
     assert calls == [10]
+    del calls[:]
+    assert branch_type_at(
+        rec3.curve, rec3.curve.germ("inf"), claimed=2).n == 2
+    assert calls == [4]
 
 
 def _count_germs(monkeypatch):
