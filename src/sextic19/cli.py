@@ -23,6 +23,17 @@ def _load(args):
         raise SystemExit2(exc) from exc
 
 
+def _conic(fn, *args):
+    """fn(*args) for a function of the conic module, whose ConicError is a
+    usage error.  The module is imported only by the commands that use it."""
+    from .conic import ConicError
+
+    try:
+        return fn(*args)
+    except ConicError as exc:
+        raise SystemExit2(exc) from exc
+
+
 def _record(args):
     """The corpus record named by args.id."""
     return _find(_load(args), args.id)
@@ -198,7 +209,8 @@ def cmd_reduce(args):
     if rec.pencil is None or rec.printed_implicit is None:
         raise SystemExit2("record %d carries no pencil data" % rec.id)
     fld = rec.pencil.g0[0].field
-    red = pencil_reduce(rec.printed_implicit.map_field(fld), rec.pencil, fld)
+    red = _conic(pencil_reduce, rec.printed_implicit.map_field(fld),
+                 rec.pencil, fld)
     lines = [
         "curve %d pencil reduction:" % rec.id,
         "  P1 x-degree 2; coefficients of x^2, x, 1 have lambda-degrees %s"
@@ -229,7 +241,7 @@ def cmd_hilbert(args):
 
     place = args.place if args.place in ("inf", "oo") \
         else _number(args.place, int)
-    value = hilbert_symbol(_number(args.a), _number(args.b), place)
+    value = _conic(hilbert_symbol, _number(args.a), _number(args.b), place)
     _emit(args, {
         "command": "hilbert",
         "a": args.a, "b": args.b, "place": str(args.place),
@@ -241,7 +253,7 @@ def cmd_hilbert(args):
 def cmd_conic_solve(args):
     from .conic import conic_solvable_over_q
 
-    prob = conic_solvable_over_q(_number(args.a), _number(args.b))
+    prob = _conic(conic_solvable_over_q, _number(args.a), _number(args.b))
     lines = ["%s X^2 + %s Y^2 = 1: %s" % (args.a, args.b, prob.verdict)]
     if prob.witness:
         lines.append("  witness: X = %s, Y = %s"
@@ -301,13 +313,13 @@ COMMANDS = {
 
 
 def main(argv=None):
-    from .conic import ConicError
-
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        ap.error("argument --jobs: must be at least 1, not %d" % args.jobs)
     try:
         return COMMANDS[args.command](args)
-    except (SystemExit2, ConicError, FileNotFoundError) as exc:
+    except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

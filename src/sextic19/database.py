@@ -459,11 +459,14 @@ def _violation(inst, schema, root, path=()):
 def load_corpus(path=None):
     """Load and validate the corpus; returns a list of CurveRecord."""
     path = path or default_corpus_path()
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise CorpusError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError("cannot read the corpus %s: %s"
+                          % (path, exc)) from exc
     with open(_schema_path()) as fh:
         schema = json.load(fh)
     _check_schema(schema)

@@ -14,15 +14,29 @@ coercing up the tower work on the flat tuple alone.  The FieldElement
 wrapper provides operator syntax on top of that.
 
 `ExtensionField.mul` writes the rational coordinates of each operand as
-integers over one common denominator.  It multiplies the two integer
-vectors with a schoolbook product in the top generator, whose coefficient
-products at lower tower levels are integer products of the same kind, and
-reduces by the rows g^(d+i), which each field stores once as integers over
-one common denominator.  No rational is formed until the end, so no
-intermediate gcd is paid; each output leaf is then built once as
-Rat(num, den), which divides out the gcd and makes the denominator
-positive.  The power-basis coordinates of a product are unique and every
-step is exact, so the result is the same canonical tuple that multiplying
+integers over one common denominator and multiplies the two integer
+vectors in one flat kernel, the same for every field, with no recursion
+through the tower.  A field of degree n over Q with tower levels of
+degrees d_1, ..., d_L indexes the unreduced product by its monomials
+x_1^e_1 ... x_L^e_L with e_l <= 2 d_l - 2, its slots; the n basis
+monomials come first, in the flat order of the stored form.  `_ifull` adds
+each product a_i * b_j into slot `_table[i][j]`.  `_ireduce` scales the
+basis slots by one integer D (`_den`) and adds hi * row for every other
+slot, where the row holds the integer coordinates of D times that monomial.
+Over a simple field the slots are 1, g, ..., g^(2d-2) and the rows are
+g^(d+i).  Each field builds its table and rows once, from its base's (Q
+has the one slot 1 and no rows), with one base product per basis monomial
+of the base and coefficient of the modulus (`_reduction_rows`).  No
+rational is formed until the end, so no intermediate gcd is paid; each
+output leaf is then built once as Rat(num, den), which divides out the gcd
+and makes the denominator positive.
+
+Soundness: the power-basis coordinates of an element are unique, and each
+row holds the exact coordinates of its monomial, scaled by D.  Reduction
+is linear, so `_ireduce` of any sum of `_ifull` products is D times the
+coordinates of the sum of those products.  The sums that the list kernels
+below form before `_ireduce` therefore still reduce to the canonical
+product, and every result is the same canonical tuple that multiplying
 leaf by leaf in rationals gives.
 
 `ExtensionField.inv` uses the same kernel: the products x * e_j with the
@@ -35,8 +49,8 @@ and negation work coordinate by coordinate on the rationals.
 cut to the first n coefficients) on the same integers.  Each operand list
 is written once as integer vectors over one common denominator; the
 convolution sums the products of those vectors (plain int products over Q,
-over an extension the products in the top generator before reduction, so
-that each output coefficient is reduced once); and each output leaf is
+over an extension the unreduced `_ifull` products, so that each output
+coefficient is reduced once); and each output leaf is
 built once as Rat(num, den).  Integer sums and reduction are exact, and the
 power-basis coordinates of each output coefficient are unique, so the list
 is the same canonical one that one field.mul and one field.add per pair of
@@ -49,7 +63,7 @@ call.
 It takes the powers of t0 once, each one integer product of the one
 before, over one common denominator, and writes the list a once as integer
 vectors.  Coefficient j is the sum of C(k, j) a_k t0^(k-j) over k >= j,
-summed unreduced in the top generator and reduced once.  By the binomial
+summed unreduced and reduced once.  By the binomial
 theorem that is the coefficient of t^j in a(t + t0), and every step is
 exact, so the list is the canonical one that Horner's rule in field
 arithmetic gives.
@@ -79,7 +93,7 @@ tests whether it lies in the base field, so a different stored form
 """
 
 from math import comb, gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .rationals import (
     QQ0,
@@ -132,8 +146,8 @@ def plist_mul(field, a, b, n=None):
                 for k, bj in enumerate(xb[:size - i], i):
                     out[k] += ai * bj
         return _rats(out, da * db)
-    # the products stay unreduced in the top generator until every term of
-    # an output coefficient is summed, so each is reduced once
+    # the products stay unreduced until every term of an output coefficient
+    # is summed, so each is reduced once
     full = field._ifull
     xb = [(j, bj) for j, bj in enumerate(xb) if any(bj)]
     sums = [None] * size
@@ -372,8 +386,8 @@ def _element(field, nums, den):
 
 def _sub_products(field, x, dx, terms, de):
     """(integer coordinates, denominator) of x/dx - sum (q/dq) * (e/de) over
-    the terms ((q, dq), e).  The products are summed unreduced in the top
-    generator over one denominator and reduced once."""
+    the terms ((q, dq), e).  The products are summed unreduced over one
+    denominator and reduced once."""
     if not terms:
         return x, dx
     m = lcm(*[dq for (_q, dq), _e in terms])
@@ -389,6 +403,82 @@ def _sub_products(field, x, dx, terms, de):
     scale = m * de * field._den
     return ([c * scale - dx * s for c, s in zip(x, field._ireduce(full))],
             dx * scale)
+
+
+def _slot_table(base, d):
+    """The slot table of base[g]/(m), deg m = d: entry [i][j] is the slot of
+    the product of basis monomials i and j.  A slot is a monomial x^s g^k,
+    x^s a slot of the base and k <= 2d - 2: first the basis monomials in
+    flat order, then for k < d the x^s g^k with x^s off the base's basis,
+    then for k >= d every x^s g^k."""
+    bn = base.degree_over_q
+    n, nx = d * bn, len(base._rows)
+    # pos[k][s]: the slot of x^s g^k
+    pos = [list(range(k * bn, (k + 1) * bn))
+           + list(range(n + k * nx, n + (k + 1) * nx)) for k in range(d)]
+    top = n + d * nx
+    pos += [list(range(top + i * (bn + nx), top + (i + 1) * (bn + nx)))
+            for i in range(d - 1)]
+    return [[p[x] for p in pos[k:k + d] for x in base._table[s]]
+            for k in range(d) for s in range(bn)]
+
+
+def _reduction_rows(base, d, nums, dt):
+    """(rows, D) for base[g]/(m), deg m = d, where nums/dt are the flat
+    coordinates of m without its leading one: for each slot after the basis
+    monomials, in slot order, the nonzero (j, c) of the integer coordinates
+    c of D * x^s g^k, D as small as keeps them integers.
+
+    With db = base._den and dd = db^2 dt, the rows are built over
+    D = dd^(d-1) and then divided by the gcd of D and all their entries.
+    For k < d, dd * x^s g^k is db dt times the base's row of x^s at level k.
+    g^d = -M/dt for M = nums, so level j of dd * x^s g^d is db^2 x^s (-M_j):
+    for a basis monomial x^s, db times base._imul(e_s, -M_j), with no base
+    product for x^0 = 1; for another slot, the same sum over the base's row
+    of x^s.  Each higher power is g times the one below: the levels shift
+    up, and the top level times g^d is read off the rows of the basis
+    monomials, with one factor dd more.
+    """
+    bn = base.degree_over_q
+    db = base._den
+    dd = db * db * dt
+    # the base's rows, dense: db * x^s for x^s off its basis
+    extra = [[r.get(j, 0) for j in range(bn)] for r in map(dict, base._rows)]
+    f = db * dt * dd ** (d - 2)
+    low = [[(k * bn + j, f * c) for j, c in enumerate(u) if c]
+           for k in range(d) for u in extra]
+    rows = []
+    level = [[-db * db * c for c in nums]]
+    if bn > 1:
+        units = [[int(i == s) for i in range(bn)] for s in range(1, bn)]
+        tops = [[-c for c in nums[j:j + bn]] for j in range(0, d * bn, bn)]
+        prods = [[base._imul(e, t) for e in units] for t in tops]
+        level += [[db * c for ps in prods for c in ps[s]]
+                  for s in range(bn - 1)]
+        cols = [list(zip([db * c for c in t], *ps))
+                for t, ps in zip(tops, prods)]
+        level += [[sum(map(mul, u, c)) for cs in cols for c in cs]
+                  for u in extra]
+    basis_rows = level[:bn]
+    for i in range(d - 1):
+        if i:
+            up = []
+            for r in level:
+                out = [0] * bn + [dd * c for c in r[:-bn]]
+                for c, row in zip(r[-bn:], basis_rows):
+                    if c:
+                        out = [o + c * x for o, x in zip(out, row)]
+                up.append(out)
+            level = up
+        scale = dd ** (d - 2 - i)
+        rows += level if scale == 1 else [[scale * c for c in r]
+                                          for r in level]
+    den = dd ** (d - 1)
+    g = gcd(den, *[c for r in low for _j, c in r], *[gcd(*r) for r in rows])
+    rows = low + [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+    if g > 1:
+        rows = [[(j, c // g) for j, c in r] for r in rows]
+    return rows, den // g
 
 
 def _solve_fraction_free(rows):
@@ -427,13 +517,22 @@ class RationalField:
     name = None
     degree = 1
     degree_over_q = 1
+    # the integer kernel's tables (see ExtensionField): one slot, the
+    # monomial 1, and no reduction rows
+    _table = ((0,),)
+    _rows = ()
     _den = 1
 
     def __init__(self):
+        self._tables = {}
         self.zero = QQ0
         self.one = QQ1
 
     def __repr__(self):
+        return "QQ"
+
+    def __reduce__(self):
+        # pickled by name, so a pool task does not carry the slot tables
         return "QQ"
 
     def __eq__(self, other):
@@ -527,29 +626,14 @@ class ExtensionField:
         self.one = (QQ1,) + self.zero[1:]
         self.gen = self.from_coords([base.zero, base.one]
                                     + [base.zero] * (d - 2))
-        # reduction rows: g^(d+i) in the power basis, for i = 0..d-2
-        rows = []
-        cur = [base.neg(c) for c in modulus[:-1]]  # g^d
-        rows.append(list(cur))
-        for _ in range(d - 2):
-            head = cur[-1]
-            cur = [base.zero] + cur[:-1]
-            for j in range(d):
-                cur[j] = base.add(cur[j], base.mul(head, rows[0][j]))
-            rows.append(list(cur))
-        # the integer kernel of `mul` and `inv`: the same rows as flat integer
-        # coordinates over one common denominator, entry j of row i held as
-        # the integer coordinates of a base element (an int when base is Q)
-        bd = base.degree_over_q
-        nums, self._rden = _int_coords(
-            [q for row in rows for q in self.from_coords(row)]
-        )
-        coords = [nums[k:k + bd] for k in range(0, len(nums), bd)]
-        if bd == 1:
-            coords = [c for (c,) in coords]
-        self._irows = [coords[r * d:(r + 1) * d] for r in range(len(rows))]
-        # _imul(a, b) returns the product times this fixed denominator
-        self._den = base._den ** 2 * self._rden
+        # the integer kernel (see the module docstring); the slot table
+        # depends on the base and d alone, so the base keeps one per d
+        if d not in base._tables:
+            base._tables[d] = _slot_table(base, d)
+        self._table = base._tables[d]
+        self._tables = {}
+        self._rows, self._den = _reduction_rows(
+            base, d, *_int_coords(self.from_coords(modulus[:-1])))
         self._inv_cache = {}
 
     def __repr__(self):
@@ -589,56 +673,27 @@ class ExtensionField:
         return self._ireduce(self._ifull(a, b))
 
     def _ifull(self, a, b):
-        """The product of flat integer coordinate lists a and b as a
-        polynomial of degree 2d - 2 in the generator, not yet reduced: the
-        flat integer coordinates of its 2d - 1 base coefficients, each times
-        base._den."""
-        d = self.degree
-        bd = self.base.degree_over_q
-        if bd == 1:
-            full = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        full[j] += ai * bj
-            return full
-        bmul = self.base._imul
-        xa = [a[k:k + bd] for k in range(0, d * bd, bd)]
-        xb = [(j, b[j * bd:(j + 1) * bd]) for j in range(d)]
-        xb = [(j, bj) for j, bj in xb if any(bj)]
-        full = [0] * ((2 * d - 1) * bd)
-        for i, ai in enumerate(xa):
-            if any(ai):
-                for j, bj in xb:
-                    k = (i + j) * bd
-                    full[k:k + bd] = map(add, full[k:k + bd], bmul(ai, bj))
+        """The unreduced product of flat integer coordinate lists a and b:
+        each a_i * b_j added into slot _table[i][j]."""
+        full = [0] * (self.degree_over_q + len(self._rows))
+        b = [(j, y) for j, y in enumerate(b) if y]
+        for x, slot in zip(a, self._table):
+            if x:
+                for j, y in b:
+                    full[slot[j]] += x * y
         return full
 
     def _ireduce(self, full):
-        """Reduce _ifull output by the rows g^(d+i): the integer coordinates
-        of the product times self._den.  Reduction is linear, so a sum of
-        _ifull outputs reduces to the sum of the products."""
-        d = self.degree
-        bd = self.base.degree_over_q
-        if bd == 1:
-            rd = self._rden
-            out = full[:d] if rd == 1 else [rd * c for c in full[:d]]
-            for hi, row in zip(full[d:], self._irows):
-                if hi:
-                    for j, r in enumerate(row):
-                        out[j] += hi * r
-            return out
-        # the low part is over base._den, each reduction term over its square
-        bmul = self.base._imul
-        scale = self.base._den * self._rden
-        out = [c * scale for c in full[:d * bd]]
-        for i, row in enumerate(self._irows):
-            hi = full[(d + i) * bd:(d + i + 1) * bd]
-            if any(hi):
-                for j, r in enumerate(row):
-                    if any(r):
-                        k = j * bd
-                        out[k:k + bd] = map(add, out[k:k + bd], bmul(r, hi))
+        """Reduce _ifull output: the integer coordinates of the product
+        times self._den.  Reduction is linear, so a sum of _ifull outputs
+        reduces to the sum of the products."""
+        n = self.degree_over_q
+        den = self._den
+        out = full[:n] if den == 1 else [den * c for c in full[:n]]
+        for hi, row in zip(full[n:], self._rows):
+            if hi:
+                for j, r in row:
+                    out[j] += hi * r
         return out
 
     def coords(self, x):

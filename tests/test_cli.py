@@ -137,6 +137,64 @@ def test_malformed_coefficient_names_its_record(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf16"])
+def test_unreadable_corpus_exits_2(tmp_path, capsys, kind):
+    if kind == "directory":
+        bad = tmp_path
+    else:
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"curves": []}'.encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read the corpus %s: " % bad)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", jobs, "verify", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--jobs: must be at least 1" in out.err
+
+
+def _cli_in_subprocess(*argv):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter, which
+    prints whether sextic19.conic was imported as its last stdout line."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    paths = [str(root / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = ("import sys\n"
+            "from sextic19.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('sextic19.conic' in sys.modules)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_only_the_conic_commands_import_conic():
+    code, out, _ = _cli_in_subprocess("--jobs", "1", "verify", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "False"
+    # a ConicError still exits 2: the product of two 12-digit primes has no
+    # factor below the trial bound
+    code, out, err = _cli_in_subprocess(
+        "conic-solve", str(100000000003 * 100000000019), "-1")
+    assert code == 2
+    assert out.splitlines() == ["True"]
+    assert err.startswith("error: cannot factor")
+
+
 def test_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "6", "5", "3")
     assert code == 0

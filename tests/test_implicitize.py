@@ -11,7 +11,7 @@ from sextic19.curve import (
     implicitize,
     moving_lines,
 )
-from sextic19.numberfield import QQ, generator
+from sextic19.numberfield import QQ, adjoin_root, generator
 from sextic19.polynomial import TriPoly, UniPoly
 
 CASES = [("curve", rid) for rid in range(1, 40)] + [
@@ -45,6 +45,24 @@ def test_moving_lines_match_gauss_jordan_oracle(by_id, kind, rid):
         got = [[c.coeffs for c in v] for v in moving_lines(curve, m)]
         want = [[c.coeffs for c in v] for v in gauss_moving_lines(curve, m)]
         assert got == want, m
+
+
+def test_moving_lines_over_the_depth_four_tower(by_id):
+    # curve 16 over Q < a < i < th, the field of its odd claim, shifted by
+    # t -> t + th so that the elimination runs on elements of every level
+    rec = by_id[16]
+    ext, (th, _) = adjoin_root(rec.field,
+                               list(rec.odd_claim.location.poly.coeffs))
+    assert len(ext.tower_chain()) == 4
+    comps = [c.map_field(ext).taylor_shift(th)
+             for c in rec.curve.components()]
+    curve = RationalPlaneCurve(ext, *comps)
+    half = curve.degree - curve.degree // 2
+    for m in (half - 1, half, half + 1):
+        got = [[c.coeffs for c in v] for v in moving_lines(curve, m)]
+        want = [[c.coeffs for c in v] for v in gauss_moving_lines(curve, m)]
+        assert got == want, m
+    assert got
 
 
 @pytest.mark.parametrize("kind,rid", MOVING_CASES,

@@ -6,6 +6,7 @@ import pytest
 
 from sextic19.numberfield import (
     QQ,
+    ExtensionField,
     FieldError,
     adjoin_root,
     build_tower,
@@ -151,6 +152,26 @@ def test_mul_kernel_matches_fraction_oracle(by_id):
             got = f.mul(x, y)
             assert got == fraction_mul(f, x, y), (f, x, y)
             assert type(got) is tuple and len(got) == f.degree_over_q
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (2, 3), (3, 2), (3, 3),
+                                     (2, 2, 2), (2, 3, 2), (3, 2, 3)],
+                         ids=lambda ds: "x".join(map(str, ds)))
+def test_mul_kernel_on_random_towers(degrees):
+    # a tower with moduli of these degrees, monic with random non-integral
+    # coefficients over the level below; the product is defined on the
+    # quotient ring whether or not a modulus is irreducible
+    from oracles import fraction_mul
+
+    rng = random.Random(sum(d * 10 ** i for i, d in enumerate(degrees)))
+    f = QQ
+    for level, d in enumerate(degrees):
+        low = [f.random(rng, 9) for _ in range(d)]
+        low[0] = f.from_rat(Rat(2 * rng.randint(-5, 5) + 1, 2))
+        f = ExtensionField(f, low + [f.one], "g%d" % level)
+    ops = _kernel_operands(f, rng)
+    for x, y in [(rng.choice(ops), rng.choice(ops)) for _ in range(16)]:
+        assert f.mul(x, y) == fraction_mul(f, x, y), (f, x, y)
 
 
 def _coefficient_lists(f, rng):

@@ -58,12 +58,18 @@ def test_compose_taylor_reverse():
 def test_taylor_shift_stores_the_coefficients_of_compose(by_id):
     rng = random.Random(15)
     curves = [rec.curve for rec in by_id.values()]
-    for rid in (10, 7):     # the degree-8 and degree-12 fields
+    # the fields of a claim's quadratic roots: Q(a)(th) of degrees 8 and 12
+    # (curves 10 and 7), the depth-4 tower Q < a < i < th (curve 16) and
+    # Q(a)(b)(th) (curve 34)
+    for rid in (10, 7, 16, 34):
         rec = by_id[rid]
-        ext, _ = adjoin_root(rec.field,
-                             list(rec.odd_claim.location.poly.coeffs))
+        quad = next(c.location.poly for c in rec.claims
+                    if getattr(c.location, "poly", None) is not None
+                    and c.location.poly.degree == 2)
+        ext, _ = adjoin_root(rec.field, list(quad.coeffs))
         curves.append(rec.curve.map_field(ext))
     assert sorted({c.field.degree_over_q for c in curves})[-2:] == [8, 12]
+    assert [len(c.field.tower_chain()) for c in curves[-4:]] == [3, 3, 4, 4]
     for curve in curves:
         f = curve.field
         for comp in curve.components() + (P(3, -2), P(5), P()):
