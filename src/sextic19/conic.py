@@ -5,6 +5,7 @@ and the printed witness over the cubic field of curve 24).
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .numberfield import QQ, build_tower, generator
 from .polynomial import (
@@ -182,11 +183,7 @@ def _conic_witness(a, b):
     while h <= WITNESS_HEIGHT_BOUND:
         for q in range(1, h + 1):
             for p in range(-h, h + 1):
-                if max(abs(p), q) != h:
-                    continue
-                from math import gcd
-
-                if gcd(abs(p), q) != 1:
+                if max(abs(p), q) != h or gcd(p, q) != 1:
                     continue
                 X = Rat(p, q)
                 rest = (1 - a * X * X) / b
@@ -448,10 +445,8 @@ def verify_case34_obstruction():
     # exact below: a fractional coordinate has already failed the report
     basis = {e: (int(x), int(y)) for e, (x, y) in basis.items()}
     r3, r4 = basis["pi3"], basis["pi4"]
-    from math import gcd
-
     det = abs(r3[0] * r4[1] - r3[1] * r4[0])
-    d1 = gcd(gcd(abs(r3[0]), abs(r3[1])), gcd(abs(r4[0]), abs(r4[1])))
+    d1 = gcd(*r3, *r4)
     put(
         "quotient_is_Z8",
         det == 8 and d1 == 1,

@@ -26,8 +26,15 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from importlib import resources
 
-from .curve import CurveError, ParameterLocation, RationalPlaneCurve
-from .numberfield import QQ, FieldError, build_tower, coerce_into
+from .curve import (
+    CurveError,
+    MoebiusMap,
+    ParameterLocation,
+    ProjectiveMap,
+    RationalPlaneCurve,
+    implicitize,
+)
+from .numberfield import QQ, FieldError, build_tower, coerce_into, field_pow
 from .polynomial import (
     PolynomialError,
     TriPoly,
@@ -261,8 +268,6 @@ def _decode_record(data):
     ]
     symmetry = None
     if data.get("symmetry"):
-        from .curve import MoebiusMap, ProjectiveMap
-
         sm = data["symmetry"]
         symmetry = (
             ProjectiveMap(fld, [[decode_elem(fld, v) for v in row]
@@ -494,8 +499,6 @@ def cross_check_record(rec):
     implicit equation (where present) with the computed one up to a unit,
     and checks that an alternative parametrization cuts out the same sextic.
     """
-    from .curve import implicitize
-
     report = {"id": rec.id, "ok": True, "checks": {}}
 
     def record(name, ok, detail=""):
@@ -539,8 +542,6 @@ def _alt_same_sextic(rec, F):
     choices for the abstract generator are admitted.  Returns
     (ok, detail, diagonal) with the certified scaling.
     """
-    from .curve import implicitize
-
     Falt, mapdeg = implicitize(rec.alt.curve)
     if Falt.total_degree() != 6 or mapdeg != 1:
         return False, "alternative parametrization degree %d" % Falt.total_degree(), None
@@ -577,8 +578,6 @@ def _diagonal_relation(A, mapped, target):
     """Find u, l1, l2 with target == u * mapped(l1 X, l2 Y, Z), or None."""
     if set(mapped.terms) != set(target.terms):
         return None
-    from .numberfield import field_pow
-
     try:
         e0 = next(e for e in mapped.terms if e[0] == 0 and e[1] == 0)
         ex = next(e for e in mapped.terms if e[0] == 1 and e[1] == 0)

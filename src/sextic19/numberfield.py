@@ -13,31 +13,44 @@ lives in the field, not in the element, so adding, comparing, hashing and
 coercing up the tower work on the flat tuple alone.  The FieldElement
 wrapper provides operator syntax on top of that.
 
-`ExtensionField.mul` writes the rational coordinates of each operand as
-integers over one common denominator and multiplies the two integer
-vectors in one flat kernel, the same for every field, with no recursion
-through the tower.  A field of degree n over Q with tower levels of
-degrees d_1, ..., d_L indexes the unreduced product by its monomials
-x_1^e_1 ... x_L^e_L with e_l <= 2 d_l - 2, its slots; the n basis
-monomials come first, in the flat order of the stored form.  `_ifull` adds
-each product a_i * b_j into slot `_table[i][j]`.  `_ireduce` scales the
-basis slots by one integer D (`_den`) and adds hi * row for every other
-slot, where the row holds the integer coordinates of D times that monomial.
-Over a simple field the slots are 1, g, ..., g^(2d-2) and the rows are
-g^(d+i).  Each field builds its table and rows once, from its base's (Q
-has the one slot 1 and no rows), with one base product per basis monomial
-of the base and coefficient of the modulus (`_reduction_rows`).  No
-rational is formed until the end, so no intermediate gcd is paid; each
-output leaf is then built once as Rat(num, den), which divides out the gcd
-and makes the denominator positive.
+Every product, in Q and in every extension, runs on one integer kernel
+with no recursion through the tower.  `_int_vectors` writes the rational
+coordinates of a list of elements as integers over one common denominator,
+a list of degree_over_q ints per element, and `_elements` builds elements
+from such integers.  They are the kernel's only contact with the stored
+form, and the only functions that know that an element of Q is a bare Rat.
+
+A field of degree n over Q with tower levels of degrees d_1, ..., d_L
+indexes the unreduced product by its monomials x_1^e_1 ... x_L^e_L with
+e_l <= 2 d_l - 2, its w = `_width` slots; the n basis monomials come
+first, in the flat order of the stored form.  Entry `_table[i][j]` is the
+slot of the product of basis monomials i and j.  Reduction scales the basis
+slots by one integer D (`_den`) and adds hi * row for every other slot,
+where the row holds the integer coordinates of D times that monomial.  Over
+a simple field the slots are 1, g, ..., g^(2d-2) and the rows are g^(d+i).
+Q is the degree-one case: one slot, the monomial 1, no rows and D = 1.
+Each extension builds its table and rows once, from its base's, with one
+base product per basis monomial of the base and coefficient of the modulus
+(`_reduction_rows`).
+
+One multiply-accumulate loop, `_mac`, adds scale * a_i * b_j into slot
+at + table[i][j] of an accumulator, for the nonzero b_j only
+(`_nonzero`).  With the field's table it sums the unreduced product of two
+elements into one slot array.  Every kernel sums
+all the products that make up one output coefficient into that
+coefficient's slot array and reduces it once (`_ireduce`).  No rational is
+formed until the end, so no intermediate gcd is paid; each output leaf is
+built once as Rat(num, den), which divides out the gcd and makes the
+denominator positive.
 
 Soundness: the power-basis coordinates of an element are unique, and each
 row holds the exact coordinates of its monomial, scaled by D.  Reduction
-is linear, so `_ireduce` of any sum of `_ifull` products is D times the
-coordinates of the sum of those products.  The sums that the list kernels
-below form before `_ireduce` therefore still reduce to the canonical
-product, and every result is the same canonical tuple that multiplying
-leaf by leaf in rationals gives.
+is linear, so reducing any sum of unreduced products gives D times the
+coordinates of the sum of those products.  Every sum that a kernel below
+forms before it reduces therefore still reduces to the canonical result,
+the same tuple that multiplying leaf by leaf in rationals gives.  Zero
+coordinates, zero coefficients and trailing zero coefficients add nothing
+to a sum, so the kernels skip them.
 
 `ExtensionField.inv` uses the same kernel: the products x * e_j with the
 basis elements e_j are the columns of the matrix of multiplication by x,
@@ -46,43 +59,44 @@ fraction-free elimination, again with one Rat per output leaf.  Addition
 and negation work coordinate by coordinate on the rationals.
 
 `plist_mul` multiplies coefficient lists (polynomials and truncated series,
-cut to the first n coefficients) on the same integers.  Each operand list
-is written once as integer vectors over one common denominator; the
-convolution sums the products of those vectors (plain int products over Q,
-over an extension the unreduced `_ifull` products, so that each output
-coefficient is reduced once); and each output leaf is
-built once as Rat(num, den).  Integer sums and reduction are exact, and the
-power-basis coordinates of each output coefficient are unique, so the list
-is the same canonical one that one field.mul and one field.add per pair of
-terms gives.  `sparse_mul` is the same convolution on polynomials stored
-as dicts from exponent tuples to coefficients (the TriPoly products).  The
-stored form of an element is unchanged: the integers live only inside the
-call.
+cut to the first n coefficients).  Each operand list is written once as
+integers over one common denominator.  The nonzero integers of b form one
+flat list, and its own slot table puts slot s of output coefficient i + j
+at i * w + (j * w + s), so a_i times all of b is one `_mac` at offset
+i * w.
+Integer sums and reduction are exact, and the power-basis coordinates of
+each output coefficient are unique, so the list is the same canonical one
+that one field.mul and one field.add per pair of terms gives.  `sparse_mul`
+is the same convolution on polynomials stored as dicts from exponent tuples
+to coefficients (the TriPoly products), one slot array per output monomial.
+The stored form of an element is unchanged: the integers live only inside
+the call.
 
-`plist_shift` gives the coefficients of a(t + t0) on the same integers.
-It takes the powers of t0 once, each one integer product of the one
-before, over one common denominator, and writes the list a once as integer
-vectors.  Coefficient j is the sum of C(k, j) a_k t0^(k-j) over k >= j,
-summed unreduced and reduced once.  By the binomial
-theorem that is the coefficient of t^j in a(t + t0), and every step is
-exact, so the list is the canonical one that Horner's rule in field
-arithmetic gives.
+`plist_shift` gives the coefficients of a(t + t0).  It takes the powers of
+t0 once, each one integer product of the one before, over one common
+denominator, and writes the list a once as integers.  Coefficient j is the
+sum of C(k, j) a_k t0^(k-j) over k >= j, summed unreduced with the scale
+C(k, j) and reduced once.  By the binomial theorem that is the coefficient
+of t^j in a(t + t0), and every step is exact, so the list is the canonical
+one that Horner's rule in field arithmetic gives.
 
-`plist_divmod` divides on the same integers.  It writes the divisor once as
-integer vectors over one denominator and inverts its leading coefficient
-once.  Running from the top down, coefficient k of the running remainder is
-computed once, when it leads (it then gives quotient coefficient k - n, for
-n = deg den) or when it ends in the remainder (k < n): num_k minus the sum
-of quo_s * den_(k-s) over the quotient coefficients found so far, a sum of
-unreduced integer products over one denominator, reduced once and built
-once as Rats.  Long division over a field has exactly one answer: the
-quotient q and remainder r with num = q * den + r and deg r < deg den are
-unique, and every step here is exact, so both are the canonical lists that
-one field.mul and one field.sub per term give (Knuth, TAOCP vol. 2,
-4.6.1).  `plist_gcd` runs Euclid's algorithm on it and makes the last
-remainder monic.  `nullspace` eliminates on integer rows, with one integer
-product per entry and no Rat until the unique reduced row echelon form is
-read off.
+`plist_divmod` writes the divisor once as integers over one denominator and
+inverts its leading coefficient once.  Running from the top down,
+coefficient k of the running remainder is computed once, when it leads (it
+then gives quotient coefficient k - n, for n = deg den) or when it ends in
+the remainder (k < n): num_k minus the sum of quo_s * den_(k-s) over the
+quotient coefficients found so far, a sum of unreduced integer products
+over one denominator, reduced once and built once as Rats.  The integers
+of a quotient coefficient are divided by their gcd with its denominator,
+which leaves the least common denominator of its Rats and the numerators
+over it: the integers that reading those Rats back would give.  Long
+division over a field has exactly one answer: the quotient q and remainder
+r with num = q * den + r and deg r < deg den are unique, and every step
+here is exact, so both are the canonical lists that one field.mul and one
+field.sub per term give (Knuth, TAOCP vol. 2, 4.6.1).  `plist_gcd` runs
+Euclid's algorithm on it and makes the last remainder monic.  `nullspace`
+eliminates on integer rows, with one integer product per entry and no Rat
+until the unique reduced row echelon form is read off.
 
 The flat form is private to this module, and only `coords`, `from_coords`
 and `descend` split it at the base field.  Other modules see an element
@@ -92,6 +106,7 @@ tests whether it lies in the base field, so a different stored form
 (integers over a common denominator, say) would change this module alone.
 """
 
+from bisect import bisect_left
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -137,33 +152,29 @@ def plist_mul(field, a, b, n=None):
         size = min(size, n)
     if size <= 0:
         return []
-    xa, da = _int_vectors(field, a[:size])
-    xb, db = _int_vectors(field, b[:size])
-    if field.degree_over_q == 1:
-        out = [0] * size
-        for i, ai in enumerate(xa):
-            if ai:
-                for k, bj in enumerate(xb[:size - i], i):
-                    out[k] += ai * bj
-        return _rats(out, da * db)
-    # the products stay unreduced until every term of an output coefficient
-    # is summed, so each is reduced once
-    full = field._ifull
-    xb = [(j, bj) for j, bj in enumerate(xb) if any(bj)]
-    sums = [None] * size
+    # trailing zero coefficients (of a series padded to its truncation, say)
+    # add nothing to the product
+    a = _plist_normalize(field, a[:size])
+    b = _plist_normalize(field, b[:size])
+    top = min(size, len(a) + len(b) - 1) if a and b else 0
+    xa, da = _int_vectors(field, a)
+    xb, db = _int_vectors(field, b)
+    # b's nonzero integers as one flat list of (position, value), and their
+    # slot table: slot s of output coefficient i + j sits at
+    # i * w + (j * w + s), so a_i times b is one _mac at offset i * w over
+    # the entries of the coefficients j < top - i
+    w = field._width
+    bs = _nonzero([c for v in xb for c in v])
+    ends = [j for j, _y in bs]
+    table = [[j * w + s for j in range(len(xb)) for s in row]
+             for row in field._table]
+    acc = [0] * (top * w)
     for i, ai in enumerate(xa):
         if any(ai):
-            for j, bj in xb:
-                k = i + j
-                if k >= size:
-                    break
-                p = full(ai, bj)
-                sums[k] = p if sums[k] is None else list(map(add, sums[k], p))
-    den = da * db * field._den
-    zero = field.zero
-    return [zero if s is None else
-            tuple(_rats(field._ireduce(s), den))
-            for s in sums]
+            cut = bisect_left(ends, (top - i) * len(ai))
+            _mac(acc, ai, table, bs[:cut], at=i * w)
+    return (_elements(field, _ireduce(field, acc), da * db * field._den)
+            + [field.zero] * (size - top))
 
 
 def plist_shift(field, a, t0):
@@ -173,23 +184,14 @@ def plist_shift(field, a, t0):
         return list(a)
     xa, da = _int_vectors(field, a)
     xp, dp = _int_powers(field, t0, n)
-    if field.degree_over_q == 1:
-        return _rats([sum(comb(k, j) * xa[k] * xp[k - j]
-                          for k in range(j, n) if xa[k])
-                      for j in range(n)], da * dp)
-    full = field._ifull
-    den = da * dp * field._den
-    out = []
-    for j in range(n):
-        s = None
-        for k in range(j, n):
-            if any(xa[k]):
-                c = comb(k, j)
-                p = full([c * x for x in xa[k]], xp[k - j])
-                s = p if s is None else list(map(add, s, p))
-        out.append(field.zero if s is None else
-                   tuple(_rats(field._ireduce(s), den)))
-    return out
+    xp = [_nonzero(p) for p in xp]
+    w = field._width
+    acc = [0] * (n * w)
+    for k, ak in enumerate(xa):
+        if any(ak):
+            for j in range(k + 1):
+                _mac(acc, ak, field._table, xp[k - j], comb(k, j), j * w)
+    return _elements(field, _ireduce(field, acc), da * dp * field._den)
 
 
 def plist_divmod(field, num, den):
@@ -199,24 +201,30 @@ def plist_divmod(field, num, den):
     nq = max(0, len(num) - dn)
     xn, dnum = _int_vectors(field, num)
     xd, dden = _int_vectors(field, den)
+    xd = [_nonzero(v) for v in xd]
     xi, dinv = _int_vector(field, field.inv(den[-1]))
+    xi = _nonzero(xi)
     quo = [field.zero] * nq
     xq = [None] * nq        # (integer coordinates, denominator) of quo[s]
     rem = []
     for k in range(len(num) - 1, -1, -1):
-        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s)
+        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s),
+        # over the nonzero terms
         terms = [(xq[s], xd[k - s])
                  for s in range(max(0, k - dn), min(k + 1, nq))
-                 if xq[s] is not None]
+                 if xq[s] is not None and xd[k - s]]
         r, rd = _sub_products(field, xn[k], dnum, terms, dden)
         if k < dn:
-            rem.append(_element(field, r, rd))
+            rem += _elements(field, r, rd)
             continue
-        # r leads: the quotient coefficient is r / lc(den)
-        q = quo[k - dn] = _element(field, field._imul(r, xi),
-                                   rd * dinv * field._den)
-        if not field.is_zero(q):
-            xq[k - dn] = _int_vector(field, q)
+        # r leads: the quotient coefficient is r / lc(den), its integers
+        # divided by their gcd with the denominator
+        q, dq = _imul(field, r, xi), rd * dinv * field._den
+        g = gcd(dq, *q)
+        q, dq = [c // g for c in q], dq // g
+        quo[k - dn] = _elements(field, q, dq)[0]
+        if any(q):
+            xq[k - dn] = q, dq
     rem.reverse()
     return quo, _plist_normalize(field, rem)
 
@@ -250,20 +258,13 @@ def nullspace(field, rows):
     its pivot, one Rat per leaf.  The reduced row echelon form is unique, so
     this is the one that elimination in field arithmetic reaches.
     """
-    n = field.degree_over_q
     width = len(rows[0])
-    imul = field._imul if n > 1 else (lambda a, b: [a[0] * b[0]])
-
-    def ints(elems):
-        # integer coordinates of a nonzero multiple of elems, flat lists
-        xs, _den = _int_vectors(field, elems)
-        return xs if n > 1 else [[x] for x in xs]
 
     def primitive(row):
         g = gcd(*[c for v in row for c in v])
         return [[c // g for c in v] for v in row] if g > 1 else row
 
-    xs = ints([c for row in rows for c in row])
+    xs, _den = _int_vectors(field, [c for row in rows for c in row])
     rows = [xs[k:k + width] for k in range(0, len(xs), width)]
     pivots = []
     for col in range(width):
@@ -273,16 +274,17 @@ def nullspace(field, rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = _element(field, rows[r][col] if n > 1 else rows[r][col][0], 1)
-        (xi,) = ints([field.inv(pivot)])
-        prow = rows[r] = primitive([imul(xi, w) for w in rows[r]])
-        d = prow[col][0] * field._den   # imul's products carry field._den
+        pivot = _elements(field, rows[r][col], 1)[0]
+        xi, _den = _int_vector(field, field.inv(pivot))
+        xi = _nonzero(xi)
+        prow = rows[r] = primitive([_imul(field, w, xi) for w in rows[r]])
+        d = prow[col][0] * field._den   # _imul's products carry field._den
         live = [any(w) for w in prow]
         for i, row in enumerate(rows):
-            c = row[col]
-            if i != r and any(c):
+            c = _nonzero(row[col])
+            if i != r and c:
                 rows[i] = primitive([
-                    [d * x - y for x, y in zip(v, imul(c, w))] if on
+                    [d * x - y for x, y in zip(v, _imul(field, w, c))] if on
                     else [d * x for x in v]
                     for v, w, on in zip(row, prow, live)])
         pivots.append(col)
@@ -291,8 +293,8 @@ def nullspace(field, rows):
         vec = [field.zero] * width
         vec[free] = field.one
         for row, col in zip(rows, pivots):
-            neg = [-c for c in row[free]]
-            vec[col] = _element(field, neg if n > 1 else neg[0], row[col][0])
+            vec[col] = _elements(field, [-c for c in row[free]],
+                                 row[col][0])[0]
         basis.append(vec)
     return basis
 
@@ -303,33 +305,23 @@ def sparse_mul(field, a, b):
     integer sum per output monomial, reduced once."""
     xa, da = _int_vectors(field, list(a.values()))
     xb, db = _int_vectors(field, list(b.values()))
-    pa, pb = list(zip(a, xa)), list(zip(b, xb))
-    sums = {}
-    if field.degree_over_q == 1:
-        for e1, c1 in pa:
-            for e2, c2 in pb:
-                e = tuple(map(add, e1, e2))
-                sums[e] = sums.get(e, 0) + c1 * c2
-        den = da * db
-        return {e: Rat(s, den) for e, s in sums.items() if s}
-    full = field._ifull
-    for e1, c1 in pa:
+    pb = [(e, _nonzero(v)) for e, v in zip(b, xb)]
+    start = {}              # output monomial -> start of its slot array
+    acc = []
+    for e1, c1 in zip(a, xa):
         for e2, c2 in pb:
             e = tuple(map(add, e1, e2))
-            p = full(c1, c2)
-            s = sums.get(e)
-            sums[e] = p if s is None else list(map(add, s, p))
-    den = da * db * field._den
-    out = {}
-    for e, s in sums.items():
-        r = field._ireduce(s)
-        if any(r):
-            out[e] = tuple(_rats(r, den))
-    return out
+            k = start.get(e)
+            if k is None:
+                k = start[e] = len(acc)
+                acc += [0] * field._width
+            _mac(acc, c1, field._table, c2, at=k)
+    out = _elements(field, _ireduce(field, acc), da * db * field._den)
+    return {e: c for e, c in zip(start, out) if not field.is_zero(c)}
 
 
 # ----------------------------------------------------------------------
-# integer kernel of the extension fields (see the module docstring)
+# the integer kernel (see the module docstring)
 
 
 def _int_coords(leaves):
@@ -346,13 +338,13 @@ def _rats(nums, den):
 
 
 def _int_vectors(field, elems):
-    """(integer coordinates of each element, one common denominator): an
-    int per element over Q, a flat list of degree_over_q ints otherwise."""
-    if field.degree_over_q == 1:
-        return _int_coords(elems)
-    nums, den = _int_coords([q for x in elems for q in x])
+    """(the integer coordinates of each element, a list of degree_over_q
+    ints, and one common denominator).  With `_elements`, the kernel's one
+    contact with the stored form: a Rat over Q, a flat tuple of Rats
+    otherwise."""
     n = field.degree_over_q
-    return [nums[k:k + n] for k in range(0, len(nums), n)], den
+    nums, den = _int_coords(elems if n == 1 else [q for x in elems for q in x])
+    return list(zip(*[iter(nums)] * n)), den
 
 
 def _int_vector(field, x):
@@ -361,27 +353,68 @@ def _int_vector(field, x):
     return v, den
 
 
+def _elements(field, nums, den):
+    """The elements whose integer coordinates, one after the other in the
+    flat list nums, are over den, in the stored form."""
+    out = _rats(nums, den)
+    n = field.degree_over_q
+    return out if n == 1 else list(zip(*[iter(out)] * n))
+
+
+def _nonzero(v):
+    """The nonzero entries (j, v_j) of an integer list: the form in which
+    `_mac` takes its second operand."""
+    return [(j, y) for j, y in enumerate(v) if y]
+
+
+def _mac(acc, a, table, b, scale=1, at=0):
+    """Add scale * a_i * y into acc[at + table[i][j]] for each entry a_i of
+    the integer list a and each entry (j, y) of b, and return acc.  With a
+    field's `_table` and at = 0 this sums the unreduced product of two
+    elements into one slot array."""
+    for x, slots in zip(a, table):
+        if x:
+            x *= scale
+            for j, y in b:
+                acc[at + slots[j]] += x * y
+    return acc
+
+
+def _ireduce(field, full):
+    """The integer coordinates, times field._den, of the sum of products in
+    each slot array of full (consecutive arrays of field._width slots), one
+    element after the other.  Reduction is linear, so a sum of products
+    reduces to the sum of their reductions."""
+    n, w, den = field.degree_over_q, field._width, field._den
+    out = []
+    for k in range(0, len(full), w):
+        v = full[k:k + n] if den == 1 else [den * c for c in full[k:k + n]]
+        for hi, row in zip(full[k + n:k + w], field._rows):
+            if hi:
+                for j, r in row:
+                    v[j] += hi * r
+        out += v
+    return out
+
+
+def _imul(field, a, b):
+    """The integer coordinates of a * b times field._den, for b given by its
+    nonzero entries (`_nonzero`)."""
+    return _ireduce(field, _mac([0] * field._width, a, field._table, b))
+
+
 def _int_powers(field, x, n):
     """(integer coordinates of x^0, ..., x^(n-1), one common denominator),
     n >= 2: each power is one _imul of the one before, scaled once to the
     denominator of the last."""
     v, d = _int_vector(field, x)
-    one = 1 if field.degree_over_q == 1 else [1] + [0] * (len(v) - 1)
-    powers = [(one, 1), (v, d)]
+    powers = [([1] + [0] * (len(v) - 1), 1), (v, d)]
+    vn = _nonzero(v)
     while len(powers) < n:
         p, dp = powers[-1]
-        powers.append((field._imul(p, v), dp * d * field._den))
+        powers.append((_imul(field, p, vn), dp * d * field._den))
     top = powers[-1][1]
-    if field.degree_over_q == 1:
-        return [p * (top // dp) for p, dp in powers], top
     return [[c * (top // dp) for c in p] for p, dp in powers], top
-
-
-def _element(field, nums, den):
-    """The element with integer coordinates nums over den."""
-    if field.degree_over_q == 1:
-        return Rat(nums, den) if nums else QQ0
-    return tuple(_rats(nums, den))
 
 
 def _sub_products(field, x, dx, terms, de):
@@ -391,17 +424,11 @@ def _sub_products(field, x, dx, terms, de):
     if not terms:
         return x, dx
     m = lcm(*[dq for (_q, dq), _e in terms])
-    if field.degree_over_q == 1:
-        s = sum(q * (m // dq) * e for (q, dq), e in terms)
-        return x * m * de - dx * s, dx * m * de
-    full = None
+    acc = [0] * field._width
     for (q, dq), e in terms:
-        if dq != m:
-            q = [c * (m // dq) for c in q]
-        p = field._ifull(q, e)
-        full = p if full is None else list(map(add, full, p))
+        _mac(acc, q, field._table, e, m // dq)
     scale = m * de * field._den
-    return ([c * scale - dx * s for c, s in zip(x, field._ireduce(full))],
+    return ([c * scale - dx * s for c, s in zip(x, _ireduce(field, acc))],
             dx * scale)
 
 
@@ -433,7 +460,7 @@ def _reduction_rows(base, d, nums, dt):
     D = dd^(d-1) and then divided by the gcd of D and all their entries.
     For k < d, dd * x^s g^k is db dt times the base's row of x^s at level k.
     g^d = -M/dt for M = nums, so level j of dd * x^s g^d is db^2 x^s (-M_j):
-    for a basis monomial x^s, db times base._imul(e_s, -M_j), with no base
+    for a basis monomial x^s, db times _imul(base, -M_j, e_s), with no base
     product for x^0 = 1; for another slot, the same sum over the base's row
     of x^s.  Each higher power is g times the one below: the levels shift
     up, and the top level times g^d is read off the rows of the basis
@@ -449,16 +476,12 @@ def _reduction_rows(base, d, nums, dt):
            for k in range(d) for u in extra]
     rows = []
     level = [[-db * db * c for c in nums]]
-    if bn > 1:
-        units = [[int(i == s) for i in range(bn)] for s in range(1, bn)]
-        tops = [[-c for c in nums[j:j + bn]] for j in range(0, d * bn, bn)]
-        prods = [[base._imul(e, t) for e in units] for t in tops]
-        level += [[db * c for ps in prods for c in ps[s]]
-                  for s in range(bn - 1)]
-        cols = [list(zip([db * c for c in t], *ps))
-                for t, ps in zip(tops, prods)]
-        level += [[sum(map(mul, u, c)) for cs in cols for c in cs]
-                  for u in extra]
+    units = [[(s, 1)] for s in range(1, bn)]
+    tops = [[-c for c in nums[j:j + bn]] for j in range(0, d * bn, bn)]
+    prods = [[_imul(base, t, e) for e in units] for t in tops]
+    level += [[db * c for ps in prods for c in ps[s]] for s in range(bn - 1)]
+    cols = [list(zip([db * c for c in t], *ps)) for t, ps in zip(tops, prods)]
+    level += [[sum(map(mul, u, c)) for cs in cols for c in cs] for u in extra]
     basis_rows = level[:bn]
     for i in range(d - 1):
         if i:
@@ -517,11 +540,12 @@ class RationalField:
     name = None
     degree = 1
     degree_over_q = 1
-    # the integer kernel's tables (see ExtensionField): one slot, the
-    # monomial 1, and no reduction rows
+    # the integer kernel's tables (see the module docstring): one slot,
+    # the monomial 1, and no reduction rows
     _table = ((0,),)
     _rows = ()
     _den = 1
+    _width = 1
 
     def __init__(self):
         self._tables = {}
@@ -540,12 +564,6 @@ class RationalField:
 
     def __hash__(self):
         return hash("QQ")
-
-    @staticmethod
-    def _imul(a, b):
-        """The integer kernel's product: over Q the integer coordinates of an
-        element are one int."""
-        return a * b
 
     def add(self, x, y):
         return x + y
@@ -634,6 +652,7 @@ class ExtensionField:
         self._tables = {}
         self._rows, self._den = _reduction_rows(
             base, d, *_int_coords(self.from_coords(modulus[:-1])))
+        self._width = self.degree_over_q + len(self._rows)
         self._inv_cache = {}
 
     def __repr__(self):
@@ -665,36 +684,8 @@ class ExtensionField:
     def mul(self, x, y):
         xs, xd = _int_coords(x)
         ys, yd = _int_coords(y)
-        return tuple(_rats(self._imul(xs, ys), xd * yd * self._den))
-
-    def _imul(self, a, b):
-        """Product of flat integer coordinate lists a and b, returned as the
-        integer coordinates of a*b times self._den."""
-        return self._ireduce(self._ifull(a, b))
-
-    def _ifull(self, a, b):
-        """The unreduced product of flat integer coordinate lists a and b:
-        each a_i * b_j added into slot _table[i][j]."""
-        full = [0] * (self.degree_over_q + len(self._rows))
-        b = [(j, y) for j, y in enumerate(b) if y]
-        for x, slot in zip(a, self._table):
-            if x:
-                for j, y in b:
-                    full[slot[j]] += x * y
-        return full
-
-    def _ireduce(self, full):
-        """Reduce _ifull output: the integer coordinates of the product
-        times self._den.  Reduction is linear, so a sum of _ifull outputs
-        reduces to the sum of the products."""
-        n = self.degree_over_q
-        den = self._den
-        out = full[:n] if den == 1 else [den * c for c in full[:n]]
-        for hi, row in zip(full[n:], self._rows):
-            if hi:
-                for j, r in row:
-                    out[j] += hi * r
-        return out
+        return tuple(_rats(_imul(self, xs, _nonzero(ys)),
+                           xd * yd * self._den))
 
     def coords(self, x):
         """The base-field coordinates of x in the power basis."""
@@ -728,8 +719,7 @@ class ExtensionField:
         # integer kernel gives the columns x * e_j, all times xd * self._den
         xs, xd = _int_coords(x)
         n = self.degree_over_q
-        cols = [self._imul([0] * j + [1] + [0] * (n - 1 - j), xs)
-                for j in range(n)]
+        cols = [_imul(self, xs, [(j, 1)]) for j in range(n)]
         rows = [[c[i] for c in cols] + [0] for i in range(n)]
         rows[0][n] = xd * self._den
         nums, den = _solve_fraction_free(rows)
@@ -941,11 +931,6 @@ def number_field(minpoly, name="a"):
     if not minpoly_is_squarefree(coeffs):
         raise FieldError("minimal polynomial is not squarefree")
     return ExtensionField(QQ, coeffs, name)
-
-
-def extend(base, minpoly_over_base, name):
-    """base[name]/(m) for monic m with coefficients already in `base`."""
-    return ExtensionField(base, minpoly_over_base, name)
 
 
 def build_tower(generators):

@@ -8,6 +8,8 @@ the coefficient field; resultants whose coefficients are polynomials are
 determinants of hybrid Bezout matrices of TriPolys.
 """
 
+from math import gcd, lcm
+
 from .numberfield import (
     QQ,
     field_pow,
@@ -452,17 +454,9 @@ class TriPoly:
             return self
         f = self.field
         if f == QQ:
-            from math import gcd, lcm
-
-            dens = [int(c.denominator) for c in self.terms.values()]
-            L = 1
-            for d in dens:
-                L = lcm(L, d)
-            nums = [abs(int(c * L)) for c in self.terms.values()]
-            g = 0
-            for n in nums:
-                g = gcd(g, n)
-            scale = Rat(L, g)
+            cs = self.terms.values()
+            L = lcm(*[int(c.denominator) for c in cs])
+            scale = Rat(L, gcd(*[int(c * L) for c in cs]))
             _, lead = self.lead_term()
             if lead * scale < 0:
                 scale = -scale

@@ -154,24 +154,65 @@ def test_mul_kernel_matches_fraction_oracle(by_id):
             assert type(got) is tuple and len(got) == f.degree_over_q
 
 
-@pytest.mark.parametrize("degrees", [(2, 2), (2, 3), (3, 2), (3, 3),
-                                     (2, 2, 2), (2, 3, 2), (3, 2, 3)],
-                         ids=lambda ds: "x".join(map(str, ds)))
-def test_mul_kernel_on_random_towers(degrees):
-    # a tower with moduli of these degrees, monic with random non-integral
-    # coefficients over the level below; the product is defined on the
-    # quotient ring whether or not a modulus is irreducible
-    from oracles import fraction_mul
+RANDOM_TOWERS = pytest.mark.parametrize(
+    "degrees",
+    [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2), (3, 2, 3)],
+    ids=lambda ds: "x".join(map(str, ds)))
 
+
+def _random_tower(degrees):
+    """(a tower with moduli of these degrees, monic with random non-integral
+    coefficients over the level below, and the seeded rng that drew it).
+    Products are defined on the quotient ring whether or not a modulus is
+    irreducible."""
     rng = random.Random(sum(d * 10 ** i for i, d in enumerate(degrees)))
     f = QQ
     for level, d in enumerate(degrees):
         low = [f.random(rng, 9) for _ in range(d)]
         low[0] = f.from_rat(Rat(2 * rng.randint(-5, 5) + 1, 2))
         f = ExtensionField(f, low + [f.one], "g%d" % level)
+    assert f._den > 1
+    return f, rng
+
+
+@RANDOM_TOWERS
+def test_mul_kernel_on_random_towers(degrees):
+    from oracles import fraction_mul
+
+    f, rng = _random_tower(degrees)
     ops = _kernel_operands(f, rng)
     for x, y in [(rng.choice(ops), rng.choice(ops)) for _ in range(16)]:
         assert f.mul(x, y) == fraction_mul(f, x, y), (f, x, y)
+
+
+@RANDOM_TOWERS
+def test_list_kernels_on_random_towers(degrees):
+    # every list kernel against its one-field-operation-per-term oracle, on
+    # the towers of test_mul_kernel_on_random_towers
+    from oracles import (schoolbook_plist_divmod, schoolbook_plist_mul,
+                         schoolbook_tri_mul)
+    from sextic19.polynomial import TriPoly, UniPoly
+
+    f, rng = _random_tower(degrees)
+    lists = _coefficient_lists(f, rng)
+    for a, b in [(rng.choice(lists), rng.choice(lists)) for _ in range(6)]:
+        want = schoolbook_plist_mul(f, a, b)
+        for n in (None, 1, max(1, len(want) - 3), len(want) + 2):
+            assert plist_mul(f, a, b, n) == want[:n], (f, a, b, n)
+    dens = _divisors(f, lists)
+    for num, den in [(rng.choice(lists), rng.choice(dens)) for _ in range(6)]:
+        assert plist_divmod(f, num, den) == \
+            schoolbook_plist_divmod(f, num, den), (f, num, den)
+    for a in lists[1::3]:
+        p = UniPoly(f, a)
+        for t0 in (f.random(rng, 9), f.gen):
+            want = p.compose(UniPoly(f, (t0, f.one)))
+            assert p.taylor_shift(t0).coeffs == want.coeffs, (f, a, t0)
+    polys = [_sparse_poly(f, rng, size) for size in (1, 3, 8)]
+    for a in polys:
+        for b in polys:
+            want = schoolbook_tri_mul(TriPoly(f, a), TriPoly(f, b))
+            assert sparse_mul(f, a, b) == want.terms, (f, a, b)
 
 
 def _coefficient_lists(f, rng):
