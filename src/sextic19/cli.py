@@ -7,7 +7,6 @@ usage or I/O errors and on a malformed corpus.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -126,7 +125,7 @@ def cmd_verify(args):
              for rec in (_find(recs, rid) for rid in ids)]
     t0 = time.time()
     # a pool starts all of its workers at once, so start no idle ones
-    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
+    jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -274,8 +273,8 @@ def build_parser():
                     help="machine-readable output")
     ap.add_argument("--corpus", help="path to a corpus file "
                     "(default: $SEXTIC19_CORPUS, else the bundled one)")
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="parallel verification jobs (default: cpu count)")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="parallel verification jobs (default: 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the corpus")
@@ -315,7 +314,7 @@ COMMANDS = {
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         ap.error("argument --jobs: must be at least 1, not %d" % args.jobs)
     try:
         return COMMANDS[args.command](args)

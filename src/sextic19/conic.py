@@ -5,7 +5,7 @@ and the printed witness over the cubic field of curve 24).
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .numberfield import QQ, build_tower, generator
 from .polynomial import (
@@ -23,7 +23,6 @@ from .rationals import (
     factorize,
     is_prime,
     rat_sqrt,
-    rat_squarefree_split,
     rat_str,
 )
 
@@ -37,12 +36,24 @@ class ConicError(Exception):
 
 
 def _squarefree_split(q):
-    """rat_squarefree_split(q), with a coefficient that factorize refuses
-    (see rationals.FACTOR_TRIAL_BOUND) reported as a ConicError."""
+    """(s, c, primes) with q = s * c^2, s a squarefree integer, c a positive
+    rational and primes the list of primes dividing s, from one factorization
+    of |num * den| = |s| t^2 (c = t / den).  A coefficient that factorize
+    refuses (see rationals.FACTOR_TRIAL_BOUND) is reported as a ConicError."""
+    q = Rat(q)
+    num, den = int(q.numerator), int(q.denominator)
     try:
-        return rat_squarefree_split(q)
+        fac = factorize(abs(num * den))
     except ValueError as exc:
         raise ConicError(str(exc)) from None
+    primes = [p for p, e in fac.items() if e % 2]
+    s = prod(primes) if num > 0 else -prod(primes)
+    return s, Rat(prod(p ** (e // 2) for p, e in fac.items()), den), primes
+
+
+def _places(pa, pb):
+    """'inf', 2, and the odd primes of the two lists, sorted."""
+    return ["inf", 2] + sorted(set(pa + pb) - {2})
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +98,7 @@ def hilbert_symbol(a, b, place):
     a, b = Rat(a), Rat(b)
     if a == 0 or b == 0:
         raise ConicError("Hilbert symbol requires nonzero entries")
-    if place in ("inf", "oo", None):
+    if place in ("inf", "oo"):
         return -1 if (a < 0 and b < 0) else 1
     if not (isinstance(place, int) and place < PRIME_TEST_BOUND
             and is_prime(place)):
@@ -116,12 +127,7 @@ def hilbert_symbol(a, b, place):
 
 def relevant_places(a, b):
     """'inf', 2, and the odd primes dividing the squarefree parts."""
-    sa, _ = _squarefree_split(Rat(a))
-    sb, _ = _squarefree_split(Rat(b))
-    odd = set()
-    for s in (sa, sb):
-        odd.update(q for q in factorize(abs(s)) if q != 2)
-    return ["inf", 2] + sorted(odd)
+    return _places(_squarefree_split(a)[2], _squarefree_split(b)[2])
 
 
 @dataclass
@@ -155,9 +161,9 @@ def conic_solvable_over_q(a, b):
     a, b = Rat(a), Rat(b)
     if a == 0 or b == 0:
         raise ConicError("conic coefficients must be nonzero")
-    sa, ca = _squarefree_split(a)
-    sb, cb = _squarefree_split(b)
-    places = relevant_places(sa, sb)
+    sa, ca, pa = _squarefree_split(a)
+    sb, cb, pb = _squarefree_split(b)
+    places = _places(pa, pb)
     symbols = {str(v): hilbert_symbol(sa, sb, v) for v in places}
     bad = tuple(v for v in places if symbols[str(v)] == -1)
     trace = {
@@ -304,7 +310,7 @@ def pencil_reduce(F, pencil, fld):
             "expected two branch points" % odd.degree
         )
     if fld == QQ:
-        s, c = _squarefree_split(lead)
+        s, c, _ = _squarefree_split(lead)
         d1 = odd.scale(fld.from_int(s))
         d2 = even.scale(fld.from_rat(c))
     else:

@@ -249,19 +249,13 @@ class ProjectiveMap:
 class RationalPlaneCurve:
     """Parametrized plane curve (x(t) : y(t) : z(t)) over a number field."""
 
-    def __init__(self, field, x, y, z, degree=None, check=True):
+    def __init__(self, field, x, y, z, check=True):
         self.field = field
         self.x, self.y, self.z = x, y, z
-        maxdeg = max(x.degree, y.degree, z.degree)
-        self.degree = maxdeg if degree is None else degree
+        self.degree = max(x.degree, y.degree, z.degree)
         if check:
             if x.is_zero() and y.is_zero() and z.is_zero():
                 raise DegenerateCurve("all components vanish")
-            if self.degree != maxdeg:
-                raise CurveError(
-                    "declared degree %d but components have degree %d"
-                    % (self.degree, maxdeg)
-                )
             g = poly_gcd(x, poly_gcd(y, z))
             if g.degree > 0:
                 raise CurveError("components share the factor %s" % g.to_str())
@@ -277,7 +271,6 @@ class RationalPlaneCurve:
             self.x.map_field(new_field),
             self.y.map_field(new_field),
             self.z.map_field(new_field),
-            degree=self.degree,
             check=False,
         )
 
@@ -448,7 +441,7 @@ def dual(curve):
 
 def reparametrize(curve, moebius):
     """Precompose with t -> (a t + b)/(c t + d), clear denominators to the
-    declared degree, remove any common polynomial factor."""
+    curve's degree, remove any common polynomial factor."""
     f = curve.field
     n = curve.degree
     num = UniPoly(f, (moebius.b, moebius.a))

@@ -23,8 +23,9 @@ import json
 import os
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib import resources
+from operator import mul
 
 from .curve import (
     CurveError,
@@ -34,7 +35,7 @@ from .curve import (
     RationalPlaneCurve,
     implicitize,
 )
-from .numberfield import QQ, FieldError, build_tower, coerce_into, field_pow
+from .numberfield import QQ, FieldError, build_tower, field_pow
 from .polynomial import (
     PolynomialError,
     TriPoly,
@@ -75,7 +76,7 @@ def decode_elem(fld, data):
             value = Rat(data)
         except (ValueError, ZeroDivisionError):
             raise CorpusError("%r is not a rational" % data) from None
-        return coerce_into(fld, value)
+        return fld.from_rat(value)
     if fld == QQ:
         raise CorpusError("nested coefficient for a rational value")
     return fld.from_coords([decode_elem(fld.base, d) for d in data])
@@ -86,10 +87,10 @@ def decode_poly(fld, coeffs):
 
 
 def decode_factors(fld, factors):
-    acc = UniPoly.one(fld)
-    for fac in factors:
-        acc = acc * decode_poly(fld, fac["coeffs"]) ** fac["power"]
-    return acc
+    """The product of the factor powers, as printed; 1 for no factors."""
+    powers = [decode_poly(fld, fac["coeffs"]) ** fac["power"]
+              for fac in factors]
+    return reduce(mul, powers) if powers else UniPoly.one(fld)
 
 
 def decode_location(fld, data, components=None):
@@ -116,40 +117,55 @@ def decode_location(fld, data, components=None):
     raise CorpusError("unknown location kind %r" % kind)
 
 
-def descend(poly):
-    """Coerce a UniPoly or TriPoly down the tower as far as its coefficients
-    allow: a level is dropped while every coefficient lies in its base."""
-    uni = isinstance(poly, UniPoly)
-    coeffs = list(poly.coeffs if uni else poly.terms.values())
-    fld = poly.field
+def descend(polys):
+    """Coerce UniPolys and TriPolys over one field down the tower, together:
+    a level is dropped while every coefficient of every one lies in its
+    base.  Returns the list of polys over that smallest common level."""
+    top = polys[0].field
+    coeffs = [c for p in polys
+              for c in (p.coeffs if isinstance(p, UniPoly)
+                        else p.terms.values())]
+    fld = top
     while fld != QQ:
         down = [fld.descend(c) for c in coeffs]
         if any(c is None for c in down):
             break
         fld, coeffs = fld.base, down
-    if fld == poly.field:
-        return poly
-    data = coeffs if uni else dict(zip(poly.terms, coeffs))
-    return type(poly)(fld, data, normalize=False)
+    if fld == top:
+        return polys
+    it = iter(coeffs)
+    return [UniPoly(fld, [next(it) for _ in p.coeffs], normalize=False)
+            if isinstance(p, UniPoly)
+            else TriPoly(fld, dict(zip(p.terms, it)), normalize=False)
+            for p in polys]
+
+
+def decode_rows(fld, data):
+    """The rows of a printed equation or pencil in the chart z = 1: h(x),
+    and for each (ypow, lampow) the x-polynomial sum of coeffs(x) *
+    h(x)^hpow over the rows with that key (lampow is 0 when absent).  Each
+    power of h is computed once."""
+    h = decode_poly(fld, data["h"])
+    h_pows = {}
+    rows = {}
+    for row in data["terms"]:
+        poly = decode_poly(fld, row["coeffs"])
+        hpow = int(row.get("hpow", 0))
+        if hpow:
+            if hpow not in h_pows:
+                h_pows[hpow] = h ** hpow
+            poly = poly * h_pows[hpow]
+        key = (int(row["ypow"]), row.get("lampow", 0))
+        rows[key] = rows[key] + poly if key in rows else poly
+    return h, rows
 
 
 def decode_tripoly_hform(fld, data):
     """Printed implicit sextic: sum of coeffs(x) * y^ypow * h(x)^hpow,
     homogenized to degree six."""
-    h = decode_poly(fld, data["h"])
-    terms = {}
-    for row in data["terms"]:
-        poly = decode_poly(fld, row["coeffs"])
-        for _ in range(int(row.get("hpow", 0))):
-            poly = poly * h
-        for i in range(poly.degree + 1):
-            c = poly.coeff(i)
-            if fld.is_zero(c):
-                continue
-            key = (i, int(row["ypow"]))
-            cur = terms.get(key)
-            terms[key] = fld.add(cur, c) if cur is not None else c
-    terms = {k: v for k, v in terms.items() if not fld.is_zero(v)}
+    h, rows = decode_rows(fld, data)
+    terms = {(i, ypow): c for (ypow, _), poly in rows.items()
+             for i, c in enumerate(poly.coeffs)}
     return homogenize_xy(fld, terms, 6), h
 
 
@@ -157,30 +173,23 @@ def decode_tripoly_hform(fld, data):
 class PencilData:
     """Pencil of cubics g_lambda = g0 + lambda*g1 in the chart z = 1,
     stored as y-coefficient lists of x-polynomials, with the known
-    basepoint divisor of the y-resultant."""
+    basepoint divisor of the y-resultant, all over the smallest tower level
+    that holds their coefficients."""
 
     g0: list
     g1: list
     basepoint: object
-    h: object
 
 
 def decode_pencil(fld, data):
-    h = decode_poly(fld, data["h"])
-    max_y = int(max(row["ypow"] for row in data["terms"]))
-    g0 = [UniPoly.zero(fld) for _ in range(max_y + 1)]
-    g1 = [UniPoly.zero(fld) for _ in range(max_y + 1)]
-    for row in data["terms"]:
-        poly = decode_poly(fld, row["coeffs"])
-        for _ in range(int(row.get("hpow", 0))):
-            poly = poly * h
-        target = g0 if row["lampow"] == 0 else g1
-        ypow = int(row["ypow"])
-        target[ypow] = target[ypow] + poly
+    _, rows = decode_rows(fld, data)
+    n = 1 + max(ypow for ypow, _ in rows)
     bp = data["basepoint_factor"]
     base = decode_factors(fld, bp["factors"]).scale(
         decode_elem(fld, bp["scalar"]))
-    return PencilData(g0=g0, g1=g1, basepoint=base, h=h)
+    polys = descend([rows.get((ypow, lam), UniPoly.zero(fld))
+                     for lam in (0, 1) for ypow in range(n)] + [base])
+    return PencilData(g0=polys[:n], g1=polys[n:2 * n], basepoint=polys[-1])
 
 
 FLAG_KEYS = (
@@ -292,20 +301,10 @@ def _decode_record(data):
     )
     if data.get("printed_implicit"):
         F6, h6 = decode_tripoly_hform(fld, data["printed_implicit"])
-        rec.printed_implicit = descend(F6)
-        rec.printed_implicit_h = descend(h6)
+        [rec.printed_implicit] = descend([F6])
+        [rec.printed_implicit_h] = descend([h6])
     if data.get("pencil"):
-        pen = decode_pencil(fld, data["pencil"])
-        g0 = [descend(r) for r in pen.g0]
-        g1 = [descend(r) for r in pen.g1]
-        fields = {r.field for r in g0 + g1 if not r.is_zero()}
-        # keep every row over one common field (the largest that occurs)
-        target = max(fields, key=lambda f: f.degree_over_q)
-        pen.g0 = [r.map_field(target) for r in g0]
-        pen.g1 = [r.map_field(target) for r in g1]
-        pen.basepoint = descend(pen.basepoint).map_field(target)
-        pen.h = descend(pen.h).map_field(target)
-        rec.pencil = pen
+        rec.pencil = decode_pencil(fld, data["pencil"])
     if data.get("alt_parametrization"):
         alt = data["alt_parametrization"]
         afld = decode_field(alt["field"])

@@ -98,6 +98,10 @@ Euclid's algorithm on it and makes the last remainder monic.  `nullspace`
 eliminates on integer rows, with one integer product per entry and no Rat
 until the unique reduced row echelon form is read off.
 
+`power` is the one square-and-multiply routine of the package: `field_pow`
+and the `**` of UniPoly and TriPoly call it with their own product, so a
+first power costs no product and x^n costs bit_length(n) + popcount(n) - 2.
+
 The flat form is private to this module, and only `coords`, `from_coords`
 and `descend` split it at the base field.  Other modules see an element
 only through its field: `coords` and `from_coords` read and build its
@@ -790,24 +794,30 @@ class ExtensionField:
                      for _ in range(self.degree_over_q))
 
 
-def field_pow(field, x, n):
-    n = int(n)
-    if n < 0:
-        return field_pow(field, field.inv(x), -n)
-    out = field.one
-    acc = x
-    while n:
-        if n & 1:
-            out = field.mul(out, acc)
-        acc = field.mul(acc, acc)
-        n >>= 1
+def power(mul, one, x, n):
+    """x^n for an int n >= 0 in any ring with product `mul` and unit `one`,
+    by left-to-right square and multiply: bit_length(n) - 1 squarings and
+    popcount(n) - 1 products by x, so x^0 is `one` and x^1 is x itself."""
+    if not n:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
     return out
 
 
-def coerce_into(field, value, src=None):
+def field_pow(field, x, n):
+    """x^n in the field; a negative n inverts x once."""
+    n = int(n)
+    if n < 0:
+        x, n = field.inv(x), -n
+    return power(field.mul, field.one, x, n)
+
+
+def coerce_into(field, value):
     """Coerce ints/rationals/raw reps into `field` raw representation."""
-    if src is not None:
-        return field.coerce(value, src)
     if isinstance(value, FieldElement):
         return field.coerce(value.rep, value.field)
     if isinstance(value, int):
@@ -1190,8 +1200,9 @@ def is_square(field, x):
 # ----------------------------------------------------------------------
 
 
-def adjoin_root(base_field, quad, name="th"):
-    """Adjoin a root of a squarefree polynomial of degree <= 3 over base_field.
+def adjoin_root(base_field, quad):
+    """Adjoin a root th of a squarefree polynomial of degree <= 3 over
+    base_field.
 
     `quad` is a low-first list of raw base_field elements.  Returns
     (field, roots) where `roots` lists every root representable in `field`:
@@ -1221,7 +1232,7 @@ def adjoin_root(base_field, quad, name="th"):
             r1 = base_field.mul(base_field.sub(s, b), half)
             r2 = base_field.mul(base_field.sub(base_field.neg(s), b), half)
             return base_field, [r1, r2]
-        ext = ExtensionField(base_field, [c, b, base_field.one], name)
+        ext = ExtensionField(base_field, [c, b, base_field.one], "th")
         th = ext.gen
         other = ext.sub(ext.neg(ext.coerce(b, base_field)), th)
         return ext, [th, other]
@@ -1234,7 +1245,7 @@ def adjoin_root(base_field, quad, name="th"):
             *(int(c * L ** (3 - i)) for i, c in enumerate(mon[:3])))
         if y is not None:
             return base_field, [Rat(y, L)]
-        ext = ExtensionField(base_field, mon, name)
+        ext = ExtensionField(base_field, mon, "th")
         return ext, [ext.gen]
     raise FieldError("adjoin_root supports degree 2 generally, degree 3 over Q")
 

@@ -2,13 +2,15 @@
 
 UniPoly holds coefficients low-degree-first as raw field representations.
 TriPoly holds homogeneous-or-not trivariate polynomials as a term map.
-Products, division and gcds run on the integer kernels of numberfield.
+Products, division and gcds run on the integer kernels of numberfield, and
+powers on its one square-and-multiply routine, `power`.
 Univariate resultants are computed by a remainder-sequence algorithm over
 the coefficient field; resultants whose coefficients are polynomials are
 determinants of hybrid Bezout matrices of TriPolys.
 """
 
 from math import gcd, lcm
+from operator import mul
 
 from .numberfield import (
     QQ,
@@ -18,6 +20,7 @@ from .numberfield import (
     plist_gcd,
     plist_mul,
     plist_shift,
+    power,
     sparse_mul,
 )
 from .rationals import Rat, int_kth_root
@@ -31,16 +34,12 @@ class InexactDivision(PolynomialError):
     pass
 
 
-def ring_power(one, x, n):
-    """x^n by repeated squaring, for x in a ring with the given one."""
-    out = one
+def _poly_power(one, x, n):
+    """x^n for n >= 0 by numberfield.power; a polynomial has no inverse."""
     n = int(n)
-    while n:
-        if n & 1:
-            out = out * x
-        x = x * x
-        n >>= 1
-    return out
+    if n < 0:
+        raise PolynomialError("negative power %d of a polynomial" % n)
+    return power(mul, one, x, n)
 
 
 def power_str(var, i):
@@ -176,7 +175,7 @@ class UniPoly:
         return UniPoly(f, [f.mul(c, x) for x in self.coeffs], normalize=False)
 
     def __pow__(self, n):
-        return ring_power(UniPoly.one(self.field), self, n)
+        return _poly_power(UniPoly.one(self.field), self, n)
 
     def derivative(self):
         f = self.field
@@ -203,12 +202,10 @@ class UniPoly:
         """self(t + t0) (numberfield.plist_shift)."""
         return UniPoly(self.field, plist_shift(self.field, self.coeffs, t0))
 
-    def reverse(self, n=None):
-        """t^n * self(1/t); n defaults to the degree."""
+    def reverse(self, n):
+        """t^n * self(1/t), for n >= the degree."""
         if self.is_zero():
             return self
-        if n is None:
-            n = self.degree
         if n < self.degree:
             raise PolynomialError("reverse needs n >= degree")
         pad = (self.field.zero,) * (n - self.degree)
@@ -440,7 +437,7 @@ class TriPoly:
                        normalize=False)
 
     def __pow__(self, n):
-        return ring_power(self.const(self.field, self.field.one), self, n)
+        return _poly_power(self.const(self.field, self.field.one), self, n)
 
     def lead_term(self):
         """Lexicographically largest exponent and its coefficient."""

@@ -76,10 +76,6 @@ def rat_sqrt(q):
     return Rat(int(_isqrt(num)), int(_isqrt(den)))
 
 
-def is_rat_square(q):
-    return rat_sqrt(q) is not None
-
-
 # factorize divides by trial up to this bound
 FACTOR_TRIAL_BOUND = 10 ** 6
 
@@ -113,32 +109,6 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def squarefree_part(n):
-    """Squarefree s with n = s * t^2 (sign preserved); returns (s, t)."""
-    n = int(n)
-    assert n != 0
-    sign = -1 if n < 0 else 1
-    s, t = sign, 1
-    for p, e in factorize(abs(n)).items():
-        if e % 2:
-            s *= p
-        t *= p ** (e // 2)
-    return s, t
-
-
-def rat_squarefree_split(q):
-    """Write a nonzero rational q as s * c^2 with s a squarefree integer.
-
-    Returns (s, c) with c a positive rational.
-    """
-    q = Rat(q)
-    assert q != 0
-    n = int(q.numerator) * int(q.denominator)
-    s, t = squarefree_part(n)
-    # q = n / den^2 with n = s t^2, so q = s * (t/den)^2
-    return s, Rat(t, int(q.denominator))
 
 
 # Miller-Rabin to the prime bases up to 41 is deterministic below this bound

@@ -20,10 +20,11 @@ sum over permutations checks the 3 x 3 determinant of `ProjectiveMap`.
 Horner's rule in field arithmetic checks the image points that the germs
 of `RationalPlaneCurve.germ` give.
 jsonschema's draft-07 validator checks the in-package schema checker of
-`database`.  A few helpers only the tests use (a corpus digest, a JSON
-round trip, a linear change of variables, the inverse of a projective
-map, claims carried along a Moebius map) live here too.  The library
-itself uses none of these.
+`database`.  Squarefree parts built by the per-prime loop check the
+one-factorization split of `conic`.  A few helpers only the tests use (a
+rational-square test, a corpus digest, a JSON round trip, a linear change
+of variables, the inverse of a projective map, claims carried along a
+Moebius map) live here too.  The library itself uses none of these.
 """
 
 import hashlib
@@ -53,7 +54,7 @@ from sextic19.polynomial import (
     squarefree_decomposition,
     tripoly_kth_root,
 )
-from sextic19.rationals import Rat, rat_sqrt
+from sextic19.rationals import Rat, factorize, rat_sqrt
 from sextic19.series import SeriesError, TruncatedSeries
 
 
@@ -185,6 +186,36 @@ def tri_resultant_pair(a_coeffs, b_coeffs, field):
             out = ring.mul(out, det)
         return out
     return bareiss_determinant(sylvester_matrix(a, b, ring), ring)
+
+
+def is_rat_square(q):
+    return rat_sqrt(q) is not None
+
+
+def squarefree_part(n):
+    """Squarefree s with n = s * t^2 (sign preserved); returns (s, t)."""
+    n = int(n)
+    assert n != 0
+    sign = -1 if n < 0 else 1
+    s, t = sign, 1
+    for p, e in factorize(abs(n)).items():
+        if e % 2:
+            s *= p
+        t *= p ** (e // 2)
+    return s, t
+
+
+def rat_squarefree_split(q):
+    """Write a nonzero rational q as s * c^2 with s a squarefree integer.
+
+    Returns (s, c) with c a positive rational.
+    """
+    q = Rat(q)
+    assert q != 0
+    n = int(q.numerator) * int(q.denominator)
+    s, t = squarefree_part(n)
+    # q = n / den^2 with n = s t^2, so q = s * (t/den)^2
+    return s, Rat(t, int(q.denominator))
 
 
 def brute_force_conic_search(a, b, height):

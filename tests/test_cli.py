@@ -409,6 +409,7 @@ def test_pool_workers_certify_the_parents_records(tmp_path, capsys,
     ("64", ["3", "28"], [2]),
     ("2", ["3", "28", "33"], [2]),
     ("64", ["3"], []),
+    (None, ["3", "28"], []),    # serial by default
 ])
 def test_verify_starts_no_more_workers_than_tasks(capsys, monkeypatch, jobs,
                                                   ids, workers):
@@ -433,7 +434,8 @@ def test_verify_starts_no_more_workers_than_tasks(capsys, monkeypatch, jobs,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    code, out, _ = run_cli(capsys, "--json", "--jobs", jobs, "verify", *ids)
+    jobs_argv = ["--jobs", jobs] if jobs else []
+    code, out, _ = run_cli(capsys, "--json", *jobs_argv, "verify", *ids)
     assert code == 0
     assert sizes == workers
     assert [item["curve"] for item in json.loads(out)["items"]] == \

@@ -15,9 +15,9 @@ from sextic19.conic import (
 )
 from sextic19.numberfield import QQ, field_sqrt, generator
 from sextic19.polynomial import UniPoly
-from sextic19.rationals import Rat
+from sextic19.rationals import Rat, factorize
 
-from oracles import brute_force_conic_search
+from oracles import brute_force_conic_search, rat_squarefree_split
 
 
 def test_symbol_paper_value():
@@ -39,7 +39,7 @@ def test_symbol_zero_rejected():
         hilbert_symbol(0, 5, 3)
 
 
-@pytest.mark.parametrize("place", [0, 1, 4, 9, -3, "7", 3.0])
+@pytest.mark.parametrize("place", [0, 1, 4, 9, -3, "7", 3.0, None])
 def test_symbol_place_must_be_a_prime(place):
     # place 1 used to loop forever in the valuation, place 0 divided by
     # zero, and composite places gave a meaningless symbol
@@ -89,6 +89,37 @@ def test_conic_trivial_cases():
     assert "inf" in prob.obstructions
     with pytest.raises(ConicError):
         conic_solvable_over_q(0, 5)
+
+
+def test_conic_factors_each_coefficient_once(monkeypatch):
+    from sextic19 import conic
+
+    calls = []
+    factorize = conic.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(conic, "factorize", counted)
+    prob = conic_solvable_over_q(6, 5)
+    assert prob.verdict == "unsolvable" and prob.obstructions == (2, 3)
+    assert calls == [6, 5]
+    calls.clear()
+    assert relevant_places(Rat(-45, 8), 98) == ["inf", 2, 5]
+    assert len(calls) == 2
+
+
+def test_squarefree_split_matches_the_per_prime_oracle():
+    from sextic19.conic import _squarefree_split
+
+    rng = random.Random(11)
+    for _ in range(200):
+        q = Rat(rng.choice([-1, 1]) * rng.randint(1, 10 ** 5),
+                rng.randint(1, 10 ** 4))
+        s, c, primes = _squarefree_split(q)
+        assert (s, c) == rat_squarefree_split(q)
+        assert sorted(primes) == sorted(factorize(abs(s)))
 
 
 def test_conic_against_brute_force_oracle():

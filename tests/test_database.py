@@ -9,6 +9,8 @@ from sextic19.database import (
     load_corpus,
 )
 
+from sextic19.rationals import Rat, rat_str
+
 from oracles import corpus_sha256, roundtrip_identity
 
 CORPUS_SHA256 = (
@@ -124,3 +126,48 @@ def test_cross_check_every_record(corpus):
     for rec in corpus:
         rep = cross_check_record(rec)
         assert rep["ok"], (rec.id, rep)
+
+
+def _halved(coeff):
+    """Half of a stored coefficient, nested or not."""
+    if isinstance(coeff, str):
+        return rat_str(Rat(coeff) / 2)
+    return [_halved(c) for c in coeff]
+
+
+def test_rows_with_one_key_are_summed(tmp_path, by_id):
+    # no corpus record repeats a (ypow, lampow) key, so split every printed
+    # implicit row and every pencil row of records 34 and 36 into two halves
+    doc = json.load(open(default_corpus_path()))
+    for data in doc["curves"]:
+        if data["id"] in (34, 36):
+            for part in (data["printed_implicit"], data["pencil"]):
+                part["terms"] = [
+                    dict(row, coeffs=[_halved(c) for c in row["coeffs"]])
+                    for row in part["terms"] for _ in range(2)]
+    split = tmp_path / "split_rows.json"
+    split.write_text(json.dumps(doc))
+    again = {r.id: r for r in load_corpus(str(split))}
+    for rid in (34, 36):
+        old, new = by_id[rid], again[rid]
+        assert new.printed_implicit == old.printed_implicit
+        assert new.printed_implicit_h == old.printed_implicit_h
+        assert new.pencil == old.pencil     # rows over the same fields
+
+
+def test_load_corpus_makes_223_list_products(monkeypatch):
+    # each factor power, each power of a row's h and each product of
+    # factors is made once; products started at one and a square past the
+    # top bit of each power make 855
+    from sextic19 import polynomial
+
+    calls = []
+    plist_mul = polynomial.plist_mul
+
+    def counted(*args):
+        calls.append(1)
+        return plist_mul(*args)
+
+    monkeypatch.setattr(polynomial, "plist_mul", counted)
+    load_corpus()
+    assert len(calls) == 223

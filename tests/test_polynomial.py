@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from sextic19.numberfield import QQ, adjoin_root, generator, number_field
+from sextic19.numberfield import (
+    QQ,
+    adjoin_root,
+    field_pow,
+    generator,
+    number_field,
+    power,
+)
 from sextic19.polynomial import (
     InexactDivision,
+    PolynomialError,
     TriPoly,
     UniPoly,
     _field_kth_root,
@@ -267,3 +275,54 @@ def test_kth_root_of_a_huge_rational():
     assert _field_kth_root(QQ, Rat(-(7**1200), 2**600), 3) == \
         Rat(-(7**400), 2**200)
     assert _field_kth_root(QQ, Rat(7**1200 + 1), 3) is None
+
+
+def _power_cases():
+    """(mul, one, x) in Q, in Q(sqrt 2), in Q[t] and in Q[X, Y, Z]."""
+    K = number_field([Rat(-2), Rat(0), Rat(1)], "r")
+    a = K.add(K.from_int(3), K.scalar_mul(Rat(-1, 2), K.gen))
+    F = TriPoly.variable(QQ, 0) + TriPoly.variable(QQ, 1).scale(Rat(2)) \
+        - TriPoly.const(QQ, Rat(1, 3))
+    return [
+        (QQ.mul, QQ.one, Rat(-3, 2)),
+        (K.mul, K.one, a),
+        (lambda u, v: u * v, UniPoly.one(QQ), P(1, -2, 0, 3)),
+        (lambda u, v: u * v, TriPoly.const(QQ, QQ.one), F),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_power_is_repeated_multiplication(case):
+    mul, one, x = _power_cases()[case]
+    want = one
+    for n in range(10):
+        assert power(mul, one, x, n) == want
+        want = mul(want, x)
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (4, 2),
+                                         (7, 4), (8, 3), (9, 4)])
+def test_power_makes_bit_length_plus_popcount_minus_two_products(n,
+                                                                 products):
+    calls = []
+
+    def mul(u, v):
+        calls.append(1)
+        return u * v
+
+    assert power(mul, 1, 3, n) == 3 ** n
+    assert len(calls) == products
+
+
+def test_powers_of_polynomials_and_field_elements():
+    K = number_field([Rat(-2), Rat(0), Rat(1)], "r")
+    x = K.add(K.one, K.gen)
+    assert K.eq(field_pow(K, x, -3), field_pow(K, K.inv(x), 3))
+    assert K.eq(field_pow(K, x, -3), K.inv(K.mul(x, K.mul(x, x))))
+    assert field_pow(QQ, Rat(2, 3), -2) == Rat(9, 4)
+    # a first power costs no product and is the operand itself
+    f = P(1, 1)
+    assert f ** 1 is f
+    for g in (f, TriPoly.variable(QQ, 2)):
+        with pytest.raises(PolynomialError, match="negative power"):
+            g ** -1

@@ -7,13 +7,12 @@ from sextic19.rationals import (
     Rat,
     factorize,
     is_prime,
-    is_rat_square,
     rat,
     rat_sqrt,
-    rat_squarefree_split,
     rat_str,
-    squarefree_part,
 )
+
+from oracles import is_rat_square, rat_squarefree_split, squarefree_part
 
 nonzero = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
 positive = st.integers(min_value=1, max_value=10**6)
