@@ -319,9 +319,11 @@ FIBER_PARAMETERS = (7, 3, 5, 11, 13, 17)
 
 
 def cross(a, b):
-    """Cross product of two polynomial 3-vectors."""
-    pairs = ((1, 2), (2, 0), (0, 1))
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in pairs)
+    """Cross product of two polynomial 3-vectors over one field: each minor
+    a_i b_j - a_j b_i is one signed sum, reduced once (UniPoly.dot)."""
+    f = a[0].field
+    return tuple(UniPoly.dot(f, [(1, a[i], b[j]), (-1, a[j], b[i])])
+                 for i, j in ((1, 2), (2, 0), (0, 1)))
 
 
 def triples_proportional(a, b):

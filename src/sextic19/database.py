@@ -388,7 +388,9 @@ def _resolve(root, ref):
 
 
 def _check_schema(root):
-    """Refuse a schema that uses a keyword _violation does not implement."""
+    """Refuse a schema that uses a keyword _violation does not implement.
+    Returns the subschema of each $ref, resolved once, by its ref."""
+    refs = {}
     todo = [root]
     while todo:
         node = todo.pop()
@@ -404,19 +406,20 @@ def _check_schema(root):
             raise CorpusError("schema compares with a non-scalar in %r"
                               % (node,))
         if "$ref" in node:
-            _resolve(root, node["$ref"])
+            refs[node["$ref"]] = _resolve(root, node["$ref"])
         todo.extend(node.get("oneOf", ()))
         todo.extend(node.get("properties", {}).values())
         todo.extend(node.get("definitions", {}).values())
         if "items" in node:
             todo.append(node["items"])
+    return refs
 
 
-def _violation(inst, schema, root, path=()):
+def _violation(inst, schema, refs, path=()):
     """The first violation of `schema` by `inst` as (path, message), or None
-    when inst is valid."""
+    when inst is valid; `refs` is what _check_schema returns."""
     if "$ref" in schema:  # draft 7 ignores the siblings of a $ref
-        return _violation(inst, _resolve(root, schema["$ref"]), root, path)
+        return _violation(inst, refs[schema["$ref"]], refs, path)
     if "type" in schema and not _TYPES[schema["type"]](inst):
         return path, "%r is not of type %r" % (inst, schema["type"])
     if "const" in schema and not _same(inst, schema["const"]):
@@ -424,7 +427,7 @@ def _violation(inst, schema, root, path=()):
     if "enum" in schema and not any(_same(inst, e) for e in schema["enum"]):
         return path, "%r is not one of %r" % (inst, schema["enum"])
     if "oneOf" in schema:
-        hits = sum(_violation(inst, sub, root, path) is None
+        hits = sum(_violation(inst, sub, refs, path) is None
                    for sub in schema["oneOf"])
         if hits != 1:
             return path, "%r is valid under %d of the given schemas, not 1" \
@@ -445,7 +448,7 @@ def _violation(inst, schema, root, path=()):
         if len(inst) > schema.get("maxItems", len(inst)):
             return path, "%r is too long" % (inst,)
         for i, item in enumerate(inst if "items" in schema else ()):
-            err = _violation(item, schema["items"], root, path + (i,))
+            err = _violation(item, schema["items"], refs, path + (i,))
             if err:
                 return err
     if isinstance(inst, dict):
@@ -453,7 +456,7 @@ def _violation(inst, schema, root, path=()):
             if key not in inst:
                 return path, "%r is a required property" % key
         for key, sub in schema.get("properties", {}).items():
-            err = key in inst and _violation(inst[key], sub, root,
+            err = key in inst and _violation(inst[key], sub, refs,
                                              path + (key,))
             if err:
                 return err
@@ -473,8 +476,7 @@ def load_corpus(path=None):
                           % (path, exc)) from exc
     with open(_schema_path()) as fh:
         schema = json.load(fh)
-    _check_schema(schema)
-    err = _violation(doc, schema, schema)
+    err = _violation(doc, schema, _check_schema(schema))
     if err:
         raise CorpusError("schema violation at %s: %s"
                           % ("/".join(str(p) for p in err[0]), err[1]))

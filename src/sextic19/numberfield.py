@@ -46,31 +46,39 @@ denominator positive.
 Soundness: the power-basis coordinates of an element are unique, and each
 row holds the exact coordinates of its monomial, scaled by D.  Reduction
 is linear, so reducing any sum of unreduced products gives D times the
-coordinates of the sum of those products.  Every sum that a kernel below
-forms before it reduces therefore still reduces to the canonical result,
-the same tuple that multiplying leaf by leaf in rationals gives.  Zero
+coordinates of the sum of those products.  That holds for a signed sum
+sum_i +-a_i b_i whose products are scaled to one common denominator: reduced
+once, it equals the sum of the reduced products, each scaled and signed.
+Every sum that a kernel below forms before it reduces therefore still
+reduces to the canonical result, the same tuple that multiplying leaf by
+leaf in rationals gives.  Zero
 coordinates, zero coefficients and trailing zero coefficients add nothing
 to a sum, so the kernels skip them.
 
-`ExtensionField.inv` uses the same kernel: the products x * e_j with the
-basis elements e_j are the columns of the matrix of multiplication by x,
-and 1/x solves that integer system against the coordinates of 1 by
+`ExtensionField.inv` uses the same kernel (`_iinv`): the products x * e_j
+with the basis elements e_j are the columns of the matrix of multiplication
+by x, and 1/x solves that integer system against the coordinates of 1 by
 fraction-free elimination, again with one Rat per output leaf.  Addition
 and negation work coordinate by coordinate on the rationals.
 
-`plist_mul` multiplies coefficient lists (polynomials and truncated series,
-cut to the first n coefficients).  Each operand list is written once as
-integers over one common denominator.  The nonzero integers of b form one
-flat list, and its own slot table puts slot s of output coefficient i + j
-at i * w + (j * w + s), so a_i times all of b is one `_mac` at offset
-i * w.
-Integer sums and reduction are exact, and the power-basis coordinates of
-each output coefficient are unique, so the list is the same canonical one
-that one field.mul and one field.add per pair of terms gives.  `sparse_mul`
-is the same convolution on polynomials stored as dicts from exponent tuples
-to coefficients (the TriPoly products), one slot array per output monomial.
-The stored form of an element is unchanged: the integers live only inside
-the call.
+`plist_dot` gives the signed sum sum_i +-a_i b_i of products of coefficient
+lists (the minors a_i b_j - a_j b_i of `curve.cross`), and `plist_mul` is
+its one-term case (polynomials and truncated series, cut to the first n
+coefficients).  Each operand list is written once as integers over one
+common denominator, and each product is scaled to the least common multiple
+of the products' denominators.  The nonzero integers of b form one flat
+list, and its own slot table puts slot s of output coefficient i + j at
+i * w + (j * w + s), so a_i times all of b is one `_mac` at offset i * w,
+with the scale and sign of its product.  Every product adds into one slot
+array per output coefficient, reduced once.  Integer sums and reduction
+are exact, and the power-basis coordinates of each output coefficient are
+unique, so the list is the same canonical one that one field.mul and one
+field.add per pair of terms gives, summed product by product.  `sparse_dot`
+and its one-term case `sparse_mul` are the same convolution on polynomials
+stored as dicts from exponent tuples to coefficients (the TriPoly products,
+the cofactor expansions of `polynomial.determinant` and the entries of
+`hybrid_bezout`), one slot array per output monomial.  The stored form of
+an element is unchanged: the integers live only inside the call.
 
 `plist_shift` gives the coefficients of a(t + t0).  It takes the powers of
 t0 once, each one integer product of the one before, over one common
@@ -93,10 +101,30 @@ over it: the integers that reading those Rats back would give.  Long
 division over a field has exactly one answer: the quotient q and remainder
 r with num = q * den + r and deg r < deg den are unique, and every step
 here is exact, so both are the canonical lists that one field.mul and one
-field.sub per term give (Knuth, TAOCP vol. 2, 4.6.1).  `plist_gcd` runs
-Euclid's algorithm on it and makes the last remainder monic.  `nullspace`
-eliminates on integer rows, with one integer product per entry and no Rat
-until the unique reduced row echelon form is read off.
+field.sub per term give (Knuth, TAOCP vol. 2, 4.6.1).  The loop itself,
+`_idivmod`, takes and gives integers.
+
+`plist_gcd` runs Euclid's algorithm on integer coordinates.  It writes
+each list once as integers and drops its denominator.  Each step divides by
+that loop, with the inverse of the leading coefficient solved in integers
+by `_iinv` (one inverse per step); the quotient stays in integers, and the
+remainder is put over one denominator and divided by the gcd of its
+integers before it becomes the next divisor.  A nonzero constant remainder
+ends the loop with the gcd one; only a gcd of positive degree is built as
+elements, times the inverse of its leading coefficient.  Soundness:
+scaling a list by a nonzero rational multiplies it by a unit of K[t], which
+changes neither its divisors nor, up to such a unit, its remainder by any
+divisor.  So each remainder here is a nonzero rational multiple of the
+remainder that field arithmetic gives at the same step, the last nonzero
+one is an associate of the gcd, and made monic it is the unique monic gcd.
+A nonzero constant remainder is a unit, so the gcd is one.  Every remainder
+is a true remainder up to a rational factor, not a pseudo-remainder, so no
+power of an algebraic leading coefficient piles up in the coefficients
+(Brown, "On Euclid's algorithm and the computation of polynomial greatest
+common divisors", J. ACM 18, 1971).
+
+`nullspace` eliminates on integer rows, with one integer product per entry
+and no Rat until the unique reduced row echelon form is read off.
 
 `power` is the one square-and-multiply routine of the package: `field_pow`
 and the `**` of UniPoly and TriPoly call it with their own product, so a
@@ -148,37 +176,57 @@ def _plist_normalize(field, coeffs):
     return coeffs
 
 
+def plist_dot(field, terms, n=None):
+    """The sum of sign * a * b over the terms (sign, a, b) of coefficient
+    lists, sign 1 or -1, normalized and cut to its first n coefficients when
+    n is given (see the module docstring)."""
+    ops = []
+    for sign, a, b in terms:
+        # trailing zero coefficients (of a series padded to its truncation,
+        # say) add nothing to a product
+        a = _plist_normalize(field, a[:n])
+        b = _plist_normalize(field, b[:n])
+        if a and b:
+            (xa, da), (xb, db) = _int_vectors(field, a), _int_vectors(field, b)
+            ops.append((sign, xa, xb, da * db))
+    if not ops:
+        return []
+    top = max(len(xa) + len(xb) - 1 for _s, xa, xb, _d in ops)
+    if n is not None:
+        top = min(top, n)
+    # the products are summed over one common denominator m.  b's nonzero
+    # integers form one flat list of (position, value), and the slot table
+    # puts slot s of output coefficient i + j at i * w + (j * w + s), so
+    # a_i times b is one _mac at offset i * w over the entries of the
+    # coefficients j < top - i
+    m = lcm(*[d for _s, _xa, _xb, d in ops])
+    w = field._width
+    table = [[j * w + s for j in range(max(len(xb) for _s, _a, xb, _d in ops))
+              for s in row] for row in field._table]
+    acc = [0] * (top * w)
+    for sign, xa, xb, d in ops:
+        bs = _nonzero([c for v in xb for c in v])
+        ends = [j for j, _y in bs]
+        scale = sign * (m // d)
+        for i, ai in enumerate(xa):
+            if any(ai):
+                cut = bisect_left(ends, (top - i) * len(ai))
+                _mac(acc, ai, table, bs[:cut], scale, i * w)
+    return _plist_normalize(
+        field, _elements(field, _ireduce(field, acc), m * field._den))
+
+
 def plist_mul(field, a, b, n=None):
     """Product of two coefficient lists, cut to its first n coefficients
-    when n is given (see the module docstring)."""
+    when n is given: the one-term `plist_dot`, padded with zeros to the
+    length of the product, as a truncated series keeps its length."""
     size = len(a) + len(b) - 1 if a and b else 0
     if n is not None:
         size = min(size, n)
     if size <= 0:
         return []
-    # trailing zero coefficients (of a series padded to its truncation, say)
-    # add nothing to the product
-    a = _plist_normalize(field, a[:size])
-    b = _plist_normalize(field, b[:size])
-    top = min(size, len(a) + len(b) - 1) if a and b else 0
-    xa, da = _int_vectors(field, a)
-    xb, db = _int_vectors(field, b)
-    # b's nonzero integers as one flat list of (position, value), and their
-    # slot table: slot s of output coefficient i + j sits at
-    # i * w + (j * w + s), so a_i times b is one _mac at offset i * w over
-    # the entries of the coefficients j < top - i
-    w = field._width
-    bs = _nonzero([c for v in xb for c in v])
-    ends = [j for j, _y in bs]
-    table = [[j * w + s for j in range(len(xb)) for s in row]
-             for row in field._table]
-    acc = [0] * (top * w)
-    for i, ai in enumerate(xa):
-        if any(ai):
-            cut = bisect_left(ends, (top - i) * len(ai))
-            _mac(acc, ai, table, bs[:cut], at=i * w)
-    return (_elements(field, _ireduce(field, acc), da * db * field._den)
-            + [field.zero] * (size - top))
+    out = plist_dot(field, [(1, a, b)], size)
+    return out + [field.zero] * (size - len(out))
 
 
 def plist_shift(field, a, t0):
@@ -201,50 +249,48 @@ def plist_shift(field, a, t0):
 def plist_divmod(field, num, den):
     """Quotient and normalized remainder of num by den (den normalized),
     each coefficient computed once (see the module docstring)."""
-    dn = len(den) - 1
-    nq = max(0, len(num) - dn)
     xn, dnum = _int_vectors(field, num)
     xd, dden = _int_vectors(field, den)
-    xd = [_nonzero(v) for v in xd]
     xi, dinv = _int_vector(field, field.inv(den[-1]))
-    xi = _nonzero(xi)
-    quo = [field.zero] * nq
-    xq = [None] * nq        # (integer coordinates, denominator) of quo[s]
-    rem = []
-    for k in range(len(num) - 1, -1, -1):
-        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s),
-        # over the nonzero terms
-        terms = [(xq[s], xd[k - s])
-                 for s in range(max(0, k - dn), min(k + 1, nq))
-                 if xq[s] is not None and xd[k - s]]
-        r, rd = _sub_products(field, xn[k], dnum, terms, dden)
-        if k < dn:
-            rem += _elements(field, r, rd)
-            continue
-        # r leads: the quotient coefficient is r / lc(den), its integers
-        # divided by their gcd with the denominator
-        q, dq = _imul(field, r, xi), rd * dinv * field._den
-        g = gcd(dq, *q)
-        q, dq = [c // g for c in q], dq // g
-        quo[k - dn] = _elements(field, q, dq)[0]
-        if any(q):
-            xq[k - dn] = q, dq
-    rem.reverse()
-    return quo, _plist_normalize(field, rem)
+    xq, rem = _idivmod(field, xn, dnum, xd, dden, xi, dinv)
+    quo = [field.zero if q is None else _elements(field, *q)[0] for q in xq]
+    return quo, _plist_normalize(
+        field, [x for r, rd in rem for x in _elements(field, r, rd)])
 
 
 def plist_gcd(field, a, b):
-    """Monic gcd of two coefficient lists, not both zero.
-
-    Euclid's algorithm; the last nonzero remainder is made monic, since the
-    monic gcd is unique.  Making every remainder monic would cost one
-    inverse and one list product per step and, at the corpus's degrees,
-    saves less than that on the divisions.
-    """
+    """Monic gcd of two coefficient lists, not both zero: Euclid's algorithm
+    on integer coordinates (see the module docstring)."""
     a, b = _plist_normalize(field, a), _plist_normalize(field, b)
-    while b:
-        a, b = b, plist_divmod(field, a, b)[1]
-    return plist_mul(field, a, [field.inv(a[-1])]) if a else []
+    # divide the longer list by the shorter, or the zero list by the other
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        a, b = b, a
+    (xa, _da), (xb, _db) = _int_vectors(field, a), _int_vectors(field, b)
+    while len(xb) > 1:
+        # 1/lc = xi/di, solved for the primitive part of lc and divided by
+        # the gcd of its integers, which keeps the products by it small
+        g = gcd(*xb[-1])
+        xi, di = _iinv(field, [c // g for c in xb[-1]])
+        h = gcd(di, *xi)
+        xi, di = [c // h for c in xi], di // h * g
+        rem = _idivmod(field, xa, 1, xb, 1, xi, di)[1]
+        while rem and not any(rem[-1][0]):
+            rem.pop()
+        if not rem:
+            # xb is the last nonzero remainder: times 1 / lc, it is monic
+            xi = _nonzero(xi)
+            monic = [c for v in xb for c in _imul(field, v, xi)]
+            return _elements(field, monic, di * field._den)
+        # the remainder over one denominator, divided by the gcd of its
+        # integers: a rational multiple of it, with the same gcd
+        m = lcm(*[rd for _r, rd in rem])
+        rem = [[c * (m // rd) for c in r] for r, rd in rem]
+        g = gcd(*[c for r in rem for c in r])
+        xa, xb = xb, [[c // g for c in r] for r in rem]
+    # a nonzero constant remainder: the gcd is one
+    return [field.one] if xb else []
 
 
 def nullspace(field, rows):
@@ -303,25 +349,38 @@ def nullspace(field, rows):
     return basis
 
 
-def sparse_mul(field, a, b):
-    """Product of two sparse polynomials, each a dict from exponent tuples to
-    nonzero coefficients: the sparse form of the plist_mul convolution, one
-    integer sum per output monomial, reduced once."""
-    xa, da = _int_vectors(field, list(a.values()))
-    xb, db = _int_vectors(field, list(b.values()))
-    pb = [(e, _nonzero(v)) for e, v in zip(b, xb)]
+def sparse_dot(field, terms):
+    """The sum of sign * a * b over the terms (sign, a, b) of sparse
+    polynomials, each a dict from exponent tuples to nonzero coefficients:
+    the sparse form of the plist_dot convolution, one integer sum per output
+    monomial over one common denominator, reduced once."""
+    ops = []
+    for sign, a, b in terms:
+        if a and b:
+            xa, da = _int_vectors(field, list(a.values()))
+            xb, db = _int_vectors(field, list(b.values()))
+            ops.append((sign, list(zip(a, xa)),
+                        [(e, _nonzero(v)) for e, v in zip(b, xb)], da * db))
+    m = lcm(*[d for _s, _pa, _pb, d in ops])
     start = {}              # output monomial -> start of its slot array
     acc = []
-    for e1, c1 in zip(a, xa):
-        for e2, c2 in pb:
-            e = tuple(map(add, e1, e2))
-            k = start.get(e)
-            if k is None:
-                k = start[e] = len(acc)
-                acc += [0] * field._width
-            _mac(acc, c1, field._table, c2, at=k)
-    out = _elements(field, _ireduce(field, acc), da * db * field._den)
+    for sign, pa, pb, d in ops:
+        scale = sign * (m // d)
+        for e1, c1 in pa:
+            for e2, c2 in pb:
+                e = tuple(map(add, e1, e2))
+                k = start.get(e)
+                if k is None:
+                    k = start[e] = len(acc)
+                    acc += [0] * field._width
+                _mac(acc, c1, field._table, c2, scale, k)
+    out = _elements(field, _ireduce(field, acc), m * field._den)
     return {e: c for e, c in zip(start, out) if not field.is_zero(c)}
+
+
+def sparse_mul(field, a, b):
+    """Product of two sparse polynomials: the one-term `sparse_dot`."""
+    return sparse_dot(field, [(1, a, b)])
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +495,38 @@ def _sub_products(field, x, dx, terms, de):
             dx * scale)
 
 
+def _idivmod(field, xn, dnum, xd, dden, xi, dinv):
+    """Long division of num = xn/dnum by den = xd/dden, lists of integer
+    coordinates with den normalized, given 1/lc(den) = xi/dinv: (quotient,
+    remainder).  Quotient coefficient s is (integers, denominator) divided
+    by their gcd, or None when it is zero; remainder coefficient k < deg den
+    is (integers, denominator), low first, not normalized."""
+    dn = len(xd) - 1
+    nq = max(0, len(xn) - dn)
+    xd = [_nonzero(v) for v in xd]
+    xi = _nonzero(xi)
+    xq = [None] * nq
+    rem = []
+    for k in range(len(xn) - 1, -1, -1):
+        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s),
+        # over the nonzero terms
+        terms = [(xq[s], xd[k - s])
+                 for s in range(max(0, k - dn), min(k + 1, nq))
+                 if xq[s] is not None and xd[k - s]]
+        r, rd = _sub_products(field, xn[k], dnum, terms, dden)
+        if k < dn:
+            rem.append((r, rd))
+            continue
+        # r leads: the quotient coefficient is r / lc(den), its integers
+        # divided by their gcd with the denominator
+        q, dq = _imul(field, r, xi), rd * dinv * field._den
+        if any(q):
+            g = gcd(dq, *q)
+            xq[k - dn] = [c // g for c in q], dq // g
+    rem.reverse()
+    return xq, rem
+
+
 def _slot_table(base, d):
     """The slot table of base[g]/(m), deg m = d: entry [i][j] is the slot of
     the product of basis monomials i and j.  A slot is a monomial x^s g^k,
@@ -516,6 +607,9 @@ def _solve_fraction_free(rows):
     column k every entry is, up to sign, a minor of the input of order k + 1
     (pivot rows) or k + 2 (the others), so each division by the previous
     pivot is exact, and at the end every diagonal entry is the last pivot.
+    Only the last column is read at the end, and a step reads no column
+    left of its own, so the step on column k updates the columns after k
+    alone: the entries it leaves are never read again.
     """
     n = len(rows)
     prev = 1
@@ -524,14 +618,27 @@ def _solve_fraction_free(rows):
         if p is None:
             raise FieldError("modulus is reducible: inverted a zero divisor")
         rows[k], rows[p] = rows[p], rows[k]
-        piv = rows[k]
-        pk = piv[k]
+        pk, tail = rows[k][k], rows[k][k + 1:]
         for i, row in enumerate(rows):
             if i != k:
                 f = row[k]
-                rows[i] = [(pk * r - f * q) // prev for r, q in zip(row, piv)]
+                row[k + 1:] = [(pk * r - f * q) // prev
+                               for r, q in zip(row[k + 1:], tail)]
         prev = pk
     return [row[n] for row in rows], prev
+
+
+def _iinv(field, v, scale=1):
+    """(numerators, denominator) of the coordinates of scale / x for the
+    nonzero element x with integer coordinates v.  The products x * e_j with
+    the basis elements e_j are the columns of the matrix of multiplication
+    by x, all times field._den, and scale / x solves that integer system
+    against the coordinates of scale by fraction-free elimination."""
+    n = field.degree_over_q
+    cols = [_imul(field, v, [(j, 1)]) for j in range(n)]
+    rows = [[c[i] for c in cols] + [0] for i in range(n)]
+    rows[0][n] = scale * field._den
+    return _solve_fraction_free(rows)
 
 
 # ----------------------------------------------------------------------
@@ -719,15 +826,9 @@ class ExtensionField:
         cached = self._inv_cache.get(x)
         if cached is not None:
             return cached
-        # 1/x solves M y = e_0 for the matrix M of multiplication by x; the
-        # integer kernel gives the columns x * e_j, all times xd * self._den
+        # x = xs / xd, so 1/x = xd / xs
         xs, xd = _int_coords(x)
-        n = self.degree_over_q
-        cols = [_imul(self, xs, [(j, 1)]) for j in range(n)]
-        rows = [[c[i] for c in cols] + [0] for i in range(n)]
-        rows[0][n] = xd * self._den
-        nums, den = _solve_fraction_free(rows)
-        inv = tuple(_rats(nums, den))
+        inv = tuple(_rats(*_iinv(self, xs, xd)))
         if len(self._inv_cache) < 4096:
             self._inv_cache[x] = inv
         return inv

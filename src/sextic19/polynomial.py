@@ -2,8 +2,9 @@
 
 UniPoly holds coefficients low-degree-first as raw field representations.
 TriPoly holds homogeneous-or-not trivariate polynomials as a term map.
-Products, division and gcds run on the integer kernels of numberfield, and
-powers on its one square-and-multiply routine, `power`.
+Products, signed sums of products (`UniPoly.dot`, `TriPoly.dot`), division
+and gcds run on the integer kernels of numberfield, and powers on its one
+square-and-multiply routine, `power`.
 Univariate resultants are computed by a remainder-sequence algorithm over
 the coefficient field; resultants whose coefficients are polynomials are
 determinants of hybrid Bezout matrices of TriPolys.
@@ -17,10 +18,12 @@ from .numberfield import (
     field_pow,
     field_sqrt,
     plist_divmod,
+    plist_dot,
     plist_gcd,
     plist_mul,
     plist_shift,
     power,
+    sparse_dot,
     sparse_mul,
 )
 from .rationals import Rat, int_kth_root
@@ -167,6 +170,14 @@ class UniPoly:
     def __mul__(self, other):
         return UniPoly(self.field,
                        plist_mul(self.field, self.coeffs, other.coeffs))
+
+    @classmethod
+    def dot(cls, field, terms):
+        """The sum of sign * p * q over the terms (sign, p, q), sign 1 or
+        -1, summed unreduced and reduced once (numberfield.plist_dot)."""
+        return cls(field, plist_dot(field, [(sign, p.coeffs, q.coeffs)
+                                            for sign, p, q in terms]),
+                   normalize=False)
 
     def scale(self, c):
         f = self.field
@@ -429,6 +440,14 @@ class TriPoly:
                        sparse_mul(self.field, self.terms, other.terms),
                        normalize=False)
 
+    @classmethod
+    def dot(cls, field, terms):
+        """The sum of sign * p * q over the terms (sign, p, q), sign 1 or
+        -1, one reduction per monomial (numberfield.sparse_dot)."""
+        return cls(field, sparse_dot(field, [(sign, p.terms, q.terms)
+                                             for sign, p, q in terms]),
+                   normalize=False)
+
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
@@ -513,19 +532,18 @@ class TriPoly:
 
 def determinant(rows):
     """Determinant of a square matrix of TriPolys by cofactor expansion along
-    the rows, memoized on the columns left to each minor: 2^n minors."""
+    the rows, memoized on the columns left to each minor: 2^n minors, each
+    one signed sum (TriPoly.dot)."""
     f = rows[0][0].field
     memo = {(): TriPoly.const(f, f.one)}
 
     def minor(cols):
         if cols not in memo:
             row = rows[len(rows) - len(cols)]
-            acc = TriPoly.zero(f)
-            for pos, c in enumerate(cols):
-                if not row[c].is_zero():
-                    term = row[c] * minor(cols[:pos] + cols[pos + 1:])
-                    acc = acc - term if pos % 2 else acc + term
-            memo[cols] = acc
+            memo[cols] = TriPoly.dot(f, [
+                (-1 if pos % 2 else 1, row[c],
+                 minor(cols[:pos] + cols[pos + 1:]))
+                for pos, c in enumerate(cols) if not row[c].is_zero()])
         return memo[cols]
 
     return minor(tuple(range(len(rows))))
@@ -547,14 +565,20 @@ def hybrid_bezout(P, Q):
     implicitization of the corpus curves and their duals and the pencils.
     """
     mu, d = len(P) - 1, len(Q) - 1
-    zero = TriPoly.zero(Q[-1].field)
+    f = Q[-1].field
+    zero = TriPoly.zero(f)
     P = list(P) + [zero] * (d - mu)
-    rows = [[zero] * d for _ in range(mu)]
+    # entry (a, i + j - 1 - a) of the Bezoutian rows gets
+    # -(P_i Q_j - P_j Q_i) for each i <= a < min(j, mu): one signed sum
+    # per entry
+    entries = {}
     for i in range(mu):
         for j in range(i + 1, d + 1):
-            b = P[i] * Q[j] - P[j] * Q[i]
             for a in range(i, min(j, mu)):
-                rows[a][i + j - 1 - a] = rows[a][i + j - 1 - a] - b
+                entries.setdefault((a, i + j - 1 - a), []).extend(
+                    [(-1, P[i], Q[j]), (1, P[j], Q[i])])
+    rows = [[TriPoly.dot(f, entries.get((a, c), ())) for c in range(d)]
+            for a in range(mu)]
     rows += [[P[c - r] if 0 <= c - r <= mu else zero for c in range(d)]
              for r in range(d - mu)]
     return rows

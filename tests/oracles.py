@@ -5,16 +5,18 @@ without interpolation, and an exhaustive height search looks for conic
 points without Hilbert symbols.  A Fraction schoolbook multiply and an
 extended-Euclid inverse check the number-field kernel.  The per-term loops
 that the integer kernels replaced check them: a schoolbook product of
-coefficient lists (`plist_mul`), long division with one field.mul and one
-field.sub per term (`plist_divmod`), the term-by-term TriPoly product
-(`sparse_mul`) and Gauss-Jordan elimination in field arithmetic
-(`nullspace`, through `moving_lines`).  Newton iteration and the per-term
-series inverse check the peeled reversion and the inverse by division of
-`TruncatedSeries`.  Implicitization by interpolating a grid of univariate
-resultants, with the map degree read from squarefree restrictions of F to
-lines, checks the moving-line implicitization, and the pencil resultant
-interpolated from a grid checks its hybrid Bezout determinant.  Sixteen
-fixed separating coordinates, with a squarefree product of per-claim value
+coefficient lists (`plist_mul` and the signed sums of `plist_dot`), long
+division with one field.mul and one field.sub per term (`plist_divmod`),
+Euclid's algorithm on field elements (`plist_gcd`), the term-by-term
+TriPoly product (`sparse_mul` and `sparse_dot`) and Gauss-Jordan
+elimination in field arithmetic (`nullspace`, through `moving_lines`).
+Newton iteration and the per-term series inverse check the peeled
+reversion and the inverse by division of `TruncatedSeries`.
+Implicitization by interpolating a grid of univariate resultants, with the
+map degree read from squarefree restrictions of F to lines, checks the
+moving-line implicitization, and the pencil resultant interpolated from a
+grid checks its hybrid Bezout determinant.  Sixteen fixed separating
+coordinates, with a squarefree product of per-claim value
 polynomials, check the parameter test of point distinctness.  The Leibniz
 sum over permutations checks the 3 x 3 determinant of `ProjectiveMap`.
 Horner's rule in field arithmetic checks the image points that the germs
@@ -41,7 +43,13 @@ from sextic19.curve import (
     ProjectivePoint,
 )
 from sextic19.database import default_corpus_path
-from sextic19.numberfield import QQ, FieldError, field_pow
+from sextic19.numberfield import (
+    QQ,
+    FieldError,
+    field_pow,
+    plist_divmod,
+    plist_mul,
+)
 from sextic19.polynomial import (
     InexactDivision,
     PolynomialError,
@@ -272,6 +280,20 @@ def schoolbook_plist_divmod(field, num, den):
     while num and field.is_zero(num[-1]):
         num.pop()
     return quo, num
+
+
+def euclid_plist_gcd(field, a, b):
+    """Monic gcd of two coefficient lists, not both zero, by Euclid's
+    algorithm on field elements: one `plist_divmod` per step, each building
+    the quotient and remainder as field elements, and the last nonzero
+    remainder times the inverse of its leading coefficient."""
+    a, b = list(a), list(b)
+    for p in (a, b):
+        while p and field.is_zero(p[-1]):
+            p.pop()
+    while b:
+        a, b = b, plist_divmod(field, a, b)[1]
+    return plist_mul(field, a, [field.inv(a[-1])]) if a else []
 
 
 def per_term_invert_unit(u):

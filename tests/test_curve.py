@@ -3,19 +3,21 @@ import random
 import pytest
 
 from sextic19.curve import (
+    FIBER_PARAMETERS,
     CurveError,
     DegenerateCurve,
     MoebiusMap,
     ParameterLocation,
     ProjectiveMap,
     RationalPlaneCurve,
+    cross,
     dual,
     implicitize,
     reparametrize,
     triples_proportional,
     verify_symmetry,
 )
-from sextic19.numberfield import QQ
+from sextic19.numberfield import QQ, plist_gcd
 from sextic19.polynomial import TriPoly, UniPoly
 from sextic19.rationals import Rat
 
@@ -214,3 +216,53 @@ def test_implicitize_equivariant_under_projectivities(by_id, seed):
 
     Tinv = projective_inverse(T)
     assert F2.scalar_multiple_of(apply_linear(F, Tinv.rows)) is not None
+
+
+def _gcd_inputs(curve):
+    """The polynomial pairs whose gcds the curve's certificates take: its
+    components, its Wronskian minors and its fiber minors for every t0 of
+    FIBER_PARAMETERS, each list pair by pair and in the order of a reduce."""
+    f = curve.field
+    phi = curve.components()
+    lists = [phi, cross([c.derivative() for c in phi], phi)]
+    for t0 in FIBER_PARAMETERS:
+        at_t0 = [UniPoly.const(f, c.eval(f.from_int(t0))) for c in phi]
+        lists.append(cross(phi, at_t0))
+    for polys in lists:
+        polys = [p for p in polys if not p.is_zero()]
+        yield from ((a, b) for i, a in enumerate(polys) for b in polys[i:])
+        acc = polys[0]
+        for p in polys[1:]:
+            yield acc, p
+            acc = UniPoly(f, plist_gcd(f, acc.coeffs, p.coeffs))
+
+
+def test_plist_gcd_matches_euclid_on_corpus_gcds(corpus, by_id):
+    # the integer Euclid against Euclid on field elements on every gcd of
+    # the 39 curves and of the duals of the autodual curves 26, 36 and 38
+    from oracles import euclid_plist_gcd
+
+    curves = [rec.curve for rec in corpus]
+    curves += [dual(by_id[rid].curve) for rid in (26, 36, 38)]
+    count = 0
+    for curve in curves:
+        f = curve.field
+        for a, b in _gcd_inputs(curve):
+            assert plist_gcd(f, a.coeffs, b.coeffs) == \
+                euclid_plist_gcd(f, a.coeffs, b.coeffs), (curve, a, b)
+            count += 1
+    assert count > 40 * 39
+
+
+def test_cross_is_the_plain_formula(corpus):
+    # each minor of cross is one signed sum, equal to a_i b_j - a_j b_i
+    for rec in corpus:
+        phi = rec.curve.components()
+        dphi = [c.derivative() for c in phi]
+        f = rec.field
+        at_7 = [UniPoly.const(f, c.eval(f.from_int(7))) for c in phi]
+        for a, b in ((dphi, phi), (phi, at_7), (phi, dphi)):
+            want = tuple(a[i] * b[j] - a[j] * b[i]
+                         for i, j in ((1, 2), (2, 0), (0, 1)))
+            assert cross(a, b) == want
+        assert all(m.is_zero() for m in cross(phi, phi))

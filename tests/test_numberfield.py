@@ -17,8 +17,10 @@ from sextic19.numberfield import (
     minpoly_is_squarefree,
     number_field,
     plist_divmod,
+    plist_dot,
     plist_gcd,
     plist_mul,
+    sparse_dot,
     sparse_mul,
 )
 from sextic19.rationals import Rat
@@ -213,6 +215,101 @@ def test_list_kernels_on_random_towers(degrees):
         for b in polys:
             want = schoolbook_tri_mul(TriPoly(f, a), TriPoly(f, b))
             assert sparse_mul(f, a, b) == want.terms, (f, a, b)
+
+
+def _normalized(f, a):
+    a = list(a)
+    while a and f.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _signed_schoolbook_sum(f, terms):
+    """The sum of sign * a * b over the terms, one schoolbook product and
+    one field.add or field.sub per coefficient of each term, normalized."""
+    from oracles import schoolbook_plist_mul
+
+    out = []
+    for sign, a, b in terms:
+        prod = schoolbook_plist_mul(f, a, b)
+        out += [f.zero] * (len(prod) - len(out))
+        for k, c in enumerate(prod):
+            out[k] = f.add(out[k], c) if sign > 0 else f.sub(out[k], c)
+    return _normalized(f, out)
+
+
+@RANDOM_TOWERS
+def test_signed_sums_on_random_towers(degrees):
+    # plist_dot and sparse_dot against schoolbook products summed term by
+    # term: operands with trailing zeros, empty operands, unequal lengths
+    # and sums that cancel in full or at the top
+    from oracles import schoolbook_tri_mul
+    from sextic19.polynomial import TriPoly
+
+    f, rng = _random_tower(degrees)
+    lists = _coefficient_lists(f, rng) + [[]]
+    for _ in range(8):
+        terms = [(rng.choice((1, -1)), rng.choice(lists), rng.choice(lists))
+                 for _ in range(rng.randint(1, 4))]
+        want = _signed_schoolbook_sum(f, terms)
+        for n in (None, 1, 4, len(want) + 2):
+            assert plist_dot(f, terms, n) == \
+                _normalized(f, want[:n]), (f, terms, n)
+    for a, b in [(rng.choice(lists), rng.choice(lists)) for _ in range(4)]:
+        assert plist_dot(f, [(1, a, b), (-1, b, a)]) == []
+        assert plist_dot(f, [(1, a, b), (-1, a, b)], 3) == []
+    # a b - a c with b and c equal but for their constant terms: only
+    # a * (b_0 - c_0) is left
+    a, b = lists[3], lists[4]
+    c = [f.add(b[0], f.one)] + b[1:]
+    assert plist_dot(f, [(1, a, b), (-1, a, c)]) == \
+        _normalized(f, [f.neg(x) for x in a])
+    assert plist_dot(f, []) == [] and plist_dot(f, [(1, [], a)]) == []
+
+    polys = [_sparse_poly(f, rng, size) for size in (0, 1, 3, 8)]
+    for _ in range(6):
+        terms = [(rng.choice((1, -1)), rng.choice(polys), rng.choice(polys))
+                 for _ in range(rng.randint(1, 3))]
+        want = TriPoly.zero(f)
+        for sign, a, b in terms:
+            prod = schoolbook_tri_mul(TriPoly(f, a), TriPoly(f, b))
+            want = want + prod if sign > 0 else want - prod
+        assert sparse_dot(f, terms) == want.terms, (f, terms)
+    for a in polys:
+        for b in polys:
+            assert sparse_dot(f, [(1, a, b), (-1, b, a)]) == {}
+    assert sparse_dot(f, []) == {}
+
+
+@RANDOM_TOWERS
+def test_plist_gcd_on_random_towers(degrees):
+    # the integer Euclid against Euclid on field elements, with planted
+    # common factors of degree 0 to 3
+    from oracles import euclid_plist_gcd
+
+    f, rng = _random_tower(degrees)
+
+    def rand_list(length):
+        # small heights: Euclid's coefficients grow fast over a degree-18
+        # tower
+        out = [f.random(rng, 3) for _ in range(length)]
+        return out[:-1] + [f.one if f.is_zero(out[-1]) else out[-1]]
+
+    for deg in range(4):
+        for _ in range(2):
+            g = rand_list(deg + 1)
+            a = plist_mul(f, g, rand_list(rng.randint(1, 3)))
+            b = plist_mul(f, g, rand_list(rng.randint(1, 3)))
+            got = plist_gcd(f, a, b)
+            assert got == euclid_plist_gcd(f, a, b), (f, a, b)
+            assert len(got) >= deg + 1 and got[-1] == f.one
+        # a zero operand, a constant operand and equal operands
+        monic = euclid_plist_gcd(f, a, [])
+        assert plist_gcd(f, a, []) == plist_gcd(f, [], a) == monic
+        assert plist_gcd(f, a, [f.zero] * 3) == monic
+        assert plist_gcd(f, a, a) == monic
+        assert plist_gcd(f, a, rand_list(1)) == [f.one]
+        assert plist_gcd(f, [f.gen], []) == [f.one]
 
 
 def _coefficient_lists(f, rng):

@@ -238,6 +238,36 @@ def test_hybrid_bezout_determinant_sign(mu, d):
     assert det == (-res if mu * (mu - 1) // 2 % 2 else res)
 
 
+@pytest.mark.parametrize("mu,d", [(1, 3), (2, 4), (3, 3), (3, 6)])
+def test_hybrid_bezout_entries_are_sums_of_pair_differences(mu, d):
+    # each Bezoutian entry, one signed sum, against the entries built by
+    # subtracting P_i Q_j - P_j Q_i one pair at a time
+    rng = random.Random(10 * mu + d)
+    X, Y = TriPoly.variable(QQ, 0), TriPoly.variable(QQ, 1)
+
+    def coeff():
+        return (TriPoly.const(QQ, Rat(rng.randint(-4, 4)))
+                + X.scale(Rat(rng.randint(-3, 3), rng.randint(1, 3)))
+                + Y.scale(Rat(rng.randint(-3, 3))))
+
+    P = [coeff() for _ in range(mu)] + [X + Y]
+    Q = [coeff() for _ in range(d)] + [X - Y]
+    zero = TriPoly.zero(QQ)
+    padded = P + [zero] * (d - mu)
+    want = [[zero] * d for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i + 1, d + 1):
+            b = padded[i] * Q[j] - padded[j] * Q[i]
+            for a in range(i, min(j, mu)):
+                want[a][i + j - 1 - a] = want[a][i + j - 1 - a] - b
+    assert hybrid_bezout(P, Q)[:mu] == want
+
+
+def test_gcd_of_two_zeros_raises():
+    with pytest.raises(PolynomialError):
+        poly_gcd(UniPoly.zero(QQ), UniPoly.zero(QQ))
+
+
 def test_lagrange_roundtrip():
     f = P(1, 2, 0, 1)
     xs = [Rat(i) for i in range(5)]

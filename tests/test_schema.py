@@ -29,7 +29,8 @@ RAT = re.compile(SCHEMA["definitions"]["rat"]["pattern"])
 
 
 def _valid(doc, schema=SCHEMA):
-    return database._violation(doc, schema, schema) is None
+    return database._violation(doc, schema,
+                               database._check_schema(schema)) is None
 
 
 def _nodes(value, path=()):
