@@ -66,11 +66,13 @@ lists (the minors a_i b_j - a_j b_i of `curve.cross`), and `plist_mul` is
 its one-term case (polynomials and truncated series, cut to the first n
 coefficients).  Each operand list is written once as integers over one
 common denominator, and each product is scaled to the least common multiple
-of the products' denominators.  The nonzero integers of b form one flat
-list, and its own slot table puts slot s of output coefficient i + j at
-i * w + (j * w + s), so a_i times all of b is one `_mac` at offset i * w,
-with the scale and sign of its product.  Every product adds into one slot
-array per output coefficient, reduced once.  Integer sums and reduction
+of the products' denominators.  The convolution itself, `_idot`, takes and
+gives integers, and every list product of the module runs on it.  The
+nonzero integers of b form one flat list, and its own slot table puts slot
+s of output coefficient i + j at i * w + (j * w + s), so a_i times all of b
+is one `_mac` at offset i * w, with the scale and sign of its product.
+Every product adds into one slot array per output coefficient, reduced
+once.  Integer sums and reduction
 are exact, and the power-basis coordinates of each output coefficient are
 unique, so the list is the same canonical one that one field.mul and one
 field.add per pair of terms gives, summed product by product.  `sparse_dot`
@@ -102,7 +104,9 @@ division over a field has exactly one answer: the quotient q and remainder
 r with num = q * den + r and deg r < deg den are unique, and every step
 here is exact, so both are the canonical lists that one field.mul and one
 field.sub per term give (Knuth, TAOCP vol. 2, 4.6.1).  The loop itself,
-`_idivmod`, takes and gives integers.
+`_idivmod`, takes and gives integers.  Read from the top down, its quotient
+is the series quotient of the reversed lists, and it runs on the loop of
+`plist_quotients` below.
 
 `plist_gcd` runs Euclid's algorithm on integer coordinates.  It writes
 each list once as integers and drops its denominator.  Each step divides by
@@ -122,6 +126,43 @@ is a true remainder up to a rational factor, not a pseudo-remainder, so no
 power of an algebraic leading coefficient piles up in the coefficients
 (Brown, "On Euclid's algorithm and the computation of polynomial greatest
 common divisors", J. ACM 18, 1971).
+
+Three loops on truncated series, and on polynomials, keep every
+intermediate as integer coordinates over one denominator, write their
+inputs as integers once, divide each intermediate by the gcd of its
+integers and its denominator, and build elements only for the coefficients
+they return.  Dividing the integers by their content g, their gcd with the
+denominator, scales them by the nonzero rational 1/g, a unit, and the
+denominator by the same 1/g, so every rational is unchanged.  Every other
+step is an exact integer sum or `_idot`/`_imul` product, so each loop
+gives the same canonical coefficients as the loop in field arithmetic it
+replaced.
+
+- `plist_quotients` gives the first n coefficients of num / den for one or
+  more numerators and one den with den_0 != 0 (the chart quotients x/z and
+  y/z of a germ, and 1/u in `TruncatedSeries.invert_unit`), sharing one
+  inverse of den_0 solved by `_iinv`.  Its loop `_iquotient` computes
+  q_k = (num_k - sum_(j >= 1) den_j q_(k-j)) / den_0 as one unreduced sum
+  of products and one product by that inverse.  Series division has one
+  answer: den is a unit of K[[s]], and q = num * den^(-1) mod s^n is the
+  only series with q * den = num mod s^n, which the recurrence solves for
+  term by term.
+- `plist_compose` gives a(b), cut to n coefficients for series, by Horner's
+  rule on integers: acc <- acc * b + a_k, one `_idot` product a step (one
+  `_imul` when b is a constant, which is `UniPoly.eval`).  Horner's rule is
+  an identity of polynomials, and truncating each product at s^n changes
+  no coefficient below s^n, since every later step only multiplies by b
+  and adds constants.
+- `plist_peel` writes a as sum_m c_m u^m + r mod s^n for u of order e
+  (Knuth, TAOCP vol. 2, 4.7): while the order o of r is a multiple m e of
+  e, it sets c_m = r_o / lc(u)^m and r <- r - c_m u^m.  The coefficient of
+  s^(me) in u^m = (lc(u) s^e + ...)^m is lc(u)^m, so the step clears the
+  term of r at o; one inverse of lc(u), by `_iinv`, and
+  its powers give every c_m, and the powers u^m are integer truncated
+  products, each over one denominator.  The update is one `_idot` pass
+  over the coefficients of r from o + 1 up.  Every c_m and the order where
+  the peeling stops are determined by a and u alone, so they are the ones
+  that peeling in field arithmetic gives.
 
 `nullspace` eliminates on integer rows, with one integer product per entry
 and no Rat until the unique reduced row echelon form is read off.
@@ -194,26 +235,11 @@ def plist_dot(field, terms, n=None):
     top = max(len(xa) + len(xb) - 1 for _s, xa, xb, _d in ops)
     if n is not None:
         top = min(top, n)
-    # the products are summed over one common denominator m.  b's nonzero
-    # integers form one flat list of (position, value), and the slot table
-    # puts slot s of output coefficient i + j at i * w + (j * w + s), so
-    # a_i times b is one _mac at offset i * w over the entries of the
-    # coefficients j < top - i
+    # the products are summed over one common denominator m
     m = lcm(*[d for _s, _xa, _xb, d in ops])
-    w = field._width
-    table = [[j * w + s for j in range(max(len(xb) for _s, _a, xb, _d in ops))
-              for s in row] for row in field._table]
-    acc = [0] * (top * w)
-    for sign, xa, xb, d in ops:
-        bs = _nonzero([c for v in xb for c in v])
-        ends = [j for j, _y in bs]
-        scale = sign * (m // d)
-        for i, ai in enumerate(xa):
-            if any(ai):
-                cut = bisect_left(ends, (top - i) * len(ai))
-                _mac(acc, ai, table, bs[:cut], scale, i * w)
-    return _plist_normalize(
-        field, _elements(field, _ireduce(field, acc), m * field._den))
+    flat = _idot(field, [(sign * (m // d), xa, xb) for sign, xa, xb, d in ops],
+                 top)
+    return _plist_normalize(field, _elements(field, flat, m * field._den))
 
 
 def plist_mul(field, a, b, n=None):
@@ -235,7 +261,7 @@ def plist_shift(field, a, t0):
     if n < 2:
         return list(a)
     xa, da = _int_vectors(field, a)
-    xp, dp = _int_powers(field, t0, n)
+    xp, dp = _int_powers(field, *_int_vector(field, t0), n)
     xp = [_nonzero(p) for p in xp]
     w = field._width
     acc = [0] * (n * w)
@@ -291,6 +317,93 @@ def plist_gcd(field, a, b):
         xa, xb = xb, [[c // g for c in r] for r in rem]
     # a nonzero constant remainder: the gcd is one
     return [field.one] if xb else []
+
+
+def plist_quotients(field, nums, den, n):
+    """The first n coefficients of the series num / den for each coefficient
+    list num of nums, den with a nonzero constant term: one series division
+    each, sharing one inverse of den_0 (see the module docstring)."""
+    xd, dd = _int_vectors(field, den[:n])
+    xi, di = _iinv(field, xd[0], dd)
+    out = []
+    for num in nums:
+        xa, da = _int_vectors(field, num[:n])
+        out.append([field.zero if q is None else _elements(field, *q)[0]
+                    for q in _iquotient(field, xa, da, xd, dd, xi, di, n)])
+    return out
+
+
+def plist_compose(field, a, b, n=None):
+    """The normalized coefficient list of a(b), cut to its first n
+    coefficients when n is given: Horner's rule on integer coordinates (see
+    the module docstring)."""
+    a = _plist_normalize(field, a[:n])
+    b = _plist_normalize(field, b[:n])
+    if not a or not b:
+        return _plist_normalize(field, a[:1])
+    (xa, da), (xb, db) = _int_vectors(field, a), _int_vectors(field, b)
+    # acc / dacc is the integer polynomial sum_(j >= k) xa_j b^(j-k); a
+    # constant b (an evaluation) keeps it one coefficient, one _imul a step
+    acc, dacc = list(xa[-1]), 1
+    b0 = _nonzero(xb[0]) if len(xb) == 1 else None
+    for v in reversed(xa[:-1]):
+        d = dacc * db * field._den
+        if b0 is not None:
+            acc = _imul(field, acc, b0)
+        else:
+            top = len(acc) // field.degree_over_q + len(xb) - 1
+            acc = _idot(field, [(1, _split(field, acc), xb)],
+                        top if n is None else min(top, n))
+        if any(v):
+            acc[:len(v)] = [x + c * d for x, c in zip(acc, v)]
+        acc, dacc = _primitive(acc, d)
+    return _plist_normalize(field, _elements(field, acc, dacc * da))
+
+
+def plist_peel(field, a, u, e):
+    """(c, stop) with a = sum_m c_m u^m + r mod t^n, n = len(a) = len(u),
+    for u of order e >= 1: c lists the c_m for m * e < n, and stop is the
+    order of r, which is not a multiple of e, or None when r vanishes below
+    t^n.  Peels the lowest term of r while its order o = m * e is a multiple
+    of e, on integer coordinates (see the module docstring)."""
+    n, den, k = len(a), field._den, field.degree_over_q
+    one = [1] + [0] * (k - 1)
+    xr, dr = _int_vectors(field, a)
+    xr = [c for v in xr for c in v]
+    xu, du = _int_vectors(field, _plist_normalize(field, u[e:]))
+    # u^m / t^(m e), each (integers, denominator)
+    powers = [([one], 1)]
+    c = [field.zero] * ((n - 1) // e + 1)
+    inverses = None
+    o = 0
+    while True:
+        o = next((j for j in range(o, n) if any(xr[j * k:(j + 1) * k])),
+                 None)
+        if o is None or o % e:
+            return c, o
+        m = o // e
+        while len(powers) <= m:
+            p, dp = powers[-1]
+            flat = _idot(field, [(1, p, xu)], n - len(powers) * e)
+            flat, dp = _primitive(flat, dp * du * den)
+            powers.append((_split(field, flat), dp))
+        if m and inverses is None:
+            # lc(u)^(-j) for every j < len(c), over one denominator
+            inverses, di = _int_powers(field, *_iinv(field, xu[0], du), len(c))
+        # c_m = r_o lc(u)^(-m), since lc(u^m) = lc(u)^m
+        li, dl = (inverses[m], di) if m else (one, 1)
+        ro = xr[o * k:(o + 1) * k]
+        cm, dc = _primitive(_imul(field, ro, _nonzero(li)), dr * dl * den)
+        c[m] = _elements(field, cm, dc)[0]
+        # r <- r - c_m u^m from o + 1 up (its term at o cancels), over the
+        # lcm of the two denominators
+        p, dp = powers[m]
+        flat = _idot(field, [(1, p[1:], [cm])], n - o - 1)
+        dd = dc * dp * den
+        lm = lcm(dr, dd)
+        fr, fd = lm // dr, lm // dd
+        tail = [x * fr - y * fd for x, y in zip(xr[(o + 1) * k:], flat)]
+        xr, dr = _primitive([0] * ((o + 1) * k) + tail, lm)
 
 
 def nullspace(field, rows):
@@ -466,11 +579,54 @@ def _imul(field, a, b):
     return _ireduce(field, _mac([0] * field._width, a, field._table, b))
 
 
-def _int_powers(field, x, n):
-    """(integer coordinates of x^0, ..., x^(n-1), one common denominator),
-    n >= 2: each power is one _imul of the one before, scaled once to the
-    denominator of the last."""
-    v, d = _int_vector(field, x)
+def _idot(field, terms, top):
+    """The integer coordinates, times field._den, of the first top
+    coefficients of the sum of scale * a * b over the terms (scale, a, b) of
+    lists of integer coordinates, one coefficient after the other in one
+    flat list: the convolution of every list product in the package.
+
+    b's nonzero integers form one flat list of (position, value), and the
+    slot table puts slot s of output coefficient i + j at i * w + (j * w +
+    s), so a_i times b is one _mac at offset i * w over the entries of the
+    coefficients j < top - i.  A one-coefficient b needs no table of its
+    own: the field's is that table."""
+    w = field._width
+    size = max(len(b) for _s, _a, b in terms)
+    table = field._table if size == 1 else [
+        [j * w + s for j in range(size) for s in row] for row in field._table]
+    acc = [0] * (top * w)
+    for scale, a, b in terms:
+        bs = _nonzero([c for v in b for c in v])
+        ends = [j for j, _y in bs]
+        for i, ai in enumerate(a[:top]):
+            if any(ai):
+                cut = bisect_left(ends, (top - i) * len(ai))
+                _mac(acc, ai, table, bs[:cut], scale, i * w)
+    return _ireduce(field, acc)
+
+
+def _split(field, flat):
+    """The coefficients of a flat list of integer coordinates, one list of
+    degree_over_q ints each."""
+    n = field.degree_over_q
+    return [flat[k:k + n] for k in range(0, len(flat), n)]
+
+
+def _primitive(flat, den):
+    """(flat, den) divided by the gcd of den and every integer of flat, with
+    the sign that makes the denominator positive: the same rationals."""
+    g = gcd(den, *flat)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return flat, den
+    return [c // g for c in flat], den // g
+
+
+def _int_powers(field, v, d, n):
+    """(integer coordinates of x^0, ..., x^(n-1), one common denominator)
+    for x = v/d, n >= 2: each power is one _imul of the one before, scaled
+    once to the denominator of the last."""
     powers = [([1] + [0] * (len(v) - 1), 1), (v, d)]
     vn = _nonzero(v)
     while len(powers) < n:
@@ -495,35 +651,46 @@ def _sub_products(field, x, dx, terms, de):
             dx * scale)
 
 
+def _iquotient(field, xa, da, xb, db, xi, di, n):
+    """The first n coefficients of the series quotient a / b, for a = xa/da
+    and b = xb/db lists of integer coordinates, low first, given 1/b_0 =
+    xi/di: q_k = (a_k - sum_(j >= 1) b_j q_(k-j)) / b_0.  Coefficient k is
+    (integers, denominator) divided by their gcd, or None when it is zero."""
+    xb = [_nonzero(v) for v in xb]
+    xi = _nonzero(xi)
+    zero = [0] * field.degree_over_q
+    xq = []
+    for k in range(n):
+        # a_k - sum_j b_j q_(k-j), over the nonzero terms
+        terms = [(xq[k - j], xb[j]) for j in range(1, min(k + 1, len(xb)))
+                 if xq[k - j] is not None and xb[j]]
+        r, rd = _sub_products(field, xa[k] if k < len(xa) else zero, da,
+                              terms, db)
+        q, dq = _imul(field, r, xi), rd * di * field._den
+        xq.append(_primitive(q, dq) if any(q) else None)
+    return xq
+
+
 def _idivmod(field, xn, dnum, xd, dden, xi, dinv):
     """Long division of num = xn/dnum by den = xd/dden, lists of integer
     coordinates with den normalized, given 1/lc(den) = xi/dinv: (quotient,
     remainder).  Quotient coefficient s is (integers, denominator) divided
     by their gcd, or None when it is zero; remainder coefficient k < deg den
-    is (integers, denominator), low first, not normalized."""
+    is (integers, denominator), low first, not normalized.
+
+    Read from the top down, the quotient is the series quotient of the
+    reversed lists (`_iquotient`); each remainder coefficient k is then
+    num_k - sum_s quo_s * den_(k-s)."""
     dn = len(xd) - 1
     nq = max(0, len(xn) - dn)
+    xq = _iquotient(field, xn[::-1], dnum, xd[::-1], dden, xi, dinv, nq)
+    xq.reverse()
     xd = [_nonzero(v) for v in xd]
-    xi = _nonzero(xi)
-    xq = [None] * nq
     rem = []
-    for k in range(len(xn) - 1, -1, -1):
-        # coefficient k of the remainder: num_k - sum_s quo_s * den_(k-s),
-        # over the nonzero terms
-        terms = [(xq[s], xd[k - s])
-                 for s in range(max(0, k - dn), min(k + 1, nq))
+    for k in range(min(dn, len(xn))):
+        terms = [(xq[s], xd[k - s]) for s in range(min(k + 1, nq))
                  if xq[s] is not None and xd[k - s]]
-        r, rd = _sub_products(field, xn[k], dnum, terms, dden)
-        if k < dn:
-            rem.append((r, rd))
-            continue
-        # r leads: the quotient coefficient is r / lc(den), its integers
-        # divided by their gcd with the denominator
-        q, dq = _imul(field, r, xi), rd * dinv * field._den
-        if any(q):
-            g = gcd(dq, *q)
-            xq[k - dn] = [c // g for c in q], dq // g
-    rem.reverse()
+        rem.append(_sub_products(field, xn[k], dnum, terms, dden))
     return xq, rem
 
 

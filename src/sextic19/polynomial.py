@@ -17,6 +17,7 @@ from .numberfield import (
     QQ,
     field_pow,
     field_sqrt,
+    plist_compose,
     plist_divmod,
     plist_dot,
     plist_gcd,
@@ -195,19 +196,15 @@ class UniPoly:
         )
 
     def eval(self, x):
-        f = self.field
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+        """self(x): the composition with the constant x."""
+        out = plist_compose(self.field, self.coeffs, [x])
+        return out[0] if out else self.field.zero
 
     def compose(self, other):
-        """self(other(t))."""
-        f = self.field
-        acc = UniPoly.zero(f)
-        for c in reversed(self.coeffs):
-            acc = acc * other + UniPoly.const(f, c)
-        return acc
+        """self(other(t)), by Horner's rule (numberfield.plist_compose)."""
+        return UniPoly(self.field,
+                       plist_compose(self.field, self.coeffs, other.coeffs),
+                       normalize=False)
 
     def taylor_shift(self, t0):
         """self(t + t0) (numberfield.plist_shift)."""

@@ -6,14 +6,17 @@ smaller truncation order of its inputs.  order() reports the exponent of
 the first nonzero stored coefficient, or None when every stored coefficient
 vanishes, in which case the caller must retry at a higher truncation.
 
-Products run on `plist_mul` and the inverse of a unit on `plist_divmod`.
+Products run on `plist_mul`, the inverse of a unit on the series quotient
+`plist_quotients` and composition on Horner's rule, `plist_compose`.
 `in_powers_of` writes a series in powers of another by peeling one leading
-term at a time (Knuth, TAOCP vol. 2, 4.7); the classifiers and `reversion`
-use it.  At the at most 22 terms that the genus bound allows, plain peeling
-costs less than Newton iteration.
+term at a time (Knuth, TAOCP vol. 2, 4.7), on `plist_peel`; the
+classifiers and `reversion` use it.  These kernels of numberfield work on
+integer coordinates and build field elements only for the coefficients
+they return.  At the at most 22 terms that the genus bound allows, plain
+peeling costs less than Newton iteration.
 """
 
-from .numberfield import plist_divmod, plist_mul
+from .numberfield import plist_compose, plist_mul, plist_peel, plist_quotients
 from .polynomial import format_terms, power_str
 
 
@@ -99,15 +102,13 @@ class TruncatedSeries:
         return TruncatedSeries(self.field, self.coeffs[:n], n)
 
     def invert_unit(self):
-        """1/self mod s^n, for n = trunc: the reversed quotient of one long
-        division of t^(2n-2) by t^(n-1) * self(1/t)."""
+        """1/self mod s^n, for n = trunc: the series quotient 1/self."""
         f = self.field
         if f.is_zero(self.coeffs[0]):
             raise SeriesError("inversion requires a nonzero constant term")
         n = self.trunc
-        num = [f.zero] * (2 * n - 2) + [f.one]
-        quo, _rem = plist_divmod(f, num, self.coeffs[::-1])
-        return TruncatedSeries(f, quo[::-1], n)
+        return TruncatedSeries(
+            f, plist_quotients(f, [[f.one]], self.coeffs, n)[0], n)
 
     def compose(self, inner):
         """self(inner(s)); requires inner(0) = 0."""
@@ -115,43 +116,24 @@ class TruncatedSeries:
         if not f.is_zero(inner.coeffs[0]):
             raise SeriesError("composition requires inner constant term zero")
         n = min(self.trunc, inner.trunc)
-        acc = TruncatedSeries.zero(f, n)
-        inner = inner.truncate(n)
-        for c in reversed(self.coeffs[:n]):
-            acc = acc * inner
-            if not f.is_zero(c):
-                acc = TruncatedSeries(
-                    f, (f.add(acc.coeffs[0], c),) + acc.coeffs[1:], n
-                )
-        return acc
+        return TruncatedSeries(
+            f, plist_compose(f, self.coeffs, inner.coeffs, n), n)
 
     def in_powers_of(self, u):
         """(c, stop) with self = sum_m c_m u^m + r below the truncation.
 
         Peels the lowest term of r while its order is a multiple of
-        e = ord u, dividing it by the leading coefficient of u^m; each new
-        power of u costs one product.  c holds the c_m for m*e below the
-        truncation, and stop is the order of r, which is not a multiple of
-        e, or None when r vanishes below the truncation.  Every step is
+        e = ord u (numberfield.plist_peel).  c holds the c_m for m*e below
+        the truncation, and stop is the order of r, which is not a multiple
+        of e, or None when r vanishes below the truncation.  Every step is
         exact.
         """
-        f = self.field
         e = u.order()
         if not e:
             raise SeriesError("peeling requires a series u of positive order")
         n = self._common(u)
-        r, u = self.truncate(n), u.truncate(n)
-        powers = [TruncatedSeries(f, (f.one,), n)]
-        c = [f.zero] * ((n - 1) // e + 1)
-        while True:
-            o = r.order()
-            if o is None or o % e:
-                return TruncatedSeries(f, c, len(c)), o
-            m = o // e
-            while len(powers) <= m:
-                powers.append(powers[-1] * u)
-            c[m] = f.div(r.coeffs[o], powers[m].coeffs[o])
-            r = r - powers[m].scale(c[m])
+        c, stop = plist_peel(self.field, self.coeffs[:n], u.coeffs[:n], e)
+        return TruncatedSeries(self.field, c, len(c)), stop
 
     def reversion(self):
         """Compositional inverse g with self(g) = g(self) = s: the series s

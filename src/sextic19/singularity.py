@@ -72,7 +72,7 @@ fails.
 import time
 
 from .curve import CurveError, image_degree
-from .numberfield import FieldError
+from .numberfield import FieldError, plist_quotients
 from .polynomial import PolynomialError, UniPoly, poly_gcd
 from .series import SeriesError, TruncatedSeries
 
@@ -152,12 +152,13 @@ def _chart(f, point):
 
 def _affine_branch(f, germ, trunc, chart):
     """Centered affine expansions (u(s), v(s)) of the branch of a germ,
-    truncated at order trunc, in a chart where its point is finite."""
-    series = [TruncatedSeries.from_poly(p, trunc) for p in germ.expansions]
-    den_inv = series[chart].invert_unit()
-    ratios = [series[i] * den_inv for i in range(3) if i != chart]
-    return tuple(TruncatedSeries(f, (f.zero,) + r.coeffs[1:], r.trunc)
-                 for r in ratios)
+    truncated at order trunc, in a chart where its point is finite: the two
+    other expansions divided by the chart's one, as series quotients that
+    share one inverse of its nonzero constant term."""
+    exps = [p.coeffs for p in germ.expansions]
+    ratios = plist_quotients(f, [exps[i] for i in range(3) if i != chart],
+                             exps[chart], trunc)
+    return tuple(TruncatedSeries(f, [f.zero] + r[1:], trunc) for r in ratios)
 
 
 def _genus_bound(curve):
@@ -314,7 +315,7 @@ class Certificate:
             "passed": self.passed,
             "claims": [v.to_dict() for v in self.verdicts],
             "checks": self.checks,
-            "seconds": round(self.seconds, 3),
+            "seconds": round(self.seconds, 6),
         }
 
 

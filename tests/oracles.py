@@ -11,7 +11,13 @@ Euclid's algorithm on field elements (`plist_gcd`), the term-by-term
 TriPoly product (`sparse_mul` and `sparse_dot`) and Gauss-Jordan
 elimination in field arithmetic (`nullspace`, through `moving_lines`).
 Newton iteration and the per-term series inverse check the peeled
-reversion and the inverse by division of `TruncatedSeries`.
+reversion and the series quotient of `TruncatedSeries`, and the series
+loops that the integer kernels replaced check them term by term on
+schoolbook products: peeling one leading term at a time in field
+arithmetic (`in_powers_of`, `plist_peel`), Horner's rule for series and
+polynomials (`compose`, `plist_compose`, `UniPoly.eval`), the inverse of a
+unit as the reversed quotient of one long division (`invert_unit`,
+`plist_quotients`) and the affine chart of a germ built from that inverse.
 Implicitization by interpolating a grid of univariate resultants, with the
 map degree read from squarefree restrictions of F to lines, checks the
 moving-line implicitization, and the pencil resultant interpolated from a
@@ -316,6 +322,103 @@ def per_term_invert_unit(u):
             acc = f.add(acc, f.mul(ai, out[k - i]))
         out[k] = f.neg(f.mul(acc, inv0))
     return TruncatedSeries(f, out, n)
+
+
+def _schoolbook_series_mul(a, b):
+    """a * b mod s^n, n the smaller truncation, by `schoolbook_plist_mul`."""
+    n = min(a.trunc, b.trunc)
+    return TruncatedSeries(
+        a.field, schoolbook_plist_mul(a.field, a.coeffs[:n], b.coeffs[:n])[:n],
+        n)
+
+
+def division_invert_unit(u):
+    """1/u mod s^n, for n = u.trunc: the reversed quotient of one long
+    division of t^(2n-2) by t^(n-1) * u(1/t), one field.mul and one
+    field.sub per term (`schoolbook_plist_divmod`)."""
+    f = u.field
+    if f.is_zero(u.coeffs[0]):
+        raise SeriesError("inversion requires a nonzero constant term")
+    n = u.trunc
+    num = [f.zero] * (2 * n - 2) + [f.one]
+    quo, _rem = schoolbook_plist_divmod(f, num, u.coeffs[::-1])
+    return TruncatedSeries(f, quo[::-1], n)
+
+
+def horner_compose(a, inner):
+    """a(inner(s)) mod s^n by Horner's rule on series, one schoolbook
+    product and one field.add per coefficient of a; requires inner(0) = 0."""
+    f = a.field
+    if not f.is_zero(inner.coeffs[0]):
+        raise SeriesError("composition requires inner constant term zero")
+    n = min(a.trunc, inner.trunc)
+    acc = TruncatedSeries.zero(f, n)
+    inner = inner.truncate(n)
+    for c in reversed(a.coeffs[:n]):
+        acc = _schoolbook_series_mul(acc, inner)
+        if not f.is_zero(c):
+            acc = TruncatedSeries(
+                f, (f.add(acc.coeffs[0], c),) + acc.coeffs[1:], n)
+    return acc
+
+
+def peeled_in_powers_of(r, u):
+    """(c, stop) with r = sum_m c_m u^m + rest below the truncation, as
+    `TruncatedSeries.in_powers_of` gives them: the lowest term of the rest
+    peeled while its order is a multiple of e = ord u, one field.div by the
+    leading coefficient of u^m, one schoolbook product per new power of u
+    and one field.mul and one field.sub per coefficient of each step."""
+    f = r.field
+    e = u.order()
+    if not e:
+        raise SeriesError("peeling requires a series u of positive order")
+    n = min(r.trunc, u.trunc)
+    r, u = r.truncate(n), u.truncate(n)
+    powers = [TruncatedSeries(f, (f.one,), n)]
+    c = [f.zero] * ((n - 1) // e + 1)
+    while True:
+        o = r.order()
+        if o is None or o % e:
+            return TruncatedSeries(f, c, len(c)), o
+        m = o // e
+        while len(powers) <= m:
+            powers.append(_schoolbook_series_mul(powers[-1], u))
+        c[m] = f.div(r.coeffs[o], powers[m].coeffs[o])
+        r = r - powers[m].scale(c[m])
+
+
+def inverse_affine_branch(germ, trunc, chart):
+    """The centered affine expansions of `singularity._affine_branch`, each
+    other expansion times the inverse of the chart's one
+    (`division_invert_unit`), by schoolbook products."""
+    f = germ.point.field
+    series = [TruncatedSeries.from_poly(p, trunc) for p in germ.expansions]
+    den_inv = division_invert_unit(series[chart])
+    ratios = [_schoolbook_series_mul(series[i], den_inv)
+              for i in range(3) if i != chart]
+    return tuple(TruncatedSeries(f, (f.zero,) + r.coeffs[1:], r.trunc)
+                 for r in ratios)
+
+
+def horner_eval(p, x):
+    """p(x) by Horner's rule in field arithmetic: one field.mul and one
+    field.add per coefficient."""
+    f = p.field
+    acc = f.zero
+    for c in reversed(p.coeffs):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def horner_poly_compose(p, q):
+    """p(q(t)) by Horner's rule, one schoolbook product and one field.add
+    per coefficient of p."""
+    f = p.field
+    acc = []
+    for c in reversed(p.coeffs):
+        acc = schoolbook_plist_mul(f, acc, q.coeffs) or [f.zero]
+        acc[0] = f.add(acc[0], c)
+    return UniPoly(f, acc)
 
 
 def newton_reversion(u):
@@ -794,12 +897,12 @@ def separator_points_distinct(curve, claims):
 
 def horner_point(curve, t):
     """The image of a parameter of curve.field by Horner's rule in field
-    arithmetic (UniPoly.eval), or read off the coefficients of t^n at
+    arithmetic (`horner_eval`), or read off the coefficients of t^n at
     'inf'."""
     if t == "inf":
         coords = [c.coeff(curve.degree) for c in curve.components()]
     else:
-        coords = [c.eval(t) for c in curve.components()]
+        coords = [horner_eval(c, t) for c in curve.components()]
     return ProjectivePoint(curve.field, coords)
 
 

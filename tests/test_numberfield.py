@@ -20,6 +20,7 @@ from sextic19.numberfield import (
     plist_dot,
     plist_gcd,
     plist_mul,
+    plist_quotients,
     sparse_dot,
     sparse_mul,
 )
@@ -215,6 +216,50 @@ def test_list_kernels_on_random_towers(degrees):
         for b in polys:
             want = schoolbook_tri_mul(TriPoly(f, a), TriPoly(f, b))
             assert sparse_mul(f, a, b) == want.terms, (f, a, b)
+
+
+@RANDOM_TOWERS
+def test_series_kernels_on_random_towers(degrees):
+    # the series quotient, Horner's rule and peeling against the loops they
+    # replaced, one field operation per term, on the towers of
+    # test_mul_kernel_on_random_towers
+    from oracles import (division_invert_unit, horner_compose, horner_eval,
+                         horner_poly_compose, peeled_in_powers_of,
+                         schoolbook_plist_mul)
+    from sextic19.polynomial import UniPoly
+    from sextic19.series import TruncatedSeries
+
+    f, rng = _random_tower(degrees)
+    lists = _coefficient_lists(f, rng)
+    units = [a for a in lists if not f.is_zero(a[0])]
+    for a in units:
+        for n in (1, 9):
+            u = TruncatedSeries(f, a, n)
+            assert u.invert_unit().coeffs == division_invert_unit(u).coeffs
+    for den in units[::3]:
+        nums = [rng.choice(lists), rng.choice(lists), []]
+        inverse = division_invert_unit(TruncatedSeries(f, den, 7)).coeffs
+        assert plist_quotients(f, nums, den, 7) == [
+            (schoolbook_plist_mul(f, num, inverse) + [f.zero] * 7)[:7]
+            for num in nums], (f, nums, den)
+    short = [b for b in lists if len(b) <= 2]
+    for a in lists:
+        p = UniPoly(f, a)
+        for b in (rng.choice(short), [f.zero, f.one], [f.random(rng, 9)],
+                  []):
+            q = UniPoly(f, b)
+            assert p.compose(q) == horner_poly_compose(p, q), (f, a, b)
+        for x in (f.random(rng, 9), f.from_int(3), f.gen, f.zero):
+            assert p.eval(x) == horner_eval(p, x), (f, a, x)
+    inners = [TruncatedSeries(f, [f.zero] * k + b, 9)
+              for k in (1, 2) for b in units[1::3]]
+    for a in lists[::3]:
+        s = TruncatedSeries(f, a, 9)
+        u = rng.choice(inners)
+        assert s.compose(u).coeffs == horner_compose(s, u).coeffs
+        (c, stop), (want, want_stop) = (s.in_powers_of(u),
+                                        peeled_in_powers_of(s, u))
+        assert (c.coeffs, stop) == (want.coeffs, want_stop), (f, a, u)
 
 
 def _normalized(f, a):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import newton_reversion, per_term_invert_unit
+from oracles import (
+    division_invert_unit,
+    horner_compose,
+    newton_reversion,
+    peeled_in_powers_of,
+    per_term_invert_unit,
+)
 from sextic19.numberfield import QQ, build_tower, number_field
 from sextic19.polynomial import UniPoly
 from sextic19.series import SeriesError, TruncatedSeries
@@ -144,3 +150,71 @@ def test_in_powers_of_stops_at_the_first_unpeelable_order():
     assert [int(x) for x in c.coeffs] == [0, 0, 0, 1, 0]
     with pytest.raises(SeriesError):
         s.in_powers_of(S(1, 1))
+
+
+EDGE_FIELDS = [QQ, number_field([-2, -2, 0, 1], "c")]
+
+
+def _series(F, coeffs, trunc):
+    return TruncatedSeries(F, [F.from_int(c) for c in coeffs], trunc)
+
+
+def _peel_equals_oracle(r, u):
+    (c, stop), (want, want_stop) = r.in_powers_of(u), peeled_in_powers_of(r, u)
+    assert (c.coeffs, c.trunc, stop) == (want.coeffs, want.trunc, want_stop)
+    return c, stop
+
+
+@pytest.mark.parametrize("F", EDGE_FIELDS, ids=repr)
+def test_peeling_edge_cases_equal_the_oracle(F):
+    u = _series(F, [0, 0, 3, -1, 2], 10)                    # e = 2
+    # the remainder vanishes below the truncation
+    c, stop = _peel_equals_oracle(u * u * u.scale(F.from_int(5)) + u, u)
+    assert stop is None
+    assert [F.is_zero(x) for x in c.coeffs] == [True, False, True, False,
+                                                True]
+    # start orders not divisible by e: nothing is peeled
+    for start in (1, 3):
+        r = _series(F, [0] * start + [7, 1, 2], 10)
+        c, stop = _peel_equals_oracle(r, u)
+        assert stop == start and all(F.is_zero(x) for x in c.coeffs)
+    # a divisible start, then an odd order
+    _c, stop = _peel_equals_oracle(_series(F, [0, 0, 0, 0, 4, 1], 10), u)
+    assert stop == 5
+    # n = 1: only the constant term, c_0 = r_0
+    c, stop = _peel_equals_oracle(_series(F, [6], 1), u)
+    assert stop is None and c.coeffs == (F.from_int(6),)
+    # zero top coefficients in r and u, and the zero series
+    _peel_equals_oracle(_series(F, [0, 0, 1, 0, 0], 10),
+                        _series(F, [0, 2, 0, 0], 10))
+    c, stop = _peel_equals_oracle(TruncatedSeries.zero(F, 8), u)
+    assert stop is None and all(F.is_zero(x) for x in c.coeffs)
+    for bad in (_series(F, [1, 1], 10), TruncatedSeries.zero(F, 10)):
+        with pytest.raises(SeriesError):
+            r.in_powers_of(bad)
+        with pytest.raises(SeriesError):
+            peeled_in_powers_of(r, bad)
+
+
+@pytest.mark.parametrize("F", EDGE_FIELDS, ids=repr)
+def test_compose_and_inverse_edge_cases_equal_the_oracles(F):
+    inner = _series(F, [0, 1, -2, 0, 0], 6)     # zero top coefficients
+    for outer in (_series(F, [3, 0, 0, 2, 0, 0], 6),
+                  _series(F, [5], 6), TruncatedSeries.zero(F, 6),
+                  _series(F, [1, 2, 3], 1)):
+        assert (outer.compose(inner).coeffs
+                == horner_compose(outer, inner).coeffs)
+    for unit in (_series(F, [2], 1), _series(F, [-3, 0, 0, 1, 0], 5),
+                 _series(F, [1, 1], 7)):
+        assert (unit.invert_unit().coeffs
+                == division_invert_unit(unit).coeffs
+                == per_term_invert_unit(unit).coeffs)
+    for fn in (lambda: inner.compose(_series(F, [1, 1], 6)),
+               lambda: horner_compose(inner, _series(F, [1, 1], 6))):
+        with pytest.raises(SeriesError, match="inner constant term zero"):
+            fn()
+    for fn in (_series(F, [0, 1], 4).invert_unit,
+               lambda: division_invert_unit(_series(F, [0, 1], 4))):
+        with pytest.raises(SeriesError,
+                           match="inversion requires a nonzero constant"):
+            fn()

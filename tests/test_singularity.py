@@ -616,3 +616,95 @@ def test_certify_reports_the_map_degree_of_a_double_cover(by_id):
     checks = certify(doubled, [], curve_id=3).checks
     assert checks["map_degree"] == 2 and checks["implicit_degree"] == 6
     assert not checks["implicit_ok"] and "implicit_error" not in checks
+
+
+def _record_series_kernels(monkeypatch):
+    """Run each classifier at both of its truncations (the claim's and the
+    genus bound's) and record every chart, peeling and composition it makes
+    as (kind, inputs, output)."""
+    from sextic19 import singularity
+    from sextic19.series import TruncatedSeries
+
+    calls = []
+
+    def both_passes(once, curve, where, claim_trunc, bound_trunc):
+        found = []
+        for trunc in sorted({claim_trunc, bound_trunc} - {None}):
+            try:
+                found.append(once(curve, where, trunc))
+            except singularity.TruncationExhausted:
+                pass
+        if not found:
+            raise singularity.TruncationExhausted("order unseen")
+        return found[-1]
+
+    def recorder(kind, fn):
+        def recorded(*args):
+            out = fn(*args)
+            calls.append((kind, args, out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(singularity, "_classify", both_passes)
+    monkeypatch.setattr(singularity, "_affine_branch", recorder(
+        "chart", singularity._affine_branch))
+    for name in ("in_powers_of", "compose"):
+        monkeypatch.setattr(TruncatedSeries, name, recorder(
+            name, getattr(TruncatedSeries, name)))
+    return calls
+
+
+def _assert_series_kernels_match_the_oracles(monkeypatch, curve, claims):
+    from oracles import (
+        division_invert_unit,
+        horner_compose,
+        inverse_affine_branch,
+        peeled_in_powers_of,
+    )
+    from sextic19.series import TruncatedSeries
+
+    calls = _record_series_kernels(monkeypatch)
+    for claim in claims:
+        assert verify_claim(curve, claim).ok
+    monkeypatch.undo()
+    kinds = {kind for kind, _args, _out in calls}
+    odd = any(c.stype.n % 2 for c in claims)
+    assert kinds == {"chart", "in_powers_of"} | ({"compose"} if odd else set())
+    # the genus bound g = 10 of a sextic gives 2g + 2 = 22 terms to one
+    # branch and g + 1 = 11 to two, and every claim runs its bound pass
+    truncs = {args[2] for kind, args, _out in calls if kind == "chart"}
+    assert {22 for c in claims if c.stype.n % 2 == 0} | (
+        {11} if odd else set()) <= truncs
+    for kind, args, out in calls:
+        if kind == "chart":
+            _f, germ, trunc, chart = args
+            want = inverse_affine_branch(germ, trunc, chart)
+            assert [s.coeffs for s in out] == [s.coeffs for s in want]
+            unit = TruncatedSeries.from_poly(germ.expansions[chart], trunc)
+            assert (unit.invert_unit().coeffs
+                    == division_invert_unit(unit).coeffs)
+        elif kind == "in_powers_of":
+            (c, stop), (want, want_stop) = out, peeled_in_powers_of(*args)
+            assert (c.coeffs, c.trunc, stop) == (
+                want.coeffs, want.trunc, want_stop)
+        else:
+            assert out.coeffs == horner_compose(*args).coeffs
+
+
+@pytest.mark.parametrize("rid", range(1, 40))
+def test_classifier_series_kernels_equal_the_oracles(by_id, monkeypatch, rid):
+    # the affine charts, peelings and compositions of every claim, at the
+    # claim's truncation and at the genus bound, are the ones that the
+    # term-by-term loops in field arithmetic give
+    rec = by_id[rid]
+    _assert_series_kernels_match_the_oracles(monkeypatch, rec.curve,
+                                             rec.claims)
+
+
+@pytest.mark.parametrize("rid", [26, 36, 38])
+def test_dual_classifier_series_kernels_equal_the_oracles(by_id, monkeypatch,
+                                                          rid):
+    dual_curve = dual(by_id[rid].curve)
+    _assert_series_kernels_match_the_oracles(
+        monkeypatch, dual_curve,
+        discover_dual_claims(by_id[rid], dual_curve))
