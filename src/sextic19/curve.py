@@ -254,11 +254,18 @@ class RationalPlaneCurve:
         self.x, self.y, self.z = x, y, z
         self.degree = max(x.degree, y.degree, z.degree)
         if check:
-            if x.is_zero() and y.is_zero() and z.is_zero():
+            # the nonzero components' gcd: lowest degrees first, so the
+            # first Euclid runs on the shortest lists
+            comps = sorted((c for c in (x, y, z) if not c.is_zero()),
+                           key=lambda c: c.degree)
+            if not comps:
                 raise DegenerateCurve("all components vanish")
-            g = poly_gcd(x, poly_gcd(y, z))
+            g = comps[0]
+            for c in comps[1:]:
+                g = poly_gcd(g, c)
             if g.degree > 0:
-                raise CurveError("components share the factor %s" % g.to_str())
+                raise CurveError("components share the factor %s"
+                                 % g.monic().to_str())
 
     def components(self):
         return (self.x, self.y, self.z)

@@ -17,15 +17,32 @@ unanchored search).  `$schema`, `title` and `definitions` are metadata.  A
 schema that uses any other keyword, or a `const` or `enum` value that is
 not a scalar, is refused with CorpusError before any document is checked,
 so the schema cannot outgrow the checker unnoticed.
+
+The check is compiled once per load: each schema node becomes one closure
+that runs its keywords' steps in a fixed order (type, const, enum, oneOf,
+pattern, minimum and maximum, the array keywords, then required and
+properties), so the schema dicts are not re-read at every node of the
+document.  A `$ref` reuses a valid verdict for a string it has already
+seen.  That is sound because every keyword of the subset judges a string by
+its value alone: the path only names where a violation is, and the array
+and object keywords ignore strings.  An invalid string is checked again
+wherever it occurs, so the first violation and its path are the ones the
+uncompiled walk finds.  The checks of a recursive `$ref` reach each other,
+so the compiled schema is taken apart once the document is checked.
+
+Decoding parses each distinct rational string once per load, into a memo
+that the load's records hold and that is dropped with them: the shipped
+corpus holds 2606 rational strings with 233 distinct values.  Nothing is
+shared across loads.
 """
 
 import json
 import os
 import re
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from importlib import resources
 from operator import mul
+from types import SimpleNamespace
 
 from .curve import (
     CurveError,
@@ -62,61 +79,6 @@ def _schema_path():
     return str(resources.files("sextic19").joinpath("corpus/schema.json"))
 
 
-def decode_field(desc):
-    gens = [(g["name"], [decode_elem(QQ, c) for c in g["minpoly"]])
-            for g in desc["generators"]]
-    if not gens:
-        return QQ
-    return build_tower(gens)
-
-
-def decode_elem(fld, data):
-    if isinstance(data, str):
-        try:
-            value = Rat(data)
-        except (ValueError, ZeroDivisionError):
-            raise CorpusError("%r is not a rational" % data) from None
-        return fld.from_rat(value)
-    if fld == QQ:
-        raise CorpusError("nested coefficient for a rational value")
-    return fld.from_coords([decode_elem(fld.base, d) for d in data])
-
-
-def decode_poly(fld, coeffs):
-    return UniPoly(fld, [decode_elem(fld, c) for c in coeffs])
-
-
-def decode_factors(fld, factors):
-    """The product of the factor powers, as printed; 1 for no factors."""
-    powers = [decode_poly(fld, fac["coeffs"]) ** fac["power"]
-              for fac in factors]
-    return reduce(mul, powers) if powers else UniPoly.one(fld)
-
-
-def decode_location(fld, data, components=None):
-    kind = data["kind"]
-    if kind == "infinity":
-        return ParameterLocation.at_infinity()
-    if kind == "value":
-        return ParameterLocation.at_value(decode_elem(fld, data["t"]))
-    if kind == "roots":
-        return ParameterLocation.at_roots(decode_poly(fld, data["poly"]))
-    if kind == "pair":
-        def dec(v):
-            return "inf" if v == "inf" else decode_elem(fld, v)
-        return ParameterLocation.at_pair(dec(data["t1"]), dec(data["t2"]))
-    if kind == "double_roots":
-        comp = components[data["component"]]
-        _, parts = squarefree_decomposition(comp)
-        quads = [p for p, m in parts if m == 2 and p.degree == 2]
-        if len(quads) != 1:
-            raise CorpusError(
-                "double_roots location needs exactly one squared quadratic"
-            )
-        return ParameterLocation.at_roots(quads[0])
-    raise CorpusError("unknown location kind %r" % kind)
-
-
 def descend(polys):
     """Coerce UniPolys and TriPolys over one field down the tower, together:
     a level is dropped while every coefficient of every one lies in its
@@ -140,56 +102,12 @@ def descend(polys):
             for p in polys]
 
 
-def decode_rows(fld, data):
-    """The rows of a printed equation or pencil in the chart z = 1: h(x),
-    and for each (ypow, lampow) the x-polynomial sum of coeffs(x) *
-    h(x)^hpow over the rows with that key (lampow is 0 when absent).  Each
-    power of h is computed once."""
-    h = decode_poly(fld, data["h"])
-    h_pows = {}
-    rows = {}
-    for row in data["terms"]:
-        poly = decode_poly(fld, row["coeffs"])
-        hpow = int(row.get("hpow", 0))
-        if hpow:
-            if hpow not in h_pows:
-                h_pows[hpow] = h ** hpow
-            poly = poly * h_pows[hpow]
-        key = (int(row["ypow"]), row.get("lampow", 0))
-        rows[key] = rows[key] + poly if key in rows else poly
-    return h, rows
-
-
-def decode_tripoly_hform(fld, data):
-    """Printed implicit sextic: sum of coeffs(x) * y^ypow * h(x)^hpow,
-    homogenized to degree six."""
-    h, rows = decode_rows(fld, data)
-    terms = {(i, ypow): c for (ypow, _), poly in rows.items()
-             for i, c in enumerate(poly.coeffs)}
-    return homogenize_xy(fld, terms, 6), h
-
-
-@dataclass
-class PencilData:
+class PencilData(SimpleNamespace):
     """Pencil of cubics g_lambda = g0 + lambda*g1 in the chart z = 1,
-    stored as y-coefficient lists of x-polynomials, with the known
-    basepoint divisor of the y-resultant, all over the smallest tower level
-    that holds their coefficients."""
-
-    g0: list
-    g1: list
-    basepoint: object
-
-
-def decode_pencil(fld, data):
-    _, rows = decode_rows(fld, data)
-    n = 1 + max(ypow for ypow, _ in rows)
-    bp = data["basepoint_factor"]
-    base = decode_factors(fld, bp["factors"]).scale(
-        decode_elem(fld, bp["scalar"]))
-    polys = descend([rows.get((ypow, lam), UniPoly.zero(fld))
-                     for lam in (0, 1) for ypow in range(n)] + [base])
-    return PencilData(g0=polys[:n], g1=polys[n:2 * n], basepoint=polys[-1])
+    stored as y-coefficient lists of x-polynomials (g0, g1), with the known
+    basepoint divisor of the y-resultant (basepoint), all over the smallest
+    tower level that holds their coefficients.  Pencils with equal
+    attributes are equal."""
 
 
 FLAG_KEYS = (
@@ -202,29 +120,16 @@ FLAG_KEYS = (
 )
 
 
-@dataclass
-class CurveRecord:
-    id: int
-    name: str
-    multiset: list
-    field: object
-    field_F_desc: dict
-    field_E_desc: dict
-    x: object
-    y: object
-    z: object
-    p: object
-    odd_claim: object
-    even_claims: list
-    flags: dict
-    symmetry: object
-    notes: str
-    printed_implicit: object = None
-    printed_implicit_h: object = None
-    pencil: object = None
-    alt: object = None
-    conic_reduction: object = None
-    raw: dict = dc_field(default=None, repr=False)
+class CurveRecord(SimpleNamespace):
+    """One decoded corpus record; the optional sections are None when the
+    record carries none, raw is the record as stored, and rationals the
+    load's memo of parsed rationals (see _Decoder)."""
+
+    printed_implicit = None
+    printed_implicit_h = None
+    pencil = None
+    alt = None
+    conic_reduction = None
 
     @cached_property
     def curve(self):
@@ -243,88 +148,195 @@ class CurveRecord:
         return "%2d  %-18s field %s" % (self.id, self.name, field)
 
 
-@dataclass
-class AltParametrization:
-    field: object
-    x: object
-    y: object
-    z: object
-    odd_location: object
-    first_generator_image: object
+class AltParametrization(SimpleNamespace):
+    """A record's second parametrization: field, x, y, z, odd_location and
+    first_generator_image."""
 
     @property
     def curve(self):
         return RationalPlaneCurve(self.field, self.x, self.y, self.z)
 
 
-def _decode_record(data):
-    fld = decode_field(data["field_E"])
-    comps = {
-        name: decode_factors(fld, data["parametrization"][name])
-        for name in ("x", "y", "z")
-    }
-    p = decode_poly(fld, data["p"]) if data["p"] is not None else None
-    odd = SingularityClaim(
-        SingularityType(data["odd"]["n"]),
-        decode_location(fld, data["odd"]["location"], comps),
-    )
-    evens = [
-        SingularityClaim(
-            SingularityType(e["n"]),
-            decode_location(fld, e["location"], comps),
-        )
-        for e in data["even"]
-    ]
-    symmetry = None
-    if data.get("symmetry"):
-        sm = data["symmetry"]
-        symmetry = (
-            ProjectiveMap(fld, [[decode_elem(fld, v) for v in row]
-                                for row in sm["matrix"]]),
-            MoebiusMap(fld, *[decode_elem(fld, v) for v in sm["moebius"]]),
-        )
-    rec = CurveRecord(
-        id=data["id"],
-        name=data["name"],
-        multiset=list(data["multiset"]),
-        field=fld,
-        field_F_desc=data["field_F"],
-        field_E_desc=data["field_E"],
-        x=comps["x"], y=comps["y"], z=comps["z"],
-        p=p,
-        odd_claim=odd,
-        even_claims=evens,
-        flags={k: bool(data["flags"].get(k, False)) for k in FLAG_KEYS},
-        symmetry=symmetry,
-        notes=data.get("notes", ""),
-        raw=data,
-    )
-    if data.get("printed_implicit"):
-        F6, h6 = decode_tripoly_hform(fld, data["printed_implicit"])
-        [rec.printed_implicit] = descend([F6])
-        [rec.printed_implicit_h] = descend([h6])
-    if data.get("pencil"):
-        rec.pencil = decode_pencil(fld, data["pencil"])
-    if data.get("alt_parametrization"):
-        alt = data["alt_parametrization"]
-        afld = decode_field(alt["field"])
-        rec.alt = AltParametrization(
-            field=afld,
-            x=decode_factors(afld, alt["x"]),
-            y=decode_factors(afld, alt["y"]),
-            z=decode_factors(afld, alt["z"]),
-            odd_location=decode_location(afld, alt["odd_location"]),
-            first_generator_image=decode_poly(
-                afld, alt["first_generator_image"]
-            ),
-        )
-    if data.get("conic_reduction"):
-        cr = data["conic_reduction"]
-        rec.conic_reduction = {
-            "equation": [decode_elem(fld, v) for v in cr["equation"]],
-            "solution": [decode_elem(fld, v) for v in cr["solution"]],
+class _Decoder:
+    """The decoders of one load.  Each distinct rational string is parsed
+    once, into a memo shared by the records of the load and dropped with
+    them.  Elements are built from the parsed Rat by the field's own
+    from_rat and from_coords, so their stored form stays private to
+    numberfield.
+
+    The memo goes with the records, not with the decoder, because about 100
+    of the 233 parsed rationals are used only by factors that decoding
+    multiplies out.  Freed when the load ends, they would leave single free
+    slots across many allocator pools, and the temporaries of the next
+    computation would cycle through those scattered slots: a benchmark
+    round of certify calls on freshly loaded records ran 3-4 % slower."""
+
+    def __init__(self):
+        self._rats = {}
+
+    def rat(self, text):
+        q = self._rats.get(text)
+        if q is None:
+            try:
+                q = self._rats[text] = Rat(text)
+            except (ValueError, ZeroDivisionError):
+                raise CorpusError("%r is not a rational" % text) from None
+        return q
+
+    def field(self, desc):
+        gens = [(g["name"], [self.elem(QQ, c) for c in g["minpoly"]])
+                for g in desc["generators"]]
+        if not gens:
+            return QQ
+        return build_tower(gens)
+
+    def elem(self, fld, data):
+        if isinstance(data, str):
+            return fld.from_rat(self.rat(data))
+        if fld == QQ:
+            raise CorpusError("nested coefficient for a rational value")
+        return fld.from_coords([self.elem(fld.base, d) for d in data])
+
+    def poly(self, fld, coeffs):
+        return UniPoly(fld, [self.elem(fld, c) for c in coeffs])
+
+    def factors(self, fld, factors):
+        """The product of the factor powers, as printed; 1 for no
+        factors."""
+        powers = [self.poly(fld, fac["coeffs"]) ** fac["power"]
+                  for fac in factors]
+        return reduce(mul, powers) if powers else UniPoly.one(fld)
+
+    def location(self, fld, data, components=None):
+        kind = data["kind"]
+        if kind == "infinity":
+            return ParameterLocation.at_infinity()
+        if kind == "value":
+            return ParameterLocation.at_value(self.elem(fld, data["t"]))
+        if kind == "roots":
+            return ParameterLocation.at_roots(self.poly(fld, data["poly"]))
+        if kind == "pair":
+            def dec(v):
+                return "inf" if v == "inf" else self.elem(fld, v)
+            return ParameterLocation.at_pair(dec(data["t1"]), dec(data["t2"]))
+        if kind == "double_roots":
+            comp = components[data["component"]]
+            _, parts = squarefree_decomposition(comp)
+            quads = [p for p, m in parts if m == 2 and p.degree == 2]
+            if len(quads) != 1:
+                raise CorpusError(
+                    "double_roots location needs exactly one squared quadratic"
+                )
+            return ParameterLocation.at_roots(quads[0])
+        raise CorpusError("unknown location kind %r" % kind)
+
+    def rows(self, fld, data):
+        """The rows of a printed equation or pencil in the chart z = 1:
+        h(x), and for each (ypow, lampow) the x-polynomial sum of coeffs(x)
+        * h(x)^hpow over the rows with that key (lampow is 0 when absent).
+        Each power of h is computed once."""
+        h = self.poly(fld, data["h"])
+        h_pows = {}
+        rows = {}
+        for row in data["terms"]:
+            poly = self.poly(fld, row["coeffs"])
+            hpow = int(row.get("hpow", 0))
+            if hpow:
+                if hpow not in h_pows:
+                    h_pows[hpow] = h ** hpow
+                poly = poly * h_pows[hpow]
+            key = (int(row["ypow"]), row.get("lampow", 0))
+            rows[key] = rows[key] + poly if key in rows else poly
+        return h, rows
+
+    def tripoly_hform(self, fld, data):
+        """Printed implicit sextic: sum of coeffs(x) * y^ypow * h(x)^hpow,
+        homogenized to degree six."""
+        h, rows = self.rows(fld, data)
+        terms = {(i, ypow): c for (ypow, _), poly in rows.items()
+                 for i, c in enumerate(poly.coeffs)}
+        return homogenize_xy(fld, terms, 6), h
+
+    def pencil(self, fld, data):
+        _, rows = self.rows(fld, data)
+        n = 1 + max(ypow for ypow, _ in rows)
+        bp = data["basepoint_factor"]
+        base = self.factors(fld, bp["factors"]).scale(
+            self.elem(fld, bp["scalar"]))
+        polys = descend([rows.get((ypow, lam), UniPoly.zero(fld))
+                         for lam in (0, 1) for ypow in range(n)] + [base])
+        return PencilData(g0=polys[:n], g1=polys[n:2 * n],
+                          basepoint=polys[-1])
+
+    def record(self, data):
+        fld = self.field(data["field_E"])
+        comps = {
+            name: self.factors(fld, data["parametrization"][name])
+            for name in ("x", "y", "z")
         }
-    return rec
+        p = self.poly(fld, data["p"]) if data["p"] is not None else None
+        odd = SingularityClaim(
+            SingularityType(data["odd"]["n"]),
+            self.location(fld, data["odd"]["location"], comps),
+        )
+        evens = [
+            SingularityClaim(
+                SingularityType(e["n"]),
+                self.location(fld, e["location"], comps),
+            )
+            for e in data["even"]
+        ]
+        symmetry = None
+        if data.get("symmetry"):
+            sm = data["symmetry"]
+            symmetry = (
+                ProjectiveMap(fld, [[self.elem(fld, v) for v in row]
+                                    for row in sm["matrix"]]),
+                MoebiusMap(fld, *[self.elem(fld, v) for v in sm["moebius"]]),
+            )
+        rec = CurveRecord(
+            id=data["id"],
+            name=data["name"],
+            multiset=list(data["multiset"]),
+            field=fld,
+            field_F_desc=data["field_F"],
+            field_E_desc=data["field_E"],
+            x=comps["x"], y=comps["y"], z=comps["z"],
+            p=p,
+            odd_claim=odd,
+            even_claims=evens,
+            flags={k: bool(data["flags"].get(k, False)) for k in FLAG_KEYS},
+            symmetry=symmetry,
+            notes=data.get("notes", ""),
+            raw=data,
+            rationals=self._rats,
+        )
+        if data.get("printed_implicit"):
+            F6, h6 = self.tripoly_hform(fld, data["printed_implicit"])
+            [rec.printed_implicit] = descend([F6])
+            [rec.printed_implicit_h] = descend([h6])
+        if data.get("pencil"):
+            rec.pencil = self.pencil(fld, data["pencil"])
+        if data.get("alt_parametrization"):
+            alt = data["alt_parametrization"]
+            afld = self.field(alt["field"])
+            rec.alt = AltParametrization(
+                field=afld,
+                x=self.factors(afld, alt["x"]),
+                y=self.factors(afld, alt["y"]),
+                z=self.factors(afld, alt["z"]),
+                odd_location=self.location(afld, alt["odd_location"]),
+                first_generator_image=self.poly(
+                    afld, alt["first_generator_image"]
+                ),
+            )
+        if data.get("conic_reduction"):
+            cr = data["conic_reduction"]
+            rec.conic_reduction = {
+                "equation": [self.elem(fld, v) for v in cr["equation"]],
+                "solution": [self.elem(fld, v) for v in cr["solution"]],
+            }
+        return rec
 
 
 def _check_invariants(rec):
@@ -417,49 +429,132 @@ def _check_schema(root):
 
 def _violation(inst, schema, refs, path=()):
     """The first violation of `schema` by `inst` as (path, message), or None
-    when inst is valid; `refs` is what _check_schema returns."""
+    when inst is valid; `refs` is what _check_schema returns.  The schema is
+    compiled for this one check (see the module docstring)."""
+    # the compiled subschema of each $ref, set once all are compiled
+    targets = {ref: [] for ref in refs}
+    table = {ref: _memo(target) for ref, target in targets.items()}
+    for ref, sub in refs.items():
+        targets[ref].append(_compile(sub, table))
+    try:
+        err = _compile(schema, table)(inst)
+    finally:
+        # the checks of a recursive $ref reach themselves: break the cycles
+        for target in targets.values():
+            target.clear()
+    if err is None:
+        return None
+    message, keys = err
+    return path + tuple(reversed(keys)), message[0] % message[1:]
+
+
+def _memo(target):
+    """The check of a $ref whose compiled subschema is target[0]: it reuses
+    a valid verdict for a string it has already seen."""
+    valid = set()
+
+    def check(inst):
+        if type(inst) is not str:
+            return target[0](inst)
+        if inst in valid:
+            return None
+        err = target[0](inst)
+        if err is None:
+            valid.add(inst)
+        return err
+    return check
+
+
+def _compile(schema, table):
+    """The check of one schema node: a function of an instance that returns
+    None when it is valid, else its first violation as (message, keys): the
+    message as a format string and its arguments, formatted only when it is
+    reported, and the keys of its path innermost first.  `table` holds the
+    check of each $ref.  The node's tests, in the order of the module
+    docstring, give the message of a violation at the node itself; then its
+    properties or items are checked.  Only a dict meets the object keywords and only a list the
+    array ones, so the two kinds never compete for the first violation."""
     if "$ref" in schema:  # draft 7 ignores the siblings of a $ref
-        return _violation(inst, refs[schema["$ref"]], refs, path)
-    if "type" in schema and not _TYPES[schema["type"]](inst):
-        return path, "%r is not of type %r" % (inst, schema["type"])
-    if "const" in schema and not _same(inst, schema["const"]):
-        return path, "%r was expected" % (schema["const"],)
-    if "enum" in schema and not any(_same(inst, e) for e in schema["enum"]):
-        return path, "%r is not one of %r" % (inst, schema["enum"])
+        return table[schema["$ref"]]
+    is_number = _TYPES["number"]
+    tests = []
+    if "type" in schema:
+        kind = schema["type"]
+        is_kind = _TYPES[kind]
+        tests.append(lambda v: None if is_kind(v)
+                     else ("%r is not of type %r", v, kind))
+    if "const" in schema:
+        const = schema["const"]
+        tests.append(lambda v: None if _same(v, const)
+                     else ("%r was expected", const))
+    if "enum" in schema:
+        enum = schema["enum"]
+        tests.append(lambda v: None if any(_same(v, e) for e in enum)
+                     else ("%r is not one of %r", v, enum))
     if "oneOf" in schema:
-        hits = sum(_violation(inst, sub, refs, path) is None
-                   for sub in schema["oneOf"])
-        if hits != 1:
-            return path, "%r is valid under %d of the given schemas, not 1" \
-                % (inst, hits)
-    if isinstance(inst, str) and "pattern" in schema \
-            and not re.search(schema["pattern"], inst):
-        return path, "%r does not match %r" % (inst, schema["pattern"])
-    if _TYPES["number"](inst):
-        if "minimum" in schema and inst < schema["minimum"]:
-            return path, "%r is less than the minimum of %r" \
-                % (inst, schema["minimum"])
-        if "maximum" in schema and inst > schema["maximum"]:
-            return path, "%r is greater than the maximum of %r" \
-                % (inst, schema["maximum"])
-    if isinstance(inst, list):
-        if len(inst) < schema.get("minItems", 0):
-            return path, "%r is too short" % (inst,)
-        if len(inst) > schema.get("maxItems", len(inst)):
-            return path, "%r is too long" % (inst,)
-        for i, item in enumerate(inst if "items" in schema else ()):
-            err = _violation(item, schema["items"], refs, path + (i,))
-            if err:
-                return err
-    if isinstance(inst, dict):
-        for key in schema.get("required", ()):
-            if key not in inst:
-                return path, "%r is a required property" % key
-        for key, sub in schema.get("properties", {}).items():
-            err = key in inst and _violation(inst[key], sub, refs,
-                                             path + (key,))
-            if err:
-                return err
+        subs = [_compile(sub, table) for sub in schema["oneOf"]]
+        tests.append(lambda v: _one_of(v, subs))
+    if "pattern" in schema:
+        pattern = schema["pattern"]
+        search = re.compile(pattern).search
+        tests.append(lambda v: ("%r does not match %r", v, pattern)
+                     if isinstance(v, str) and not search(v) else None)
+    if "minimum" in schema:
+        low = schema["minimum"]
+        tests.append(lambda v: ("%r is less than the minimum of %r", v, low)
+                     if is_number(v) and v < low else None)
+    if "maximum" in schema:
+        high = schema["maximum"]
+        tests.append(lambda v: ("%r is greater than the maximum of %r", v,
+                                high) if is_number(v) and v > high else None)
+    if "minItems" in schema:
+        shortest = schema["minItems"]
+        tests.append(lambda v: ("%r is too short", v)
+                     if isinstance(v, list) and len(v) < shortest else None)
+    if "maxItems" in schema:
+        longest = schema["maxItems"]
+        tests.append(lambda v: ("%r is too long", v)
+                     if isinstance(v, list) and len(v) > longest else None)
+    if "required" in schema:
+        required = schema["required"]
+        tests.append(lambda v: _missing(v, required)
+                     if isinstance(v, dict) else None)
+    props = [(key, _compile(sub, table))
+             for key, sub in schema.get("properties", {}).items()]
+    items = _compile(schema["items"], table) if "items" in schema else None
+
+    def check(inst):
+        for test in tests:
+            message = test(inst)
+            if message is not None:
+                return message, []
+        if props and isinstance(inst, dict):
+            for key, sub in props:
+                err = key in inst and sub(inst[key])
+                if err:
+                    err[1].append(key)
+                    return err
+        elif items and isinstance(inst, list):
+            for i, value in enumerate(inst):
+                err = items(value)
+                if err:
+                    err[1].append(i)
+                    return err
+        return None
+    return check
+
+
+def _missing(inst, required):
+    for key in required:
+        if key not in inst:
+            return "%r is a required property", key
+    return None
+
+
+def _one_of(inst, subs):
+    hits = sum(sub(inst) is None for sub in subs)
+    if hits != 1:
+        return "%r is valid under %d of the given schemas, not 1", inst, hits
     return None
 
 
@@ -480,10 +575,11 @@ def load_corpus(path=None):
     if err:
         raise CorpusError("schema violation at %s: %s"
                           % ("/".join(str(p) for p in err[0]), err[1]))
+    decoder = _Decoder()
     records = []
     for data in doc["curves"]:
         try:
-            rec = _decode_record(data)
+            rec = decoder.record(data)
             _check_invariants(rec)
         except (CorpusError, CurveError, FieldError, PolynomialError) as exc:
             raise CorpusError("record %d: %s" % (data["id"], exc)) from exc

@@ -875,7 +875,7 @@ class RationalField:
         return Rat(n)
 
     def from_rat(self, q):
-        return Rat(q)
+        return q if type(q) is Rat else Rat(q)
 
     def scalar_mul(self, q, x):
         return q * x
@@ -1013,7 +1013,7 @@ class ExtensionField:
         return (Rat(n),) + self.zero[1:]
 
     def from_rat(self, q):
-        return (Rat(q),) + self.zero[1:]
+        return (QQ.from_rat(q),) + self.zero[1:]
 
     def scalar_mul(self, q, x):
         return tuple(q * c for c in x)

@@ -28,15 +28,17 @@ sum over permutations checks the 3 x 3 determinant of `ProjectiveMap`.
 Horner's rule in field arithmetic checks the image points that the germs
 of `RationalPlaneCurve.germ` give.
 jsonschema's draft-07 validator checks the in-package schema checker of
-`database`.  Squarefree parts built by the per-prime loop check the
-one-factorization split of `conic`.  A few helpers only the tests use (a
-rational-square test, a corpus digest, a JSON round trip, a linear change
-of variables, the inverse of a projective map, claims carried along a
-Moebius map) live here too.  The library itself uses none of these.
+`database`, and the interpretive checker that walks the schema dicts at
+every node checks its compiled form.  Squarefree parts built by the
+per-prime loop check the one-factorization split of `conic`.  A few
+helpers only the tests use (a rational-square test, a corpus digest, a
+JSON round trip, a linear change of variables, the inverse of a projective
+map, claims carried along a Moebius map) live here too.  The library itself uses none of these.
 """
 
 import hashlib
 import json
+import re
 from itertools import permutations
 from math import gcd as igcd
 
@@ -48,7 +50,7 @@ from sextic19.curve import (
     ProjectiveMap,
     ProjectivePoint,
 )
-from sextic19.database import default_corpus_path
+from sextic19.database import _TYPES, _same, default_corpus_path
 from sextic19.numberfield import (
     QQ,
     FieldError,
@@ -983,3 +985,55 @@ def jsonschema_valid(doc, schema):
     import jsonschema
 
     return jsonschema.Draft7Validator(schema).is_valid(doc)
+
+
+def interpretive_violation(inst, schema, refs, path=()):
+    """The first violation of `schema` by `inst` as (path, message), or None
+    when inst is valid; `refs` is what database._check_schema returns.  It
+    re-reads the schema dicts at every node, as the library's check did
+    before it was compiled."""
+    if "$ref" in schema:  # draft 7 ignores the siblings of a $ref
+        return interpretive_violation(inst, refs[schema["$ref"]], refs,
+                                      path)
+    if "type" in schema and not _TYPES[schema["type"]](inst):
+        return path, "%r is not of type %r" % (inst, schema["type"])
+    if "const" in schema and not _same(inst, schema["const"]):
+        return path, "%r was expected" % (schema["const"],)
+    if "enum" in schema and not any(_same(inst, e) for e in schema["enum"]):
+        return path, "%r is not one of %r" % (inst, schema["enum"])
+    if "oneOf" in schema:
+        hits = sum(interpretive_violation(inst, sub, refs, path) is None
+                   for sub in schema["oneOf"])
+        if hits != 1:
+            return path, "%r is valid under %d of the given schemas, not 1" \
+                % (inst, hits)
+    if isinstance(inst, str) and "pattern" in schema \
+            and not re.search(schema["pattern"], inst):
+        return path, "%r does not match %r" % (inst, schema["pattern"])
+    if _TYPES["number"](inst):
+        if "minimum" in schema and inst < schema["minimum"]:
+            return path, "%r is less than the minimum of %r" \
+                % (inst, schema["minimum"])
+        if "maximum" in schema and inst > schema["maximum"]:
+            return path, "%r is greater than the maximum of %r" \
+                % (inst, schema["maximum"])
+    if isinstance(inst, list):
+        if len(inst) < schema.get("minItems", 0):
+            return path, "%r is too short" % (inst,)
+        if len(inst) > schema.get("maxItems", len(inst)):
+            return path, "%r is too long" % (inst,)
+        for i, item in enumerate(inst if "items" in schema else ()):
+            err = interpretive_violation(item, schema["items"], refs,
+                                         path + (i,))
+            if err:
+                return err
+    if isinstance(inst, dict):
+        for key in schema.get("required", ()):
+            if key not in inst:
+                return path, "%r is a required property" % key
+        for key, sub in schema.get("properties", {}).items():
+            err = key in inst and interpretive_violation(
+                inst[key], sub, refs, path + (key,))
+            if err:
+                return err
+    return None

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -50,6 +51,16 @@ def test_verify_single_json(capsys):
                                    "seconds"]
     assert item["checks"]["milnor_total"] == 19
     assert item["checks"]["delta_total"] == 10
+    assert sorted(doc) == ["command", "items", "load_seconds", "passed",
+                           "seconds"]
+    assert doc["load_seconds"] > 0
+
+
+def test_verify_text_names_the_load_time(capsys):
+    code, out, _ = run_cli(capsys, "--jobs", "1", "verify", "3")
+    assert code == 0
+    assert re.search(r"^1/1 certificates passed in \d+\.\ds "
+                     r"\(corpus loaded in \d+\.\d{3}s\)$", out, re.M)
 
 
 def test_verify_needs_ids(capsys):
@@ -110,6 +121,21 @@ def test_undecodable_record_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: record 3: ")
+    assert "Traceback" not in err
+
+
+def test_record_with_zero_y_and_z_names_the_factor(tmp_path, capsys):
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    par = doc["curves"][2]["parametrization"]
+    par["y"] = par["z"] = [{"coeffs": ["0"], "power": 1}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: record 3: components share the factor t")
     assert "Traceback" not in err
 
 
@@ -349,7 +375,7 @@ def test_verify_json_point_count(capsys):
 
 def _without_seconds(out):
     doc = json.loads(out)
-    del doc["seconds"]
+    del doc["seconds"], doc["load_seconds"]
     for item in doc["items"]:
         del item["seconds"]
     return doc

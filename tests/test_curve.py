@@ -185,6 +185,25 @@ def test_evaluate_common_factor_violation():
             .evaluate_at(QQ.zero)
 
 
+@pytest.mark.parametrize("place", range(3))
+def test_one_nonzero_component_is_the_shared_factor(place):
+    # 2t alone: the gcd of the nonzero components is t, made monic
+    comps = [P(0)] * 3
+    comps[place] = P(0, 2)
+    with pytest.raises(CurveError, match="^components share the factor t$"):
+        RationalPlaneCurve(QQ, *comps)
+
+
+def test_one_constant_component_builds():
+    curve = RationalPlaneCurve(QQ, P(3), P(0), P(0))
+    assert curve.degree == 0
+
+
+def test_all_zero_components_are_degenerate():
+    with pytest.raises(DegenerateCurve):
+        RationalPlaneCurve(QQ, P(0), P(0), P(0))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_implicitize_invariant_under_reparametrization(by_id, seed):
     rng = random.Random(seed)

@@ -1,4 +1,9 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,8 @@ from sextic19.database import (
 from sextic19.rationals import Rat, rat_str
 
 from oracles import corpus_sha256, roundtrip_identity
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CORPUS_SHA256 = (
     "3b399429f27952e5fce540dc6c586d1d5b8b696e5378a470864f3b47998b0d7d"
@@ -171,3 +178,51 @@ def test_load_corpus_makes_223_list_products(monkeypatch):
     monkeypatch.setattr(polynomial, "plist_mul", counted)
     load_corpus()
     assert len(calls) == 223
+
+
+def _counted_parses(monkeypatch):
+    """The strings load_corpus parses as rationals, as it parses them."""
+    from sextic19 import database
+
+    texts = []
+    parse = database.Rat
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(database, "Rat", counted)
+    return texts
+
+
+def test_load_corpus_parses_each_rational_string_once(monkeypatch):
+    # the corpus holds 2606 rational strings with 233 distinct values
+    texts = _counted_parses(monkeypatch)
+    load_corpus()
+    assert len(texts) == len(set(texts)) == 233
+    # the memo lives for one load: the next load parses them again
+    load_corpus()
+    assert len(texts) == 2 * 233
+
+
+def test_load_corpus_leaves_no_garbage_cycle():
+    load_corpus()
+    gc.collect()
+    gc.disable()
+    try:
+        load_corpus()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_and_load_corpus_do_not_import_dataclasses():
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = ("import sys, sextic19.cli, sextic19.database as d; "
+            "d.load_corpus(); "
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
