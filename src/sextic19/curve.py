@@ -33,6 +33,15 @@ the normalized R must be a (deg g)-th power, so that deg g divides
 k <= deg g and k = deg g; if it is not, the next t0 of a fixed list is
 tried, and past its end the curve is refused.
 
+Each fiber is first tried modulo the prime of the field's place (see the
+modp module).  With phi reduced there, a nonzero t^n coefficient of the
+cross product of phi(inf) and phi(t0) mod p shows phi(t0) != phi(inf) over
+the field and gives one minor that keeps its degree n mod p.  The gcd of
+the reduced minors then has degree at least deg g, and t - t0 divides g,
+so a gcd of degree one mod p certifies deg g = 1.  Any other fiber, and
+every fiber of a field with no place or of a phi that does not reduce,
+runs the exact gcd, which also decides whether phi(t0) != phi(inf).
+
 Image degree.  A factor h shared by x, y and z divides every minor, and so
 does t - t0, with h(t0) != 0 because phi(t0) != 0.  So deg g = 1 also
 certifies coprime components.  For coprime components and k = 1 the image
@@ -49,6 +58,7 @@ the same answer from both.
 
 from functools import reduce
 
+from . import modp
 from .numberfield import adjoin_root, nullspace
 from .polynomial import (
     TriPoly,
@@ -254,15 +264,9 @@ class RationalPlaneCurve:
         self.x, self.y, self.z = x, y, z
         self.degree = max(x.degree, y.degree, z.degree)
         if check:
-            # the nonzero components' gcd: lowest degrees first, so the
-            # first Euclid runs on the shortest lists
-            comps = sorted((c for c in (x, y, z) if not c.is_zero()),
-                           key=lambda c: c.degree)
-            if not comps:
+            g = _common_factor((x, y, z))
+            if g is None:
                 raise DegenerateCurve("all components vanish")
-            g = comps[0]
-            for c in comps[1:]:
-                g = poly_gcd(g, c)
             if g.degree > 0:
                 raise CurveError("components share the factor %s"
                                  % g.monic().to_str())
@@ -361,31 +365,76 @@ def moving_lines(curve, m):
             for vec in nullspace(f, rows)]
 
 
+def _reduced(curve, pl):
+    """The components' coefficient lists reduced at the place pl, or None
+    when pl is None or a coefficient does not reduce."""
+    if pl is None:
+        return None
+    out = [modp.reduce(curve.field, pl, c.coeffs)
+           for c in curve.components()]
+    return None if None in out else out
+
+
+def _fiber_degree_mod(phi, n, t0, p):
+    """The degree of the gcd mod p of the minors of (phi(t), phi(t0)), for
+    phi reduced mod p, or None when every minor's t^n coefficient, the
+    cross product of phi(inf) and phi(t0), vanishes mod p."""
+    at_t0 = [modp.value(c, t0, p) for c in phi]
+    top = [c[n] if len(c) > n else 0 for c in phi]
+    pairs = ((1, 2), (2, 0), (0, 1))
+    if not any((top[i] * at_t0[j] - top[j] * at_t0[i]) % p
+               for i, j in pairs):
+        return None
+    minors = [modp.sub([c * at_t0[j] for c in phi[i]],
+                       [c * at_t0[i] for c in phi[j]], p) for i, j in pairs]
+    return len(reduce(lambda a, b: modp.gcd(a, b, p),
+                      [m for m in minors if m])) - 1
+
+
+def _fiber_degree(curve, t0, at_infinity):
+    """deg g for the fiber of t0, or None when phi(t0) = phi(inf): the
+    exact gcd over the curve's field."""
+    f = curve.field
+    phi = curve.components()
+    at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])
+    if triples_proportional(at_t0, at_infinity):
+        return None
+    return reduce(poly_gcd,
+                  [m for m in cross(phi, at_t0) if not m.is_zero()]).degree
+
+
 def _fiber_degrees(curve):
-    """deg g for each t0 of FIBER_PARAMETERS with phi(t0) != phi(inf), g the
-    monic gcd of the 2 x 2 minors of (phi(t), phi(t0)) (see Map degree in
-    the module docstring)."""
+    """(deg g, p) for each t0 of FIBER_PARAMETERS with phi(t0) != phi(inf),
+    g the monic gcd of the 2 x 2 minors of (phi(t), phi(t0)), and p the
+    prime that certified deg g = 1, None where the exact gcd ran (see Map
+    degree in the module docstring)."""
     f = curve.field
     phi = curve.components()
     n = max(c.degree for c in phi)
+    pl = modp.place(f)
+    reduced = _reduced(curve, pl)
     at_infinity = _constants(f, [c.coeff(n) for c in phi])
     for t0 in FIBER_PARAMETERS:
-        at_t0 = _constants(f, [c.eval(f.from_int(t0)) for c in phi])
-        if not triples_proportional(at_t0, at_infinity):
-            yield reduce(poly_gcd,
-                         [m for m in cross(phi, at_t0) if not m.is_zero()]
-                         ).degree
+        if reduced and _fiber_degree_mod(reduced, n, t0, pl[0]) == 1:
+            yield 1, pl[0]
+            continue
+        k = _fiber_degree(curve, t0, at_infinity)
+        if k is not None:
+            yield k, None
 
 
 def image_degree(curve):
-    """(deg F, mapdeg) as `implicitize` gives them.  A first usable fiber
-    of degree one certifies (n, 1) with no implicit equation (see Image
+    """(deg F, mapdeg, p) as `implicitize` gives the degrees, with p the
+    prime that certified map degree one, or None.  A first usable fiber of
+    degree one certifies (n, 1) with no implicit equation (see Image
     degree in the module docstring); otherwise F is built."""
     n = max(c.degree for c in curve.components())
-    if n > 1 and next(_fiber_degrees(curve), None) == 1:
-        return n, 1
+    if n > 1:
+        k, p = next(_fiber_degrees(curve), (None, None))
+        if k == 1:
+            return n, 1, p
     F, mapdeg = implicitize(curve)
-    return F.total_degree(), mapdeg
+    return F.total_degree(), mapdeg, None
 
 
 def implicitize(curve):
@@ -413,7 +462,7 @@ def implicitize(curve):
     P, Q = ([TriPoly(f, {e: c.coeff(i) for e, c in zip(_XYZ, v)})
              for i in range(deg + 1)] for v, deg in ((p, mu), (q, d)))
     R = determinant(hybrid_bezout(P, Q)).normalized()
-    for k in _fiber_degrees(curve):
+    for k, _p in _fiber_degrees(curve):
         F = tripoly_kth_root(R, k)
         if F is not None:
             return F.normalized(), k
@@ -425,10 +474,21 @@ def implicitize(curve):
 # dual curve, reparametrization, symmetry
 
 
+def _common_factor(polys):
+    """The gcd of the nonzero polynomials among polys, lowest degrees first
+    so that the first Euclid runs on the shortest lists: that polynomial
+    itself when only one is nonzero, None when none is."""
+    nonzero = sorted((p for p in polys if not p.is_zero()),
+                     key=lambda p: p.degree)
+    return reduce(poly_gcd, nonzero) if nonzero else None
+
+
 def _without_common_factor(polys):
-    """(polys divided by g, g) for g the gcd of the nonzero polynomials among
-    polys; g is that polynomial itself when only one is nonzero."""
-    g = reduce(poly_gcd, [p for p in polys if not p.is_zero()])
+    """(polys divided by g, g) for g = _common_factor(polys), not None; a g
+    of one divides nothing."""
+    g = _common_factor(polys)
+    if g == UniPoly.one(g.field):
+        return list(polys), g
     return [p.exact_div(g) if not p.is_zero() else p for p in polys], g
 
 

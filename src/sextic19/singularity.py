@@ -26,6 +26,17 @@ the claimed points to be pairwise distinct, with no unclaimed branch
 through them and no unclaimed singularity.  `points_distinct` reports
 distinctness only where all of these facts are certified.
 
+Distinct parameters.  The claims name pairwise distinct parameters when
+infinity is named at most once and the product P of t - t0 over the finite
+parameters and of q over the `roots` locations is squarefree, that is,
+gcd(P, P') = 1 over the curve's field.  The test first reduces each factor
+at the field's place (see the modp module).  When every factor's leading
+coefficient has a nonzero image, P keeps its degree mod p, so the gcd of
+the reduced P and P' has degree at least deg gcd(P, P'), and a gcd of one
+mod p certifies P squarefree.  Otherwise the exact gcd decides.
+`certify` reports the prime of each certificate taken mod p, for the map
+degree and for distinctness, and None where the exact gcd ran.
+
 Resolution.  `verify_claim` runs three stages per claim, and a failure
 names its stage.  `resolve` (ParameterLocation.resolve) turns the location
 into parameters once, adjoining a root of a `roots` polynomial where none
@@ -71,6 +82,7 @@ fails.
 
 import time
 
+from . import modp
 from .curve import CurveError, image_degree
 from .numberfield import FieldError, plist_quotients
 from .polynomial import PolynomialError, UniPoly, poly_gcd
@@ -362,28 +374,57 @@ def _classify_claim(claim, curve, work, germs):
     return SingularityType(types.pop())
 
 
+def _squarefree_prime(field, factors):
+    """The prime of the field's place where the product P of the coefficient
+    lists `factors` reduces to a squarefree polynomial, each factor keeping
+    its degree, or None (see Distinct parameters in the module docstring)."""
+    pl = modp.place(field)
+    if pl is None:
+        return None
+    p = pl[0]
+    prod = [1]
+    for c in factors:
+        bar = modp.reduce(field, pl, c)
+        if not bar or not bar[-1]:
+            return None
+        prod = modp.mul(prod, bar, p)
+    if len(modp.gcd(prod, modp.derivative(prod, p), p)) > 1:
+        return None
+    return p
+
+
 def claimed_points_distinct(curve, claims):
-    """True when the claims name pairwise distinct parameters: infinity at
-    most once, and the product of t - t0 over the finite values and pair
-    entries and of q over the `roots` locations squarefree over the curve's
-    field.  No root is adjoined.  Distinct parameters give distinct points
-    once every claim is certified, the delta budget closes and the image is
-    a birational sextic (see the module docstring)."""
+    """(distinct, p): distinct is True when the claims name pairwise
+    distinct parameters, infinity at most once and the product P of t - t0
+    over the finite values and pair entries and of q over the `roots`
+    locations squarefree over the curve's field; p is the prime that
+    certified P squarefree, None where the exact gcd ran.  No root is
+    adjoined.  Distinct parameters give distinct points once every claim is
+    certified, the delta budget closes and the image is a birational
+    sextic (see the module docstring)."""
     f = curve.field
-    prod = UniPoly.one(f)
+    factors = []
     infinities = 0
     for claim in claims:
         loc = claim.location
         if loc.kind == "roots":
-            prod = prod * loc.poly
+            factors.append(loc.poly.coeffs)
             continue
         for t in loc.resolve(curve)[1]:
             if t == "inf":
                 infinities += 1
             else:
-                prod = prod * UniPoly(f, (f.neg(t), f.one))
+                factors.append((f.neg(t), f.one))
+    if infinities > 1:
+        return False, None
+    p = _squarefree_prime(f, factors)
+    if p is not None:
+        return True, p
+    prod = UniPoly.one(f)
+    for c in factors:
+        prod = prod * UniPoly(f, c)
     # a zero `roots` polynomial makes poly_gcd raise
-    return infinities <= 1 and poly_gcd(prod, prod.derivative()).degree == 0
+    return poly_gcd(prod, prod.derivative()).degree == 0, None
 
 
 def certify(curve, claims, curve_id=None):
@@ -407,8 +448,9 @@ def certify(curve, claims, curve_id=None):
         "delta_total": delta_total,
         "delta_total_ok": delta_total == 10,
     }
+    map_prime = distinct_prime = None
     try:
-        degree, mapdeg = image_degree(curve)
+        degree, mapdeg, map_prime = image_degree(curve)
         checks["implicit_degree"] = degree
         checks["map_degree"] = mapdeg
         checks["implicit_ok"] = degree == 6 and mapdeg == 1
@@ -416,10 +458,14 @@ def certify(curve, claims, curve_id=None):
         checks["implicit_ok"] = False
         checks["implicit_error"] = str(exc)
     try:
-        distinct = claimed_points_distinct(curve, counted)
+        distinct, distinct_prime = claimed_points_distinct(curve, counted)
     except _DOMAIN_ERRORS as exc:
         distinct = False
         checks["distinct_error"] = str(exc)
+    # the primes that certified map degree one and distinct parameters
+    # modulo a place, None where the exact gcd ran or the check failed
+    checks["map_degree_prime"] = map_prime
+    checks["distinct_prime"] = distinct_prime
     # disjoint parameters prove the points distinct only together with the
     # certified claims, the closed budget and the birational sextic image
     checks["points_distinct"] = (

@@ -33,11 +33,13 @@ every node checks its compiled form.  Squarefree parts built by the
 per-prime loop check the one-factorization split of `conic`.  A few
 helpers only the tests use (a rational-square test, a corpus digest, a
 JSON round trip, a linear change of variables, the inverse of a projective
-map, claims carried along a Moebius map) live here too.  The library itself uses none of these.
+map, claims carried along a Moebius map, the corpus after seeded Moebius
+and projective maps) live here too.  The library itself uses none of these.
 """
 
 import hashlib
 import json
+import random
 import re
 from itertools import permutations
 from math import gcd as igcd
@@ -46,9 +48,11 @@ from sextic19.conic import ConicError
 from sextic19.curve import (
     CurveError,
     DegenerateCurve,
+    MoebiusMap,
     ParameterLocation,
     ProjectiveMap,
     ProjectivePoint,
+    reparametrize,
 )
 from sextic19.database import _TYPES, _same, default_corpus_path
 from sextic19.numberfield import (
@@ -955,6 +959,35 @@ def moebius_transport(location, m):
     for k, c in enumerate(q.coeffs):
         out = out + (num ** k * den ** (q.degree - k)).scale(c)
     return ParameterLocation.at_roots(out)
+
+
+def moebius_and_projective_images(corpus, seed=1):
+    """(record, m, mapped curve, claims) for each record: the curve after a
+    seeded Moebius reparametrization m and a projective map, with the
+    record's claims carried by m^-1.  Every third map fixes a = 0, which
+    sends t = 0 to infinity and infinity to -d/c."""
+    from sextic19.singularity import SingularityClaim, SingularityType
+
+    rng = random.Random(seed)
+    for rec in corpus:
+        f = rec.field
+        while True:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if rec.id % 3 == 0:
+                a = 0
+            if a * d - b * c:
+                break
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if leibniz_det(rows):
+                break
+        m = MoebiusMap.from_ints(f, a, b, c, d)
+        curve = reparametrize(rec.curve, m).apply_projective(
+            ProjectiveMap.from_ints(f, rows))
+        claims = [SingularityClaim(SingularityType(cl.stype.n),
+                                   moebius_transport(cl.location, m))
+                  for cl in rec.claims]
+        yield rec, m, curve, claims
 
 
 # ----------------------------------------------------------------------

@@ -285,3 +285,25 @@ def test_cross_is_the_plain_formula(corpus):
                          for i, j in ((1, 2), (2, 0), (0, 1)))
             assert cross(a, b) == want
         assert all(m.is_zero() for m in cross(phi, phi))
+
+
+def test_wronskian_minors_equal_the_gcd_in_component_order(corpus):
+    # the minors divided by their gcd, taken lowest degree first and with
+    # no division when it is one, against the gcd in component order with
+    # every minor divided
+    from functools import reduce
+
+    from sextic19.curve import wronskian_minors
+    from sextic19.polynomial import poly_gcd
+
+    coprime = []
+    for rec in corpus:
+        phi = rec.curve.components()
+        minors = cross([c.derivative() for c in phi], phi)
+        g = reduce(poly_gcd, [m for m in minors if not m.is_zero()])
+        want = [m.exact_div(g) if not m.is_zero() else m for m in minors]
+        got, got_g = wronskian_minors(rec.curve)
+        assert got_g == g and got == want, rec.id
+        if g.degree == 0:
+            coprime.append(rec.id)
+    assert coprime == [1, 2, 3, 4, 6, 10, 12, 18]

@@ -4,8 +4,7 @@ import pytest
 
 from oracles import (
     horner_point,
-    leibniz_det,
-    moebius_transport,
+    moebius_and_projective_images,
     newton_reversion,
     separator_points_distinct,
 )
@@ -330,25 +329,8 @@ def test_certificates_survive_moebius_and_projective_maps(corpus):
     # each record PASSes after a Moebius reparametrization m and a
     # projective map, with its claims carried by m^-1; every third map
     # fixes a = 0, which sends t = 0 to infinity and infinity to -d/c
-    rng = random.Random(1)
     to_finite = to_infinity = 0
-    for rec in corpus:
-        f = rec.field
-        while True:
-            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-            if rec.id % 3 == 0:
-                a = 0
-            if a * d - b * c:
-                break
-        while True:
-            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-            if leibniz_det(rows):
-                break
-        m = MoebiusMap.from_ints(f, a, b, c, d)
-        curve = reparametrize(rec.curve, m).apply_projective(
-            ProjectiveMap.from_ints(f, rows))
-        claims = [_claim(cl.stype.n, moebius_transport(cl.location, m))
-                  for cl in rec.claims]
+    for rec, _m, curve, claims in moebius_and_projective_images(corpus):
         cert = certify(curve, claims, curve_id=rec.id)
         assert cert.passed, (rec.id, cert.to_dict())
         for old, new in zip(rec.claims, claims):
@@ -428,7 +410,7 @@ def test_swapped_odd_and_even_locations_fail_cleanly(by_id):
 @pytest.mark.parametrize("rid", range(1, 40))
 def test_parameter_test_agrees_with_separator_forms(by_id, rid):
     rec = by_id[rid]
-    assert claimed_points_distinct(rec.curve, rec.claims)
+    assert claimed_points_distinct(rec.curve, rec.claims)[0] is True
     assert separator_points_distinct(rec.curve, rec.claims)
 
 
@@ -436,7 +418,7 @@ def test_parameter_test_agrees_with_separator_forms(by_id, rid):
 def test_parameter_test_agrees_with_separator_forms_on_duals(by_id, rid):
     dual_curve = dual(by_id[rid].curve)
     claims = discover_dual_claims(by_id[rid], dual_curve)
-    assert claimed_points_distinct(dual_curve, claims)
+    assert claimed_points_distinct(dual_curve, claims)[0] is True
     assert separator_points_distinct(dual_curve, claims)
 
 
@@ -465,7 +447,7 @@ def _infinity_twice(by_id):
     _duplicated_claim, _even_claim_at_the_pair, _infinity_twice])
 def test_shared_parameters_are_not_distinct(by_id, make):
     rec, claims = make(by_id)
-    assert not claimed_points_distinct(rec.curve, claims)
+    assert claimed_points_distinct(rec.curve, claims) == (False, None)
     assert not separator_points_distinct(rec.curve, claims)
     cert = certify(rec.curve, claims, curve_id=rec.id)
     assert cert.checks["points_distinct"] is False
@@ -491,7 +473,7 @@ def test_points_distinct_needs_the_certified_claims(by_id):
     rec = by_id[3]
     claims = [_claim(15, rec.claims[0].location),
               _claim(4, rec.claims[1].location)]
-    assert claimed_points_distinct(rec.curve, claims)
+    assert claimed_points_distinct(rec.curve, claims)[0] is True
     cert = certify(rec.curve, claims, curve_id=3)
     assert cert.checks["delta_total_ok"] and cert.checks["implicit_ok"]
     assert cert.checks["points_distinct"] is False
