@@ -4,7 +4,13 @@ Fields are either the rationals or an extension base[g]/(m(g)) with m monic
 and squarefree over the base.  Corpus fields are Q[a]/(m) with deg m <= 6,
 optionally with a quadratic generator on top (two-generator fields), and the
 singularity analysis adjoins one more quadratic root when a curve's special
-parameters live in a quadratic extension.
+parameters live in a quadratic extension.  `build_tower`, which the corpus
+loader and `number_field` call, refuses a modulus m with gcd(m, m') != 1
+over its base (`is_squarefree`); irreducibility is not checked.
+
+`field_sqrt` reduces a square root in a quadratic extension to square roots
+in its base, and hands one in Q[a]/(m), deg m >= 3, to `modp.sqrt`.  This
+module computes nothing modulo a prime: `modp` does.
 
 Raw element representations are plain: an element of Q is a Rat (mpq or
 Fraction), and an element of an extension is one flat tuple of its
@@ -187,8 +193,6 @@ from .rationals import (
     QQ0,
     QQ1,
     Rat,
-    int_sqrt,
-    is_prime,
     rat,
     rat_sqrt,
     rat_str,
@@ -1190,11 +1194,11 @@ def generator(field):
 # construction helpers
 
 
-def minpoly_is_squarefree(coeffs):
-    """gcd(m, m') constant test for a monic rational polynomial."""
-    m = [Rat(c) for c in coeffs]
-    dm = [Rat(i) * m[i] for i in range(1, len(m))]
-    return len(plist_gcd(QQ, m, dm)) == 1
+def is_squarefree(field, coeffs):
+    """Whether gcd(m, m') = 1 over field for the coefficient list m, low
+    first, of elements of field: base[g]/(m) is a field only then."""
+    dm = [field.scalar_mul(Rat(i), c) for i, c in enumerate(coeffs)][1:]
+    return len(plist_gcd(field, coeffs, dm)) == 1
 
 
 def number_field(minpoly, name="a"):
@@ -1206,17 +1210,20 @@ def number_field(minpoly, name="a"):
         raise FieldError("supported degrees are 1..6")
     if len(coeffs) == 2:
         return QQ
-    if not minpoly_is_squarefree(coeffs):
-        raise FieldError("minimal polynomial is not squarefree")
-    return ExtensionField(QQ, coeffs, name)
+    return build_tower([(name, coeffs)])
 
 
 def build_tower(generators):
-    """Build Q(g1)(g2)... from [(name, rational minpoly coeffs), ...]."""
+    """Build Q(g1)(g2)... from [(name, rational minpoly coeffs), ...],
+    refusing a modulus that is not squarefree over the field below it."""
     field = QQ
     for name, mp in generators:
         coeffs = [coerce_into(field, rat(c)) for c in mp]
-        field = ExtensionField(field, coeffs, name)
+        ext = ExtensionField(field, coeffs, name)
+        if not is_squarefree(field, coeffs):
+            raise FieldError("the modulus of %r is not squarefree over %r"
+                             % (ext, field))
+        field = ext
     return field
 
 
@@ -1263,191 +1270,6 @@ def _sqrt_quadratic_ext(field, x):
     return None
 
 
-def _tonelli_shanks(n, p):
-    """Square root of n mod odd prime p, or None for a non-residue."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _rational_reconstruct(c, modulus):
-    """Recover p/q from c mod modulus with |p|, q <= sqrt(modulus/2)."""
-    bound = int_sqrt(modulus // 2)
-    r0, r1 = modulus, c % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num, den = r1, s1
-    if den < 0:
-        num, den = -num, -den
-    if gcd(abs(num), den) != 1:
-        return None
-    return Rat(num, den)
-
-
-def _poly_mod_p(coeffs, p):
-    """Coefficients mod the prime p, or None if p divides a denominator."""
-    out = []
-    for c in coeffs:
-        den = int(c.denominator) % p
-        if den == 0:
-            return None
-        out.append(int(c.numerator) % p * pow(den, -1, p) % p)
-    return out
-
-
-def _eval_mod(coeffs_mod, r, p):
-    acc = 0
-    for c in reversed(coeffs_mod):
-        acc = (acc * r + c) % p
-    return acc
-
-
-def _sqrt_simple_ext(field, x):
-    """Square root in Q[a]/(m), deg m >= 3, decided through degree-one primes.
-
-    Any prime with a simple root of m gives a residue map to F_p; a
-    non-residue value there certifies x is not a square, and for a genuine
-    non-square such a witness prime exists (take a Frobenius class fixing
-    the field but moving sqrt(x) in the Galois closure).  At completely
-    split primes the root values are Hensel-lifted, the coordinate vector is
-    solved from the Vandermonde system mod p^k over all sign choices,
-    rationally reconstructed, and verified exactly.
-    """
-    d = field.degree
-    mc = list(field.modulus)
-    xs = list(x)
-    p = 101
-    while True:
-        p += 2
-        if p > 2_000_000:  # pragma: no cover - safety stop
-            raise FieldError(
-                "square decision did not converge for %s" % field.to_str(x)
-            )
-        if not is_prime(p):
-            continue
-        m_mod = _poly_mod_p(mc, p)
-        x_mod = _poly_mod_p(xs, p)
-        if m_mod is None or x_mod is None:
-            continue
-        roots = [r for r in range(p) if _eval_mod(m_mod, r, p) == 0]
-        if not roots:
-            continue
-        mder_mod = [(i * c) % p for i, c in enumerate(m_mod)][1:]
-        roots = [r for r in roots if _eval_mod(mder_mod, r, p) != 0]
-        vals = [_eval_mod(x_mod, r, p) for r in roots]
-        pairs = [(r, v) for r, v in zip(roots, vals) if v != 0]
-        for _r, v in pairs:
-            if pow(v, (p - 1) // 2, p) != 1:
-                return None  # certified non-square at a degree-one prime
-        if len(pairs) != d:
-            continue
-        sqrts = [_tonelli_shanks(v, p) for _r, v in pairs]
-        result = _try_reconstruct_sqrt(
-            field, xs, mc, p, [r for r, _v in pairs], sqrts
-        )
-        if result is not None:
-            return result
-
-
-def _try_reconstruct_sqrt(field, xs, mc, p, roots, sqrts):
-    d = field.degree
-    for k in (6, 12, 24, 48, 96):
-        M = p ** k
-        # lift roots of m to mod M by Newton iteration
-        lroots = []
-        for r in roots:
-            rr, prec = r, 1
-            while prec < k:
-                prec = min(2 * prec, k)
-                mm = p ** prec
-                # mc and xs reduced mod p: their denominators are units mod mm
-                mq = _poly_mod_p(mc, mm)
-                num = _eval_mod(mq, rr, mm)
-                den = _eval_mod([i * c for i, c in enumerate(mq)][1:], rr, mm)
-                rr = (rr - num * pow(den, -1, mm)) % mm
-            lroots.append(rr)
-        # lift square roots by Newton iteration on s^2 = x(root)
-        lsq = []
-        for r, s in zip(lroots, sqrts):
-            ss, prec = s, 1
-            while prec < k:
-                prec = min(2 * prec, k)
-                mm = p ** prec
-                val = _eval_mod(_poly_mod_p(xs, mm), r % mm, mm)
-                ss = (ss + val * pow(ss, -1, mm)) % mm
-                ss = ss * pow(2, -1, mm) % mm
-            lsq.append(ss)
-        for mask in range(1 << (d - 1)):
-            targets = [lsq[0]]
-            for i in range(1, d):
-                targets.append(M - lsq[i] if (mask >> (i - 1)) & 1 else lsq[i])
-            coords = _solve_vandermonde_mod(lroots, targets, M, p)
-            if coords is None:
-                continue
-            cand = []
-            ok = True
-            for c in coords:
-                q = _rational_reconstruct(c, M)
-                if q is None:
-                    ok = False
-                    break
-                cand.append(q)
-            if not ok:
-                continue
-            rep = tuple(cand)
-            if field.eq(field.mul(rep, rep), tuple(xs)):
-                return rep
-    return None
-
-
-def _solve_vandermonde_mod(nodes, values, M, p):
-    """Solve sum_j c_j * r_i^j = v_i mod M (nodes distinct mod p)."""
-    d = len(nodes)
-    rows = [[pow(r, j, M) for j in range(d)] + [v] for r, v in zip(nodes, values)]
-    for col in range(d):
-        piv = None
-        for i in range(col, d):
-            if rows[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, M)
-        rows[col] = [v * inv % M for v in rows[col]]
-        for i in range(d):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % M for a, b in zip(rows[i], rows[col])]
-    return [rows[i][d] for i in range(d)]
-
-
 def field_sqrt(field, x):
     """Exact square root of a raw element, or None if x is not a square."""
     if field == QQ:
@@ -1457,7 +1279,9 @@ def field_sqrt(field, x):
     if field.degree == 2:
         return _sqrt_quadratic_ext(field, x)
     if field.base == QQ:
-        return _sqrt_simple_ext(field, x)
+        # modp imports this module, so it is imported here
+        from .modp import sqrt
+        return sqrt(field, x)
     raise FieldError("square roots implemented over Q-towers with quadratic tops")
 
 

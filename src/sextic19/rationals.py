@@ -48,11 +48,6 @@ def rat_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def int_sqrt(n):
-    """Floor square root of a nonnegative int."""
-    return int(_isqrt(n))
-
-
 def int_kth_root(n, k):
     """Floor k-th root of a nonnegative int, by integer Newton iteration."""
     if n < 2:

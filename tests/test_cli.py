@@ -166,6 +166,41 @@ def test_malformed_coefficient_names_its_record(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
+def _with_field_6(tmp_path, minpoly):
+    """A corpus copy with record 6's field Q(i), i^2 + 1 = 0, given the
+    modulus minpoly instead."""
+    from sextic19.database import default_corpus_path
+
+    doc = json.load(open(default_corpus_path()))
+    doc["curves"][5]["field_E"]["generators"][0]["minpoly"] = minpoly
+    bad = tmp_path / "field6.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("minpoly", [["0", "0", "1"], ["1", "2", "1"]])
+def test_modulus_that_is_not_squarefree_exits_2(tmp_path, capsys, minpoly):
+    # t^2 and (t + 1)^2: Q[t]/(m) is not a field
+    bad = _with_field_6(tmp_path, minpoly)
+    code, out, err = run_cli(capsys, "--corpus", str(bad), "--jobs", "1",
+                             "verify", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: record 6: the modulus of QQ[i] is not "
+                          "squarefree over QQ")
+    assert "Traceback" not in err
+
+
+def test_reducible_squarefree_modulus_still_fails(tmp_path, capsys):
+    # t^2 - 4 = (t - 2)(t + 2) is squarefree: irreducibility is not checked,
+    # so the corpus loads and the record gets a FAIL
+    bad = _with_field_6(tmp_path, ["-4", "0", "1"])
+    code, out, _err = run_cli(capsys, "--corpus", str(bad), "--jobs", "1",
+                              "verify", "6")
+    assert code == 1
+    assert "FAIL" in out
+
+
 @pytest.mark.parametrize("kind", ["directory", "utf16"])
 def test_unreadable_corpus_exits_2(tmp_path, capsys, kind):
     if kind == "directory":

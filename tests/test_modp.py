@@ -1,13 +1,14 @@
-"""The place of a field, the root finder mod p, and the map-degree and
+"""The place of a field, the root finder mod p, the map-degree and
 distinctness certificates taken mod p against the exact gcds they stand in
-for."""
+for, and square roots in simple extensions against the Hensel/Vandermonde
+oracle they replaced."""
 
 import random
 
 import pytest
 
-from oracles import moebius_and_projective_images
-from sextic19 import modp
+from oracles import hensel_vandermonde_sqrt, moebius_and_projective_images
+from sextic19 import modp, numberfield, polynomial
 from sextic19.autodual import discover_dual_claims
 from sextic19.curve import (
     FIBER_PARAMETERS,
@@ -23,7 +24,13 @@ from sextic19.curve import (
     image_degree,
 )
 from sextic19.database import load_corpus
-from sextic19.numberfield import QQ, ExtensionField
+from sextic19.numberfield import (
+    QQ,
+    ExtensionField,
+    FieldError,
+    field_sqrt,
+    number_field,
+)
 from sextic19.polynomial import UniPoly, poly_gcd
 from sextic19.rationals import Rat
 from sextic19.singularity import (
@@ -61,27 +68,29 @@ def test_root_of_planted_linear_factors(p):
     for size in range(1, 7):
         roots = rng.sample(range(p), size)
         f = _from_roots(roots, p)
-        assert modp.root(f, p) in roots
-        # a repeated root, an irreducible factor and a non-monic scale
-        g = modp.mul(modp.mul(f, _from_roots(roots[:1], p), p),
+        assert sorted(modp.roots(f, p)) == sorted(roots)
+        # repeated roots, an irreducible factor and a non-monic scale: each
+        # root once
+        g = modp.mul(modp.mul(f, _from_roots(roots[:2] + roots[:1], p), p),
                      quadratic, p)
         g = [c * 5 % p for c in g]
-        assert modp.root(g, p) in roots
+        assert sorted(modp.roots(g, p)) == sorted(roots)
 
 
 @pytest.mark.parametrize("p", [101, 30011])
 def test_root_of_an_irreducible_quadratic_is_none(p):
-    assert modp.root([-_non_residue(p) % p, 0, 1], p) is None
-    assert modp.root([1], p) is None
-    assert modp.root([], p) is None
+    assert list(modp.roots([-_non_residue(p) % p, 0, 1], p)) == []
+    assert list(modp.roots([1], p)) == []
+    assert list(modp.roots([], p)) == []
 
 
 def _counting_power(monkeypatch):
+    """The (x, n) of every `power` call of modp, appended as it is made."""
     calls = []
     power = modp.power
 
     def counted(mul, one, x, n):
-        calls.append(n)
+        calls.append((x, n))
         return power(mul, one, x, n)
 
     monkeypatch.setattr(modp, "power", counted)
@@ -92,11 +101,19 @@ def test_root_splits_at_most_shifts_times(monkeypatch):
     calls = _counting_power(monkeypatch)
     rng = random.Random(7)
     for _ in range(20):
-        calls.clear()
         roots = rng.sample(range(P), 6)
-        assert modp.root(_from_roots(roots, P), P) in roots
-        assert calls[0] == P
-        assert 1 <= len(calls) <= 1 + modp.SHIFTS
+        calls.clear()
+        first = next(modp.roots(_from_roots(roots, P), P))
+        needed = len(calls)
+        calls.clear()
+        assert sorted(modp.roots(_from_roots(roots, P), P)) == sorted(roots)
+        assert first in roots and needed < len(calls)
+        # t^p, then (t + delta)^((p-1)/2) for the shifts of each factor: a
+        # factor goes on from its parent's next shift, and no power uses a
+        # shift past SHIFTS, so no factor is tried more than SHIFTS times
+        assert calls[0] == ([0, 1], P)
+        assert all(n == (P - 1) // 2 and x[1] == 1
+                   and 1 <= x[0] <= modp.SHIFTS for x, n in calls[1:])
     # t (t - r) with r + 1 and r + 2 of the Legendre symbols of 1 and 2: the
     # shifts 1 and 2 split nothing, so two shifts give up after 3 powers
     chi = lambda n: pow(n, (P - 1) // 2, P)
@@ -105,10 +122,29 @@ def test_root_splits_at_most_shifts_times(monkeypatch):
     f = _from_roots([0, r], P)
     monkeypatch.setattr(modp, "SHIFTS", 2)
     calls.clear()
-    assert modp.root(f, P) is None
-    assert calls == [P, (P - 1) // 2, (P - 1) // 2]
+    assert list(modp.roots(f, P)) == []
+    assert [n for _x, n in calls] == [P, (P - 1) // 2, (P - 1) // 2]
     monkeypatch.setattr(modp, "SHIFTS", 16)
-    assert modp.root(f, P) in (0, r)
+    assert sorted(modp.roots(f, P)) == [0, r]
+
+
+def test_place_through_the_second_root_of_the_base(monkeypatch):
+    # p = 7 mod 8: 2 is a square mod p and -1 is not, so exactly one of the
+    # roots +-s of t^2 - 2 is a square.  Over Q(a), a^2 = 2, the top modulus
+    # t^2 - c a (c = +-1; x^4 - 2 is irreducible) is chosen to have
+    # a root mod p only over the base root that `roots` yields second.
+    p = 30047
+    assert p % 8 == 7 and p in modp.PRIMES
+    first, second = modp.roots([p - 2, 0, 1], p)
+    c = -1 if pow(first, (p - 1) // 2, p) == 1 else 1
+    assert list(modp.roots([-c * first % p, 0, 1], p)) == []
+    base = ExtensionField(QQ, [Rat(-2), Rat(0), Rat(1)], "a")
+    field = ExtensionField(base, [base.from_coords([Rat(0), Rat(-c)]),
+                                  base.zero, base.one], "b")
+    images = list(modp.embeddings(field, p))
+    assert len(images) == 2 and {e[1] for e in images} == {second}
+    monkeypatch.setattr(modp, "PRIMES", (p,))
+    assert modp.place(field) == (p, images[0])
 
 
 @pytest.mark.parametrize("rid", [1, 16, 34])
@@ -340,3 +376,121 @@ def test_certificate_reports_the_primes(by_id):
     assert cert.passed
     assert cert.checks["map_degree_prime"] == modp.place(rec.field)[0]
     assert cert.checks["distinct_prime"] == modp.place(rec.field)[0]
+
+
+# ----------------------------------------------------------------------
+# square roots
+
+
+def _oracle_sqrt(monkeypatch, field, x):
+    """field_sqrt(field, x) with the square roots in simple extensions of
+    degree >= 3 taken by the oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(modp, "sqrt", hensel_vandermonde_sqrt)
+        return field_sqrt(field, x)
+
+
+def _agree(monkeypatch, field, x):
+    """field_sqrt(field, x), after checking it against the oracle: a root
+    up to sign, or None for both."""
+    got = field_sqrt(field, x)
+    want = _oracle_sqrt(monkeypatch, field, x)
+    if want is None:
+        assert got is None, (field, x)
+    else:
+        assert got in (want, field.neg(want)), (field, x)
+        assert field.mul(got, got) == x
+    return got
+
+
+def test_field_sqrt_matches_the_oracle_on_a_corpus_certify(monkeypatch,
+                                                           corpus):
+    calls = []
+
+    def recording(field, x):
+        calls.append((field, x))
+        return field_sqrt(field, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(numberfield, "field_sqrt", recording)
+        m.setattr(polynomial, "field_sqrt", recording)
+        for rec in corpus:
+            assert certify(rec.curve, rec.claims, curve_id=rec.id).passed
+    # ten curves take square roots over their cubic fields, curve 10 over
+    # its quartic and curve 7 over its sextic one
+    simple = [f for f, _x in calls if f.base == QQ and f.degree >= 3]
+    assert len(calls) == 93
+    assert sorted(f.degree for f in simple) == [3] * 10 + [4, 6]
+    for field, x in calls:
+        _agree(monkeypatch, field, x)
+
+
+SQRT_FIELDS = [
+    [-1, -1, -1, 1],
+    [-4, 8, -4, 1],
+    [Rat(1, 3), -1, 0, 1],              # a denominator in the modulus
+    [7, 0, 0, 0, 1],
+    [1, 0, 0, 0, 1],                    # Q(zeta_8): -1 is a square
+    [-2, 0, 0, 0, 0, 1],
+    [4, 2, -5, Rat(-5, 2), 5, -3, 1],
+]
+
+
+@pytest.mark.parametrize("minpoly", SQRT_FIELDS)
+def test_field_sqrt_matches_the_oracle_on_random_elements(monkeypatch,
+                                                          minpoly):
+    field = number_field(minpoly)
+    rng = random.Random(len(minpoly))
+    squares = 0
+    for _ in range(8):
+        y = field.random(rng, 5)
+        square = field.mul(y, y)
+        assert _agree(monkeypatch, field, square) in (y, field.neg(y))
+        for x in (field.neg(square), field.random(rng, 5)):
+            squares += _agree(monkeypatch, field, x) is not None
+    # -y^2 is a square exactly when -1 is; a random element is not
+    assert squares == (8 if minpoly == [1, 0, 0, 0, 1] else 0)
+
+
+def test_sqrt_refuses_only_by_euler_at_a_simple_root(monkeypatch):
+    # every None comes out of the criterion at a root r with m'(r) != 0
+    seen = []
+    value = modp.value
+
+    def recording(a, x, p):
+        out = value(a, x, p)
+        seen.append((tuple(a), x, p, out))
+        return out
+
+    monkeypatch.setattr(modp, "value", recording)
+    field = number_field([-4, 8, -4, 1])
+    x = field.from_coords([Rat(-28), Rat(20), Rat(28)])
+    assert modp.sqrt(field, x) is None
+    (a, r, p, v) = seen[-1]
+    assert a == tuple(modp.reduce(QQ, (p, (1,)), field.coords(x)))
+    assert v and pow(v, (p - 1) // 2, p) == p - 1
+    m = modp.reduce(QQ, (p, (1,)), field.modulus)
+    assert modp.value(m, r, p) == 0 and modp.value(
+        modp.derivative(m, p), r, p)
+
+
+def test_sqrt_prime_scan_is_bounded(monkeypatch, by_id):
+    # t^3 - 2 splits completely mod p only when p = 1 mod 3 and 2 is a cube
+    # mod p: 109 is the first such prime from 103 on, so below it no square
+    # can be lifted
+    field = number_field([-2, 0, 0, 1])
+    y = field.from_coords([Rat(1), Rat(1), Rat(0)])
+    x = field.mul(y, y)
+    assert modp.sqrt(field, x) in (y, field.neg(y))
+    monkeypatch.setattr(modp, "SQRT_PRIME_BOUND", 108)
+    with pytest.raises(FieldError, match="did not converge"):
+        modp.sqrt(field, x)
+    # certify turns the refusal into a FAIL at resolve: curve 10 takes square
+    # roots over its quartic field
+    monkeypatch.setattr(modp, "SQRT_PRIME_BOUND", 102)
+    rec = by_id[10]
+    cert = certify(rec.curve, rec.claims, curve_id=10)
+    assert not cert.passed
+    failed = [v for v in cert.verdicts if not v.ok]
+    assert failed and all(v.detail.startswith("resolve: square decision did "
+                                              "not converge") for v in failed)

@@ -14,7 +14,7 @@ from sextic19.numberfield import (
     field_sqrt,
     generator,
     is_square,
-    minpoly_is_squarefree,
+    is_squarefree,
     number_field,
     plist_divmod,
     plist_dot,
@@ -484,11 +484,24 @@ def test_inverting_a_zero_divisor_raises():
         F.inv(F.from_coords([Rat(-1), Rat(1)]))
 
 
+@pytest.mark.parametrize("generators", [
+    [("a", [0, 0, 1])],                         # t^2
+    [("a", [1, 2, 1])],                         # (t + 1)^2
+    [("a", [-2, 0, 1]), ("b", [0, 0, 1])],      # t^2 over Q(sqrt 2)
+])
+def test_build_tower_refuses_a_modulus_that_is_not_squarefree(generators):
+    with pytest.raises(FieldError, match="is not squarefree over"):
+        build_tower(generators)
+    if len(generators) == 1:
+        with pytest.raises(FieldError, match="is not squarefree over QQ"):
+            number_field(generators[0][1])
+
+
 def test_corpus_minpolys_squarefree(corpus):
     for rec in corpus:
         for gen in rec.field_E_desc["generators"]:
             coeffs = [Rat(c) for c in gen["minpoly"]]
-            assert minpoly_is_squarefree(coeffs), (rec.id, gen["name"])
+            assert is_squarefree(QQ, coeffs), (rec.id, gen["name"])
 
 
 def test_adjoin_quadratic_irreducible():
