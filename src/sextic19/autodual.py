@@ -50,12 +50,10 @@ def _divide_location_factor(g, loc, fld):
 
 
 def _roots_to_locations(poly, fld):
-    """A squarefree polynomial of degree <= 2 as claim locations."""
+    """A squarefree polynomial of degree <= 2 as claim locations: one value
+    per root when `adjoin_root` finds its roots in fld, else its roots."""
     if poly.degree == 0:
         return []
-    if poly.degree == 1:
-        v = fld.neg(fld.div(poly.coeff(0), poly.coeff(1)))
-        return [ParameterLocation.at_value(v)]
     ext, roots = adjoin_root(fld, list(poly.coeffs))
     if ext == fld:
         return [ParameterLocation.at_value(r) for r in roots]

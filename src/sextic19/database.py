@@ -32,8 +32,9 @@ so the compiled schema is taken apart once the document is checked.
 
 Decoding parses each distinct rational string once per load, into a memo
 that the load's records hold and that is dropped with them: the shipped
-corpus holds 2606 rational strings with 233 distinct values.  Nothing is
-shared across loads.
+corpus holds 2606 rational strings with 233 distinct values.  Each
+distinct field is built once per load: the 39 records share 24 field
+objects.  Nothing is shared across loads.
 """
 
 import json
@@ -152,7 +153,7 @@ class AltParametrization(SimpleNamespace):
     """A record's second parametrization: field, x, y, z, odd_location and
     first_generator_image."""
 
-    @property
+    @cached_property
     def curve(self):
         return RationalPlaneCurve(self.field, self.x, self.y, self.z)
 
@@ -160,9 +161,9 @@ class AltParametrization(SimpleNamespace):
 class _Decoder:
     """The decoders of one load.  Each distinct rational string is parsed
     once, into a memo shared by the records of the load and dropped with
-    them.  Elements are built from the parsed Rat by the field's own
-    from_rat and from_coords, so their stored form stays private to
-    numberfield.
+    them, and each distinct field is built once (`field`).  Elements are
+    built from the parsed Rat by the field's own from_rat and from_coords,
+    so their stored form stays private to numberfield.
 
     The memo goes with the records, not with the decoder, because about 100
     of the 233 parsed rationals are used only by factors that decoding
@@ -173,6 +174,7 @@ class _Decoder:
 
     def __init__(self):
         self._rats = {}
+        self._fields = {}
 
     def rat(self, text):
         q = self._rats.get(text)
@@ -184,11 +186,19 @@ class _Decoder:
         return q
 
     def field(self, desc):
-        gens = [(g["name"], [self.elem(QQ, c) for c in g["minpoly"]])
-                for g in desc["generators"]]
-        if not gens:
-            return QQ
-        return build_tower(gens)
+        """The field of a description, built once per load and keyed, level
+        by level, by each generator's name and parsed minpoly ("1/2" and
+        "2/4" give one field).  A field caches only its place mod p, which
+        depends on the field alone, so every record that names it shares
+        it."""
+        fld, key = QQ, ()
+        for g in desc["generators"]:
+            gen = (g["name"], tuple(map(self.rat, g["minpoly"])))
+            key += (gen,)
+            if key not in self._fields:
+                self._fields[key] = build_tower([gen], fld)
+            fld = self._fields[key]
+        return fld
 
     def elem(self, fld, data):
         if isinstance(data, str):

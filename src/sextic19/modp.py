@@ -11,11 +11,12 @@ below.  `place` takes the first one at the first prime of `PRIMES` that
 has one, so a field gets a place at p whenever some choice of roots works,
 whichever root the splitting isolates first.  A prime that divides a
 denominator of some level's modulus gives no embedding.  The place is
-cached on the field, so it dies with the field; Q's place is
-(PRIMES[0], (1,)).  `reduce` maps elements to F_p: the dot product of each
-element's integer coordinates (`numberfield._int_vectors`, the one reader
-of the stored form) with the images, times the inverse of the common
-denominator, or None when p divides that denominator.
+cached on the field, one per distinct field of a corpus load, whose records
+share their fields; Q's place is (PRIMES[0], (1,)).  `reduce` maps elements
+to F_p: the dot product of each element's integer coordinates
+(`numberfield._int_vectors`, the one reader of the stored form) with the
+images, times the inverse of the common denominator, or None when p divides
+that denominator.
 
 Roots mod p (Cantor and Zassenhaus, "A new algorithm for factoring
 polynomials over finite fields", Math. Comp. 36, 1981).  g = gcd(f, t^p - t)

@@ -822,6 +822,8 @@ class RationalField:
     name = None
     degree = 1
     degree_over_q = 1
+    zero = QQ0
+    one = QQ1
     # the integer kernel's tables (see the module docstring): one slot,
     # the monomial 1, and no reduction rows
     _table = ((0,),)
@@ -829,16 +831,7 @@ class RationalField:
     _den = 1
     _width = 1
 
-    def __init__(self):
-        self._tables = {}
-        self.zero = QQ0
-        self.one = QQ1
-
     def __repr__(self):
-        return "QQ"
-
-    def __reduce__(self):
-        # pickled by name, so a pool task does not carry the slot tables
         return "QQ"
 
     def __eq__(self, other):
@@ -908,6 +901,10 @@ class ExtensionField:
     Raw elements are flat tuples of `degree_over_q` rationals: the base
     coordinates in the power basis 1, g, ..., g^(degree-1), each the base's
     own raw element, joined low first (`from_coords`, split by `coords`).
+
+    A field holds its structure alone, built once here, and caches no
+    elements; `modp.place` adds its place mod p, which depends on the field
+    alone, so one field object may be shared.
     """
 
     def __init__(self, base, modulus, name):
@@ -926,16 +923,11 @@ class ExtensionField:
         self.one = (QQ1,) + self.zero[1:]
         self.gen = self.from_coords([base.zero, base.one]
                                     + [base.zero] * (d - 2))
-        # the integer kernel (see the module docstring); the slot table
-        # depends on the base and d alone, so the base keeps one per d
-        if d not in base._tables:
-            base._tables[d] = _slot_table(base, d)
-        self._table = base._tables[d]
-        self._tables = {}
+        # the integer kernel (see the module docstring)
+        self._table = _slot_table(base, d)
         self._rows, self._den = _reduction_rows(
             base, d, *_int_coords(self.from_coords(modulus[:-1])))
         self._width = self.degree_over_q + len(self._rows)
-        self._inv_cache = {}
 
     def __repr__(self):
         return "%r[%s]" % (self.base, self.name)
@@ -994,15 +986,9 @@ class ExtensionField:
     def inv(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("division by zero in %r" % self)
-        cached = self._inv_cache.get(x)
-        if cached is not None:
-            return cached
         # x = xs / xd, so 1/x = xd / xs
         xs, xd = _int_coords(x)
-        inv = tuple(_rats(*_iinv(self, xs, xd)))
-        if len(self._inv_cache) < 4096:
-            self._inv_cache[x] = inv
-        return inv
+        return tuple(_rats(*_iinv(self, xs, xd)))
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -1213,10 +1199,9 @@ def number_field(minpoly, name="a"):
     return build_tower([(name, coeffs)])
 
 
-def build_tower(generators):
-    """Build Q(g1)(g2)... from [(name, rational minpoly coeffs), ...],
+def build_tower(generators, field=QQ):
+    """Build field(g1)(g2)... from [(name, rational minpoly coeffs), ...],
     refusing a modulus that is not squarefree over the field below it."""
-    field = QQ
     for name, mp in generators:
         coeffs = [coerce_into(field, rat(c)) for c in mp]
         ext = ExtensionField(field, coeffs, name)

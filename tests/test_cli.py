@@ -446,6 +446,21 @@ def test_verify_report_does_not_depend_on_jobs(capsys, monkeypatch):
     assert serial[0] == 0
 
 
+def test_verify_report_does_not_depend_on_earlier_runs(capsys, monkeypatch):
+    # the records of a load share their fields, and a field keeps its place
+    # mod p: two runs on one load and one on a fresh load report the same
+    from sextic19 import database
+
+    records = database.load_corpus()
+    monkeypatch.setattr(database, "load_corpus", lambda path=None: records)
+    runs = [run_cli(capsys, "--json", "verify", "--all") for _ in range(2)]
+    monkeypatch.undo()
+    runs.append(run_cli(capsys, "--json", "verify", "--all"))
+    reports = [(code, _without_seconds(out)) for code, out, _err in runs]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][0] == 0
+
+
 def test_pool_workers_certify_the_parents_records(tmp_path, capsys,
                                                    monkeypatch):
     from sextic19.database import default_corpus_path

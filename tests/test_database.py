@@ -80,6 +80,32 @@ def test_record36_field_descriptor(by_id):
     assert rec.field_E_desc["generators"][0]["minpoly"] == ["1", "1", "1"]
 
 
+def test_records_share_each_distinct_field():
+    # a fresh load: the 39 records name 24 distinct fields, Q among them
+    records = {r.id: r for r in load_corpus()}
+    fields = {id(r.field): r.field for r in records.values()}
+    assert len(fields) == len(set(fields.values())) == 24
+    # a tower shares its levels with the records over them
+    levels = {id(f): f for r in records.values()
+              for f in r.field.tower_chain()}
+    assert len(levels) == len(set(levels.values()))
+    assert records[34].field.base is records[21].field
+    assert records[12].field is records[6].field
+
+
+def test_a_respelled_minpoly_names_the_same_field(tmp_path):
+    # records 11, 35 and 38 are over Q[a]/(a^2 - 21); respell -21 in one
+    doc = json.load(open(default_corpus_path()))
+    data = doc["curves"][34]
+    assert data["id"] == 35
+    data["field_E"]["generators"][0]["minpoly"][0] = "-42/2"
+    respelled = tmp_path / "respelled.json"
+    respelled.write_text(json.dumps(doc))
+    records = {r.id: r for r in load_corpus(str(respelled))}
+    assert records[35].field is records[11].field is records[38].field
+    assert len({id(r.field) for r in records.values()}) == 24
+
+
 def test_truncated_file_rejected(tmp_path):
     with open(default_corpus_path()) as fh:
         text = fh.read()

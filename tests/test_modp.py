@@ -179,6 +179,25 @@ def test_no_place_is_built_at_load():
             assert "_place" not in vars(level)
 
 
+def test_certify_searches_one_place_per_distinct_field(monkeypatch):
+    # a fresh load, so no place is cached; records that name one field
+    # share it, so its place is searched through one object
+    records = load_corpus()
+    searched = []
+    embeddings = modp.embeddings
+
+    def counted(field, p):
+        searched.append(field)
+        return embeddings(field, p)
+
+    monkeypatch.setattr(modp, "embeddings", counted)
+    for rec in records:
+        assert certify(rec.curve, rec.claims, curve_id=rec.id).passed
+    ours = {id(r.field) for r in records if r.field != QQ}
+    fields = {id(f): f for f in searched if id(f) in ours}
+    assert len(fields) == len(set(fields.values())) == 23
+
+
 def test_reduce_refuses_a_denominator_of_p():
     pl = modp.place(QQ)
     assert pl == (P, (1,))

@@ -54,6 +54,24 @@ def test_division_by_zero():
         element(F, 1) / element(F, 0)
 
 
+def test_a_field_holds_its_structure_alone():
+    # inverting, multiplying and building fields over it leave no cache
+    F = number_field([-2, 0, 0, 1], "a")
+    before = dict(vars(F))
+    a = generator(F)
+    for k in range(1, 6):
+        assert (a + k) * (a + k).inverse() == 1
+    number_field([-3, 0, 0, 1], "b")
+    build_tower([("c", [-7, 0, 1])], F)
+    assert vars(F) == before
+    assert set(before) == {"base", "modulus", "name", "degree",
+                           "degree_over_q", "zero", "one", "gen", "_table",
+                           "_rows", "_den", "_width"}
+    assert vars(QQ) == {}
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
 def test_field_mismatch_rejected():
     F = number_field([-5, 0, 1], "a")
     G = number_field([-3, 0, 1], "a")
