@@ -153,7 +153,7 @@ class AltParametrization(SimpleNamespace):
     """A record's second parametrization: field, x, y, z, odd_location and
     first_generator_image."""
 
-    @cached_property
+    @property
     def curve(self):
         return RationalPlaneCurve(self.field, self.x, self.y, self.z)
 
