@@ -39,8 +39,9 @@ cross product of phi(inf) and phi(t0) mod p shows phi(t0) != phi(inf) over
 the field and gives one minor that keeps its degree n mod p.  The gcd of
 the reduced minors then has degree at least deg g, and t - t0 divides g,
 so a gcd of degree one mod p certifies deg g = 1.  Any other fiber, and
-every fiber of a field with no place or of a phi that does not reduce,
-runs the exact gcd, which also decides whether phi(t0) != phi(inf).
+every fiber of a field with no place below the bound or of a phi that does
+not reduce, runs the exact gcd, which also decides whether
+phi(t0) != phi(inf).
 
 Image degree.  A factor h shared by x, y and z divides every minor, and so
 does t - t0, with h(t0) != 0 because phi(t0) != 0.  So deg g = 1 also
@@ -365,16 +366,6 @@ def moving_lines(curve, m):
             for vec in nullspace(f, rows)]
 
 
-def _reduced(curve, pl):
-    """The components' coefficient lists reduced at the place pl, or None
-    when pl is None or a coefficient does not reduce."""
-    if pl is None:
-        return None
-    out = [modp.reduce(curve.field, pl, c.coeffs)
-           for c in curve.components()]
-    return None if None in out else out
-
-
 def _fiber_degree_mod(phi, n, t0, p):
     """The degree of the gcd mod p of the minors of (phi(t), phi(t0)), for
     phi reduced mod p, or None when every minor's t^n coefficient, the
@@ -411,12 +402,11 @@ def _fiber_degrees(curve):
     f = curve.field
     phi = curve.components()
     n = max(c.degree for c in phi)
-    pl = modp.place(f)
-    reduced = _reduced(curve, pl)
+    p, reduced = modp.at_place(f, [c.coeffs for c in phi]) or (None, None)
     at_infinity = _constants(f, [c.coeff(n) for c in phi])
     for t0 in FIBER_PARAMETERS:
-        if reduced and _fiber_degree_mod(reduced, n, t0, pl[0]) == 1:
-            yield 1, pl[0]
+        if reduced and _fiber_degree_mod(reduced, n, t0, p) == 1:
+            yield 1, p
             continue
         k = _fiber_degree(curve, t0, at_infinity)
         if k is not None:

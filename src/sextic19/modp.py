@@ -7,16 +7,24 @@ A *place* of a field F is a pair (p, images): a prime p and the images mod
 p of the flat basis monomials of F, fixed by one root mod p of each tower
 level's modulus.  `embeddings` yields the images of every choice of such
 roots, each level's modulus reduced through every embedding of the level
-below.  `place` takes the first one at the first prime of `PRIMES` that
-has one, so a field gets a place at p whenever some choice of roots works,
-whichever root the splitting isolates first.  A prime that divides a
-denominator of some level's modulus gives no embedding.  The place is
-cached on the field, one per distinct field of a corpus load, whose records
-share their fields; Q's place is (PRIMES[0], (1,)).  `reduce` maps elements
-to F_p: the dot product of each element's integer coordinates
+below.  `place` scans the odd primes from PLACE_START on and takes the
+first embedding at the first prime that has one, so a field gets a place at
+p whenever some choice of roots works, whichever root the splitting
+isolates first.  A prime that divides a denominator of some level's
+modulus gives no embedding.  Every prime scan of the module ends at
+PRIME_BOUND, and a field with no place up to it gets None, so its callers
+run their exact tests.  For a field of degree n the primes with a place
+have density at least 1/n (Chebotarev's theorem, with Burnside's count of
+the fixed points of a transitive group), so only a field with no
+degree-one prime below 2 * 10^6 reaches the bound.  The place is cached on
+an extension field, one per distinct field of a corpus load, whose records
+share their fields.  Q's place, (PLACE_START, (1,)) = (30011, (1,)), is
+built at each call, so Q keeps no state.  `reduce` maps elements to F_p:
+the dot product of each element's integer coordinates
 (`numberfield._int_vectors`, the one reader of the stored form) with the
-images, times the inverse of the common denominator, or None when p divides
-that denominator.
+images, times the inverse of the common denominator, or None when p
+divides that denominator.  `at_place` reduces lists of elements at a
+field's place, the one call the certificates of other modules make.
 
 Roots mod p (Cantor and Zassenhaus, "A new algorithm for factoring
 polynomials over finite fields", Math. Comp. 36, 1981).  g = gcd(f, t^p - t)
@@ -25,12 +33,15 @@ factor t - r of g, h = (t + delta)^((p-1)/2) is the Legendre symbol of
 r + delta, so gcd(g, h - 1), gcd(g, h + 1) and gcd(g, t + delta) collect
 the roots r with r + delta a nonzero square, a non-square and zero: three
 factors whose product is g, with no polynomial division.  `roots` splits
-each factor of degree two or more so, with the shifts delta = 1, ...,
-SHIFTS in turn, and yields each root as soon as its factor is linear, so a
-caller that needs one root pays for one.  A factor that SHIFTS shifts leave
-unsplit yields nothing: a caller must treat a missing root as "not found",
-never as "none exists".  Every power runs on `numberfield.power` with a
-product mod the polynomial.
+each factor of degree two or more so, with the shifts delta = 1, 2, ... in
+turn, each part going on from its parent's next shift, and yields each
+root as soon as its factor is linear, so a caller that needs one root pays
+for one.  Every root is found: a factor of degree two or more has a
+nonzero root r, and the shift delta = p - r isolates it as
+gcd(g, t + delta) = t - r.  No shift that a factor's ancestors tried was
+p - r for a root r of it, or r would have been split off, so its own
+shifts reach such a p - r <= p - 1, where it splits.  Every power runs on
+`numberfield.power` with a product mod the polynomial.
 
 Soundness.  Evaluating each generator at its root is a ring map from
 Z_(p)[basis], the elements whose coordinates are p-integral, to F_p: each
@@ -59,7 +70,7 @@ runs its exact test instead.
 
 Square roots.  `sqrt` decides whether x is a square in F = Q[a]/(m),
 deg m = d >= 3, and returns a root when it is.  It scans the odd primes p
-from 103 on, below SQRT_PRIME_BOUND, skipping those that divide a
+from 103 on, up to the shared PRIME_BOUND, skipping those that divide a
 denominator of m or of x, and reads x at the simple roots r of m mod p (m'
 nonzero at r) that `roots` finds.
 
@@ -85,7 +96,7 @@ nonzero at r) that `roots` finds.
   when y^2 = x holds exactly.
 - A prime where the split or a reconstruction fails is skipped: it proves
   nothing either way.  Every root returned has passed the exact check
-  y^2 = x.  Past SQRT_PRIME_BOUND the scan raises FieldError, a refusal,
+  y^2 = x.  Past PRIME_BOUND the scan raises FieldError, a refusal,
   which `certify` reports as a FAIL.
 """
 
@@ -97,12 +108,10 @@ from operator import mul as _times
 from .numberfield import QQ, FieldError, _int_vectors, power
 from .rationals import Rat, is_prime
 
-# the primes a place is sought at, in order: the first eight above 30000
-PRIMES = (30011, 30013, 30029, 30047, 30059, 30071, 30089, 30091)
-# the shifts delta = 1, ..., SHIFTS tried by the equal-degree splitting
-SHIFTS = 16
-# `sqrt` gives up, with FieldError, at the first prime above this bound
-SQRT_PRIME_BOUND = 2_000_000
+# Q's place, a prime; `place` scans the primes from here on
+PLACE_START = 30011
+# every prime scan ends at this bound
+PRIME_BOUND = 2_000_000
 
 
 def _trim(a):
@@ -167,10 +176,9 @@ def sub(a, b, p):
 
 
 def roots(f, p):
-    """Yield each distinct root in F_p of the coefficient list f over F_p
-    as soon as the splitting isolates it; a factor that SHIFTS shifts leave
-    unsplit yields nothing (see the module docstring).  p is an odd prime
-    above SHIFTS."""
+    """Yield each distinct root in F_p of the coefficient list f over F_p,
+    for an odd prime p, as soon as the splitting isolates it (see the
+    module docstring)."""
     f = _trim(list(f))
     if len(f) < 2:
         return
@@ -182,7 +190,7 @@ def roots(f, p):
         if len(g) == 2:
             yield -g[0] % p
             continue
-        if len(g) < 2 or delta > SHIFTS:
+        if len(g) < 2:
             continue
         h = power(lambda a, b: rem(mul(a, b, p), g, p), [1], [delta, 1],
                   (p - 1) // 2)
@@ -221,22 +229,34 @@ def embeddings(field, p):
                         for i in range(field.degree) for x in low)
 
 
+def _primes(start):
+    """The odd primes from start on, up to PRIME_BOUND."""
+    return filter(is_prime, range(start | 1, PRIME_BOUND + 1, 2))
+
+
 def place(field):
-    """The place (p, images) of field at the first prime of PRIMES that has
-    an embedding, or None when there is none; cached on the field."""
+    """The place (p, images) of field at the first prime from PLACE_START
+    on that has an embedding, or None when no prime up to PRIME_BOUND has
+    one; cached on an extension field."""
     if field.base is None:
-        return PRIMES[0], (1,)
+        return PLACE_START, (1,)
     try:
         return field._place
     except AttributeError:
         pass
-    field._place = None
-    for p in PRIMES:
-        images = next(embeddings(field, p), None)
-        if images is not None:
-            field._place = p, images
-            break
+    field._place = next(((p, images) for p in _primes(PLACE_START)
+                         for images in embeddings(field, p)), None)
     return field._place
+
+
+def at_place(field, lists):
+    """(p, each list of elements of field reduced at its place), or None
+    when field has no place or p divides a denominator."""
+    pl = place(field)
+    if pl is None:
+        return None
+    out = [reduce(field, pl, elems) for elems in lists]
+    return None if None in out else (pl[0], out)
 
 
 def _rational_reconstruct(c, modulus):
@@ -260,14 +280,7 @@ def sqrt(field, x):
     root of m mod p, or lifted from a prime where m splits completely (see
     Square roots in the module docstring)."""
     coords = field.coords(x)
-    p = 101
-    while True:
-        p += 2
-        if p > SQRT_PRIME_BOUND:
-            raise FieldError("square decision did not converge for %s"
-                             % field.to_str(x))
-        if not is_prime(p):
-            continue
+    for p in _primes(103):
         at_p = (p, (1,))
         m, xs = reduce(QQ, at_p, field.modulus), reduce(QQ, at_p, coords)
         if m is None or xs is None:
@@ -285,6 +298,8 @@ def sqrt(field, x):
             y = _lift_sqrt(field, x, coords, p, simple, vals)
             if y is not None:
                 return y
+    raise FieldError("square decision did not converge for %s"
+                     % field.to_str(x))
 
 
 def _lift_sqrt(field, x, coords, p, rs, vals):
@@ -293,12 +308,7 @@ def _lift_sqrt(field, x, coords, p, rs, vals):
     advances one Newton doubling at a time, and x z is reconstructed and
     checked exactly after each doubling."""
     d = len(rs)
-    ws = []
-    for v in vals:
-        s = next(roots([-v % p, 0, 1], p), None)
-        if s is None:
-            return None
-        ws.append(pow(s, -1, p))
+    ws = [pow(next(roots([-v % p, 0, 1], p)), -1, p) for v in vals]
     # the Lagrange basis at the roots: L_i(r_j) = 1 for j = i, else 0
     basis = []
     for i, r in enumerate(rs):

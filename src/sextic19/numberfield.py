@@ -816,7 +816,8 @@ def _iinv(field, v, scale=1):
 
 
 class RationalField:
-    """The field Q.  Raw elements are mpq values."""
+    """The field Q.  Raw elements are `Rat` values (see the rationals
+    module)."""
 
     base = None
     name = None
@@ -1192,8 +1193,6 @@ def number_field(minpoly, name="a"):
     coeffs = [rat(c) for c in minpoly]
     if coeffs[-1] != 1:
         raise FieldError("minimal polynomial must be monic")
-    if len(coeffs) - 1 < 1 or len(coeffs) - 1 > 6:
-        raise FieldError("supported degrees are 1..6")
     if len(coeffs) == 2:
         return QQ
     return build_tower([(name, coeffs)])

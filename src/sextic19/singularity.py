@@ -378,13 +378,12 @@ def _squarefree_prime(field, factors):
     """The prime of the field's place where the product P of the coefficient
     lists `factors` reduces to a squarefree polynomial, each factor keeping
     its degree, or None (see Distinct parameters in the module docstring)."""
-    pl = modp.place(field)
-    if pl is None:
+    reduced = modp.at_place(field, factors)
+    if reduced is None:
         return None
-    p = pl[0]
+    p, bars = reduced
     prod = [1]
-    for c in factors:
-        bar = modp.reduce(field, pl, c)
+    for bar in bars:
         if not bar or not bar[-1]:
             return None
         prod = modp.mul(prod, bar, p)

@@ -51,7 +51,7 @@ def test_verify_single_json(capsys):
                                    "seconds"]
     assert item["checks"]["milnor_total"] == 19
     assert item["checks"]["delta_total"] == 10
-    # curve 25 is over Q, whose place is at the first prime of modp.PRIMES
+    # curve 25 is over Q, whose place is at the first prime of the scan
     assert item["checks"]["map_degree_prime"] == 30011
     assert item["checks"]["distinct_prime"] == 30011
     assert sorted(doc) == ["command", "items", "load_seconds", "passed",

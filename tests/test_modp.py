@@ -19,7 +19,6 @@ from sextic19.curve import (
     _fiber_degree,
     _fiber_degree_mod,
     _fiber_degrees,
-    _reduced,
     dual,
     image_degree,
 )
@@ -32,7 +31,7 @@ from sextic19.numberfield import (
     number_field,
 )
 from sextic19.polynomial import UniPoly, poly_gcd
-from sextic19.rationals import Rat
+from sextic19.rationals import Rat, is_prime
 from sextic19.singularity import (
     SingularityClaim,
     SingularityType,
@@ -97,7 +96,7 @@ def _counting_power(monkeypatch):
     return calls
 
 
-def test_root_splits_at_most_shifts_times(monkeypatch):
+def test_root_finds_every_root_the_first_one_first(monkeypatch):
     calls = _counting_power(monkeypatch)
     rng = random.Random(7)
     for _ in range(20):
@@ -108,24 +107,21 @@ def test_root_splits_at_most_shifts_times(monkeypatch):
         calls.clear()
         assert sorted(modp.roots(_from_roots(roots, P), P)) == sorted(roots)
         assert first in roots and needed < len(calls)
-        # t^p, then (t + delta)^((p-1)/2) for the shifts of each factor: a
-        # factor goes on from its parent's next shift, and no power uses a
-        # shift past SHIFTS, so no factor is tried more than SHIFTS times
+        # t^p, then (t + delta)^((p-1)/2) for the shifts of each factor
         assert calls[0] == ([0, 1], P)
-        assert all(n == (P - 1) // 2 and x[1] == 1
-                   and 1 <= x[0] <= modp.SHIFTS for x, n in calls[1:])
-    # t (t - r) with r + 1 and r + 2 of the Legendre symbols of 1 and 2: the
-    # shifts 1 and 2 split nothing, so two shifts give up after 3 powers
+        assert all(n == (P - 1) // 2 and x[1] == 1 and 1 <= x[0] < P
+                   for x, n in calls[1:])
+
+
+def test_roots_past_every_small_shift(monkeypatch):
+    # t (t - r), r = 20125: r + delta and delta have one Legendre symbol
+    # for delta = 1, ..., 16, so none of these shifts separates 0 from r
+    r = 20125
     chi = lambda n: pow(n, (P - 1) // 2, P)
-    r = next(r for r in range(2, P)
-             if chi(r + 1) == chi(1) and chi(r + 2) == chi(2))
-    f = _from_roots([0, r], P)
-    monkeypatch.setattr(modp, "SHIFTS", 2)
-    calls.clear()
-    assert list(modp.roots(f, P)) == []
-    assert [n for _x, n in calls] == [P, (P - 1) // 2, (P - 1) // 2]
-    monkeypatch.setattr(modp, "SHIFTS", 16)
-    assert sorted(modp.roots(f, P)) == [0, r]
+    assert all(chi(delta) == chi(r + delta) for delta in range(1, 17))
+    calls = _counting_power(monkeypatch)
+    assert sorted(modp.roots([0, P - r, 1], P)) == [0, r]
+    assert len(calls) > 17
 
 
 def test_place_through_the_second_root_of_the_base(monkeypatch):
@@ -134,7 +130,7 @@ def test_place_through_the_second_root_of_the_base(monkeypatch):
     # t^2 - c a (c = +-1; x^4 - 2 is irreducible) is chosen to have
     # a root mod p only over the base root that `roots` yields second.
     p = 30047
-    assert p % 8 == 7 and p in modp.PRIMES
+    assert p % 8 == 7 and is_prime(p)
     first, second = modp.roots([p - 2, 0, 1], p)
     c = -1 if pow(first, (p - 1) // 2, p) == 1 else 1
     assert list(modp.roots([-c * first % p, 0, 1], p)) == []
@@ -143,8 +139,38 @@ def test_place_through_the_second_root_of_the_base(monkeypatch):
                                   base.zero, base.one], "b")
     images = list(modp.embeddings(field, p))
     assert len(images) == 2 and {e[1] for e in images} == {second}
-    monkeypatch.setattr(modp, "PRIMES", (p,))
+    monkeypatch.setattr(modp, "PLACE_START", p)
     assert modp.place(field) == (p, images[0])
+
+
+# the place prime of each record's field, 30011 where not listed
+PLACE_PRIMES = {1: 30091, 7: 30047, 16: 30089, **dict.fromkeys(
+    (4, 5, 6, 11, 12, 15, 30, 32, 34, 35, 36, 38, 39), 30013)}
+
+
+def test_place_prime_of_every_corpus_field(corpus):
+    assert {rec.id: modp.place(rec.field)[0] for rec in corpus} == {
+        rec.id: PLACE_PRIMES.get(rec.id, P) for rec in corpus}
+
+
+def test_place_past_the_first_eight_primes(by_id):
+    # 366 is a square mod none of the eight primes 30011, ..., 30091 above
+    # 30000, nor mod 30097, so Q(sqrt 366) has its first place at 30103
+    primes = [p for p in range(30001, 30104, 2) if is_prime(p)]
+    assert primes[7:] == [30091, 30097, 30103]
+    assert [p for p in primes if list(modp.roots([-366 % p, 0, 1], p))] == [
+        30103]
+    field = number_field([-366, 0, 1], "s")
+    assert modp.place(field)[0] == 30103
+    # record 3's curve and claims, mapped into the field
+    rec = by_id[3]
+    claims = [SingularityClaim(c.stype, ParameterLocation.at_roots(
+        c.location.poly.map_field(field)) if c.location.kind == "roots"
+        else c.location) for c in rec.claims]
+    cert = certify(rec.curve.map_field(field), claims, curve_id=3)
+    assert cert.passed
+    assert cert.checks["map_degree_prime"] == 30103
+    assert cert.checks["distinct_prime"] == 30103
 
 
 @pytest.mark.parametrize("rid", [1, 16, 34])
@@ -155,7 +181,7 @@ def test_place_of_a_two_generator_tower(rid):
     p, images = modp.place(field)
     assert modp.place(field) is field._place
     base = field.base
-    assert base.base == QQ and p in modp.PRIMES
+    assert base.base == QQ and p == PLACE_PRIMES[rid]
     low = images[:base.degree]
     r1, r2 = low[1], images[base.degree]
     # each level's reduced modulus vanishes at its root
@@ -225,8 +251,7 @@ def _check_fibers(curve):
     f = curve.field
     phi = curve.components()
     n = max(c.degree for c in phi)
-    pl = modp.place(f)
-    reduced = _reduced(curve, pl)
+    p, reduced = modp.at_place(f, [c.coeffs for c in phi]) or (None, None)
     at_infinity = _constants(f, [c.coeff(n) for c in phi])
     exact = []
     certified = 0
@@ -236,15 +261,14 @@ def _check_fibers(curve):
             exact.append(k)
         if reduced is None:
             continue
-        mod = _fiber_degree_mod(reduced, n, t0, pl[0])
+        mod = _fiber_degree_mod(reduced, n, t0, p)
         if mod is not None:
             assert mod == k, (curve, t0)
             certified += mod == 1
     got = list(_fiber_degrees(curve))
     assert [k for k, _p in got] == exact
-    assert all(p in (None, pl[0]) and (p is None or k == 1)
-               for k, p in got)
-    assert sum(p is not None for _k, p in got) == certified
+    assert all(q in (None, p) and (q is None or k == 1) for k, q in got)
+    assert sum(q is not None for _k, q in got) == certified
     return certified
 
 
@@ -328,8 +352,9 @@ def test_fibers_and_distinctness_mod_p_on_random_towers(monkeypatch,
 def test_unlucky_prime_falls_back(monkeypatch, by_id):
     # mod 23, curve 3's fiber at t0 = 7 has a gcd of degree two
     curve = by_id[3].curve
-    monkeypatch.setattr(modp, "PRIMES", (23,))
-    reduced = _reduced(curve, modp.place(QQ))
+    monkeypatch.setattr(modp, "PLACE_START", 23)
+    p, reduced = modp.at_place(QQ, [c.coeffs for c in curve.components()])
+    assert p == 23
     assert _fiber_degree_mod(reduced, curve.degree, FIBER_PARAMETERS[0],
                              23) == 2
     got = list(_fiber_degrees(curve))
@@ -344,7 +369,7 @@ def test_denominator_of_p_falls_back(by_id):
     rec = by_id[3]
     scaled = rec.curve.apply_projective(ProjectiveMap(QQ, [
         [Rat(1, P), 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert _reduced(scaled, modp.place(QQ)) is None
+    assert modp.at_place(QQ, [c.coeffs for c in scaled.components()]) is None
     assert image_degree(scaled) == (6, 1, None)
     assert image_degree(rec.curve) == (6, 1, P)
     # a claimed parameter with p in its denominator
@@ -356,11 +381,11 @@ def test_denominator_of_p_falls_back(by_id):
 
 
 def test_field_with_no_place_falls_back(monkeypatch, by_id):
-    # record 6 is over Q(i); t^2 + 1 has no root mod a prime 3 mod 4
+    # record 6 is over Q(i); t^2 + 1 has no root mod 30011 = 3 mod 4, the
+    # one prime below the lowered bound, so Q(i) has no place
     rec = by_id[6]
-    primes = tuple(p for p in modp.PRIMES if p % 4 == 3)
-    assert len(primes) >= 3
-    monkeypatch.setattr(modp, "PRIMES", primes)
+    assert P % 4 == 3
+    monkeypatch.setattr(modp, "PRIME_BOUND", 30012)
     fresh = ExtensionField(QQ, rec.field.modulus, "i")
     assert modp.place(fresh) is None
     curve = RationalPlaneCurve(
@@ -379,7 +404,8 @@ def test_square_composed_nodal_cubic_has_map_degree_two():
     square = P_(0, 0, 1)
     x, y, z = P_(-1, 0, 1), P_(0, -1, 0, 1), P_(1)
     doubled = RationalPlaneCurve(QQ, *(c.compose(square) for c in (x, y, z)))
-    reduced = _reduced(doubled, modp.place(QQ))
+    p, reduced = modp.at_place(QQ, [c.coeffs for c in doubled.components()])
+    assert p == P
     assert all(_fiber_degree_mod(reduced, 6, t0, P) == 2
                for t0 in FIBER_PARAMETERS)
     assert image_degree(doubled) == (3, 2, None)
@@ -501,12 +527,12 @@ def test_sqrt_prime_scan_is_bounded(monkeypatch, by_id):
     y = field.from_coords([Rat(1), Rat(1), Rat(0)])
     x = field.mul(y, y)
     assert modp.sqrt(field, x) in (y, field.neg(y))
-    monkeypatch.setattr(modp, "SQRT_PRIME_BOUND", 108)
+    monkeypatch.setattr(modp, "PRIME_BOUND", 108)
     with pytest.raises(FieldError, match="did not converge"):
         modp.sqrt(field, x)
     # certify turns the refusal into a FAIL at resolve: curve 10 takes square
     # roots over its quartic field
-    monkeypatch.setattr(modp, "SQRT_PRIME_BOUND", 102)
+    monkeypatch.setattr(modp, "PRIME_BOUND", 102)
     rec = by_id[10]
     cert = certify(rec.curve, rec.claims, curve_id=10)
     assert not cert.passed

@@ -48,6 +48,15 @@ def test_eisenstein_unit():
     assert w * w**2 == 1
 
 
+def test_number_field_of_degree_seven():
+    # build_tower has no degree cap, and number_field none either
+    F = number_field([-2, 0, 0, 0, 0, 0, 0, 1], "a")
+    a = generator(F)
+    assert F.degree == 7 and a**7 == 2
+    with pytest.raises(FieldError, match="monic"):
+        number_field([-2, 0, 0, 0, 0, 0, 0, 2])
+
+
 def test_division_by_zero():
     F = number_field([-5, 0, 1], "a")
     with pytest.raises(ZeroDivisionError):
